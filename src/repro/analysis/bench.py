@@ -1330,7 +1330,7 @@ BENCH_SUITES: dict[str, BenchSuite] = {
             "noise",
             lambda smoke, seed: run_bench(smoke=smoke, seed=seed),
             lambda report: render_report(report),
-            "BENCH.json",
+            "BENCH_noise.json",
         ),
         BenchSuite(
             "verify",

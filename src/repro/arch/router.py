@@ -32,7 +32,7 @@ gate, which guarantees progress and hence termination.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Iterable
 
@@ -101,17 +101,21 @@ def _lowered_operations(
 
 
 class _Segment:
-    """One barrier-delimited run of operations as a dependency DAG."""
+    """One barrier-delimited run of operations as a dependency DAG.
 
-    def __init__(self, operations: list[GateOperation]) -> None:
-        self.operations = operations
+    ``wires[i]`` holds operation ``i``'s logical wires as ints (their
+    positions in the routed wire list), interned once per route.
+    """
+
+    def __init__(self, wires: list[tuple[int, ...]]) -> None:
+        self.wires = wires
         #: op index -> number of unfinished predecessors.
-        self.blockers = [0] * len(operations)
+        self.blockers = [0] * len(wires)
         #: op index -> indices unblocked when it finishes.
-        self.successors: list[list[int]] = [[] for _ in operations]
-        last_on_wire: dict[Qudit, int] = {}
-        for index, op in enumerate(operations):
-            for wire in op.qudits:
+        self.successors: list[list[int]] = [[] for _ in wires]
+        last_on_wire: dict[int, int] = {}
+        for index, op_wires in enumerate(wires):
+            for wire in op_wires:
                 prev = last_on_wire.get(wire)
                 if prev is not None:
                     self.successors[prev].append(index)
@@ -126,11 +130,11 @@ class _Segment:
         #: lookahead window); consumed lazily as gates execute.
         self.pending_2q = deque(
             index
-            for index, op in enumerate(operations)
-            if op.num_qudits == 2
+            for index, op_wires in enumerate(wires)
+            if len(op_wires) == 2
         )
-        self.done = [False] * len(operations)
-        self.remaining = len(operations)
+        self.done = [False] * len(wires)
+        self.remaining = len(wires)
 
     def finish(self, index: int) -> list[int]:
         """Mark ``index`` executed; returns newly unblocked op indices."""
@@ -143,8 +147,9 @@ class _Segment:
                 unblocked.append(nxt)
         return unblocked
 
-    def window(self, size: int) -> list[GateOperation]:
-        """The next <= ``size`` unexecuted two-qudit ops past the front."""
+    def window(self, size: int) -> list[tuple[int, int]]:
+        """Wire pairs of the next <= ``size`` unexecuted two-qudit ops
+        past the front."""
         while self.pending_2q and self.done[self.pending_2q[0]]:
             self.pending_2q.popleft()
         out = []
@@ -152,30 +157,115 @@ class _Segment:
             if len(out) >= size:
                 break
             if not self.done[index] and self.blockers[index] > 0:
-                out.append(self.operations[index])
+                out.append(self.wires[index])
         return out
 
 
-@dataclass
 class _RoutingState:
-    """Mutable placement state threaded through one routing pass."""
+    """Placement and routed-operation log of one routing pass, in ints.
 
-    sites: list[Qudit]
-    where: dict[Qudit, int]
-    occupant: dict[int, Qudit | None]
-    routed: Circuit = field(default_factory=Circuit)
-    swap_count: int = 0
+    ``where`` maps logical wire -> site and ``occupant`` site -> logical
+    wire (-1 = empty).  Routed operations go to ``log`` as
+    ``(gate, sites)`` entries (``None`` marks a barrier) while ``depth``
+    tracks what :meth:`Circuit.append`/:meth:`Circuit.barrier` would
+    schedule, so candidate placements compare on (SWAPs, depth) and only
+    the winner is built into a :class:`Circuit`.
+    """
 
-    def apply_swap(self, swap, site_a: int, site_b: int) -> None:
-        self.routed.append(swap.on(self.sites[site_a], self.sites[site_b]))
-        wire_a = self.occupant[site_a]
-        wire_b = self.occupant[site_b]
-        self.occupant[site_a], self.occupant[site_b] = wire_b, wire_a
-        if wire_a is not None:
+    def __init__(self, where: list[int], num_sites: int, swap) -> None:
+        self.where = where
+        self.occupant = [-1] * num_sites
+        for wire, site in enumerate(where):
+            self.occupant[site] = wire
+        self.swap = swap
+        self.log: list = []
+        #: site -> last moment using it (-1 = none), as Circuit keeps.
+        self.last_use = [-1] * num_sites
+        self.floor = 0
+        self.depth = 0
+        self.swap_count = 0
+
+    def emit(self, gate, sites: tuple[int, ...]) -> None:
+        """Log ``gate`` on ``sites`` at its earliest (ASAP) moment."""
+        self.log.append((gate, sites))
+        last_use = self.last_use
+        moment = self.floor
+        for site in sites:
+            if last_use[site] >= moment:
+                moment = last_use[site] + 1
+        for site in sites:
+            last_use[site] = moment
+        if moment >= self.depth:
+            self.depth = moment + 1
+
+    def barrier(self) -> None:
+        self.log.append(None)
+        self.floor = self.depth
+
+    def apply_swap(self, site_a: int, site_b: int) -> None:
+        self.emit(self.swap, (site_a, site_b))
+        occupant = self.occupant
+        wire_a, wire_b = occupant[site_a], occupant[site_b]
+        occupant[site_a], occupant[site_b] = wire_b, wire_a
+        if wire_a >= 0:
             self.where[wire_a] = site_b
-        if wire_b is not None:
+        if wire_b >= 0:
             self.where[wire_b] = site_a
         self.swap_count += 1
+
+    def circuit(self, sites: list[Qudit]) -> Circuit:
+        """Replay the log onto ``sites`` as a scheduled circuit."""
+        routed = Circuit()
+        for entry in self.log:
+            if entry is None:
+                routed.barrier()
+            else:
+                gate, on = entry
+                routed.append(gate.on(*[sites[site] for site in on]))
+        return routed
+
+
+def _distance_sum(
+    gates: list[tuple[int, int]],
+    where: list[int],
+    table: list[list[int]],
+) -> tuple[int, dict[int, list[int]]]:
+    """Summed site distance of ``gates`` plus each wire's gate partners."""
+    total = 0
+    partners: dict[int, list[int]] = defaultdict(list)
+    for a, b in gates:
+        total += table[where[a]][where[b]]
+        partners[a].append(b)
+        partners[b].append(a)
+    return total, partners
+
+
+def _swap_delta(
+    partners: dict[int, list[int]],
+    where: list[int],
+    table: list[list[int]],
+    wire_a: int,
+    site_a: int,
+    wire_b: int,
+    site_b: int,
+) -> int:
+    """Change of a distance sum when ``wire_a`` (on ``site_a``) and
+    ``wire_b`` (on ``site_b``) trade sites; an empty site's -1 has no
+    partners.  Only gates on the two moving wires change distance, and
+    a gate between them keeps its (symmetric) distance.
+    """
+    delta = 0
+    if wire_a in partners:
+        old, new = table[site_a], table[site_b]
+        for other in partners[wire_a]:
+            if other != wire_b:
+                delta += new[where[other]] - old[where[other]]
+    if wire_b in partners:
+        old, new = table[site_b], table[site_a]
+        for other in partners[wire_b]:
+            if other != wire_a:
+                delta += new[where[other]] - old[where[other]]
+    return delta
 
 
 class LookaheadRouter:
@@ -210,24 +300,49 @@ class LookaheadRouter:
                 Circuit(), [], {}, {}, 0, topology.name,
                 router_name=self.name,
             )
-        stream = list(_lowered_operations(circuit))
+        # Intern the wires once: routing passes see each logical wire
+        # as its position in ``logical_wires``.
+        wire_id = {wire: k for k, wire in enumerate(logical_wires)}
+        segments: list[tuple[list[GateOperation], list[tuple]]] = [([], [])]
+        for op in _lowered_operations(circuit):
+            if op is BARRIER:
+                segments.append(([], []))
+            else:
+                segments[-1][0].append(op)
+                segments[-1][1].append(tuple(wire_id[w] for w in op.qudits))
 
         candidates = (
             [resolve_placement(logical_wires, placement, topology.size)]
             if placement is not None
-            else self._candidate_placements(logical_wires, stream, topology)
+            else self._candidate_placements(logical_wires, segments, topology)
         )
-        best: RoutedCircuit | None = None
+        swap = swap_gate(dim)
+        best: tuple[_RoutingState, dict[Qudit, int]] | None = None
         for candidate in candidates:
-            routed = self._route_once(
-                stream, logical_wires, dim, topology, candidate
+            state = self._route_once(
+                segments,
+                [candidate[wire] for wire in logical_wires],
+                topology,
+                swap,
             )
-            if best is None or (routed.swap_count, routed.depth) < (
-                best.swap_count, best.depth
+            if best is None or (state.swap_count, state.depth) < (
+                best[0].swap_count, best[0].depth
             ):
-                best = routed
+                best = (state, candidate)
         assert best is not None
-        return best
+        state, initial = best
+        sites = [Qudit(index, dim) for index in range(topology.size)]
+        return RoutedCircuit(
+            circuit=state.circuit(sites),
+            sites=sites,
+            final_placement={
+                wire: state.where[k] for k, wire in enumerate(logical_wires)
+            },
+            initial_placement=dict(initial),
+            swap_count=state.swap_count,
+            topology_name=topology.name,
+            router_name=self.name,
+        )
 
     # ------------------------------------------------------------------
     # Initial placement search
@@ -236,13 +351,13 @@ class LookaheadRouter:
     def _candidate_placements(
         self,
         logical_wires: list[Qudit],
-        stream: list["GateOperation | str"],
+        segments: list[tuple[list[GateOperation], list[tuple]]],
         topology: "CouplingGraph",
     ) -> list[dict[Qudit, int]]:
         """Identity, interaction-frequency, and seeded random placements."""
         candidates = [{w: k for k, w in enumerate(logical_wires)}]
         candidates.append(
-            self._interaction_placement(logical_wires, stream, topology)
+            self._interaction_placement(logical_wires, segments, topology)
         )
         rng = Random(self.config.seed)
         for _ in range(max(0, self.config.placement_trials)):
@@ -263,7 +378,7 @@ class LookaheadRouter:
     def _interaction_placement(
         self,
         logical_wires: list[Qudit],
-        stream: list["GateOperation | str"],
+        segments: list[tuple[list[GateOperation], list[tuple]]],
         topology: "CouplingGraph",
     ) -> dict[Qudit, int]:
         """Greedy interaction-graph embedding.
@@ -274,27 +389,29 @@ class LookaheadRouter:
         approximation of subgraph embedding that gives tree- and
         grid-shaped interaction graphs a near-native start.
         """
-        weight: Counter[tuple[Qudit, Qudit]] = Counter()
-        degree: Counter[Qudit] = Counter()
-        for op in stream:
-            if op is BARRIER or op.num_qudits != 2:
-                continue
-            a, b = op.qudits
-            weight[(a, b) if a < b else (b, a)] += 1
-            degree[a] += 1
-            degree[b] += 1
-        partners: dict[Qudit, list[tuple[Qudit, int]]] = defaultdict(list)
+        weight: Counter[tuple[int, int]] = Counter()
+        degree = [0] * len(logical_wires)
+        for _, op_wires in segments:
+            for pair in op_wires:
+                if len(pair) != 2:
+                    continue
+                a, b = pair
+                weight[(a, b) if a < b else (b, a)] += 1
+                degree[a] += 1
+                degree[b] += 1
+        partners: list[list[tuple[int, int]]] = [[] for _ in logical_wires]
         for (a, b), count in weight.items():
             partners[a].append((b, count))
             partners[b].append((a, count))
         table = topology.distance_table()
         order = sorted(
-            logical_wires, key=lambda w: (-degree[w], w)
+            range(len(logical_wires)),
+            key=lambda k: (-degree[k], logical_wires[k]),
         )
-        placed: dict[Qudit, int] = {}
+        placed: dict[int, int] = {}
         free = set(range(topology.size))
 
-        def cost(site: int, wire: Qudit) -> int:
+        def cost(site: int, wire: int) -> int:
             return sum(
                 table[site][placed[other]] * count
                 for other, count in partners[wire]
@@ -305,7 +422,7 @@ class LookaheadRouter:
             site = min(free, key=lambda s: (cost(s, wire), s))
             placed[wire] = site
             free.discard(site)
-        return placed
+        return {logical_wires[k]: site for k, site in placed.items()}
 
     # ------------------------------------------------------------------
     # One routing pass
@@ -313,58 +430,31 @@ class LookaheadRouter:
 
     def _route_once(
         self,
-        stream: list["GateOperation | str"],
-        logical_wires: list[Qudit],
-        dim: int,
+        segments: list[tuple[list[GateOperation], list[tuple]]],
+        where: list[int],
         topology: "CouplingGraph",
-        placement: dict[Qudit, int],
-    ) -> RoutedCircuit:
-        sites = [Qudit(index, dim) for index in range(topology.size)]
-        occupant: dict[int, Qudit | None] = {
-            s: None for s in range(topology.size)
-        }
-        for wire, site in placement.items():
-            occupant[site] = wire
-        state = _RoutingState(
-            sites=sites, where=dict(placement), occupant=occupant
-        )
-        swap = swap_gate(dim)
-
-        segment: list[GateOperation] = []
-        for op in stream:
-            if op is BARRIER:
-                self._route_segment(segment, state, topology, swap)
-                state.routed.barrier()
-                segment = []
-            else:
-                segment.append(op)
-        self._route_segment(segment, state, topology, swap)
-
-        return RoutedCircuit(
-            circuit=state.routed,
-            sites=sites,
-            final_placement={
-                w: state.where[w] for w in logical_wires
-            },
-            initial_placement=dict(placement),
-            swap_count=state.swap_count,
-            topology_name=topology.name,
-            router_name=self.name,
-        )
+        swap,
+    ) -> _RoutingState:
+        state = _RoutingState(where, topology.size, swap)
+        for position, (operations, wires) in enumerate(segments):
+            if position:
+                state.barrier()
+            self._route_segment(operations, wires, state, topology)
+        return state
 
     def _route_segment(
         self,
         operations: list[GateOperation],
+        wires: list[tuple[int, ...]],
         state: _RoutingState,
         topology: "CouplingGraph",
-        swap,
     ) -> None:
         """Route one barrier-delimited segment with the SABRE loop."""
         if not operations:
             return
-        segment = _Segment(operations)
-        table = topology.distance_table()
-        decay: dict[int, float] = defaultdict(float)
+        segment = _Segment(wires)
+        where = state.where
+        decay: dict[int, float] = {}
         stalled = 0
         stall_budget = self.config.stall_budget(topology)
         last_swap: tuple[int, int] | None = None
@@ -376,23 +466,15 @@ class LookaheadRouter:
             scan = len(segment.front)
             for _ in range(scan):
                 index = segment.front.popleft()
-                op = segment.operations[index]
-                if op.num_qudits == 1:
-                    state.routed.append(
-                        op.gate.on(state.sites[state.where[op.qudits[0]]])
-                    )
-                elif topology.are_adjacent(
-                    state.where[op.qudits[0]], state.where[op.qudits[1]]
-                ):
-                    state.routed.append(
-                        op.gate.on(
-                            state.sites[state.where[op.qudits[0]]],
-                            state.sites[state.where[op.qudits[1]]],
-                        )
-                    )
+                op_wires = wires[index]
+                if len(op_wires) == 1:
+                    state.emit(operations[index].gate, (where[op_wires[0]],))
                 else:
-                    segment.front.append(index)
-                    continue
+                    site_a, site_b = where[op_wires[0]], where[op_wires[1]]
+                    if not topology.are_adjacent(site_a, site_b):
+                        segment.front.append(index)
+                        continue
+                    state.emit(operations[index].gate, (site_a, site_b))
                 segment.front.extend(segment.finish(index))
                 progressed = True
             if progressed:
@@ -409,43 +491,42 @@ class LookaheadRouter:
             if stalled >= stall_budget:
                 # Heuristic is wedged (adversarial graph): greedily walk
                 # the oldest front gate's operands together.
-                self._greedy_unblock(
-                    segment.operations[segment.front[0]],
-                    state, topology, swap,
-                )
+                self._greedy_unblock(wires[segment.front[0]], state, topology)
                 stalled = 0
                 continue
 
-            front_ops = [
-                segment.operations[index] for index in segment.front
-            ]
+            front = [wires[index] for index in segment.front]
             window = segment.window(self.config.lookahead)
             choice = self._best_swap(
-                front_ops, window, state, topology, table, decay, last_swap
+                front, window, state, topology, decay, last_swap
             )
-            state.apply_swap(swap, *choice)
+            state.apply_swap(*choice)
             last_swap = choice
-            decay[choice[0]] += self.config.decay
-            decay[choice[1]] += self.config.decay
+            for site in choice:
+                decay[site] = decay.get(site, 0.0) + self.config.decay
             stalled += 1
             if stalled % max(1, self.config.decay_reset) == 0:
                 decay.clear()
 
-    def _best_swap(
+    def _swap_scores(
         self,
-        front_ops: list[GateOperation],
-        window: list[GateOperation],
+        front: list[tuple[int, int]],
+        window: list[tuple[int, int]],
         state: _RoutingState,
         topology: "CouplingGraph",
-        table: list[list[int]],
         decay: dict[int, float],
-        last_swap: tuple[int, int] | None,
-    ) -> tuple[int, int]:
-        """The SWAP minimising the front + discounted-window distance."""
-        where = state.where
-        active_sites = {
-            where[w] for op in front_ops for w in op.qudits
-        }
+    ) -> list[tuple[tuple[int, int], float]]:
+        """Every SWAP on an edge at a front gate's site, in sorted order,
+        with the front + discounted-window distance it would leave.
+
+        The two distance sums are taken once; each candidate adjusts
+        them by the gates on the (at most two) wires it moves.
+        """
+        where, occupant = state.where, state.occupant
+        table = topology.distance_table()
+        front_sum, front_partners = _distance_sum(front, where, table)
+        window_sum, window_partners = _distance_sum(window, where, table)
+        active_sites = {where[w] for pair in front for w in pair}
         # Normalised pairs: an edge between two active sites would
         # otherwise be scored in both orientations (score is symmetric).
         candidates = sorted(
@@ -455,65 +536,71 @@ class LookaheadRouter:
                 for other in topology.neighbors(site)
             }
         )
-
-        def score(site_a: int, site_b: int) -> float:
-            # Distances under the hypothetical swap, without mutating
-            # the placement: only wires on the two touched sites move.
-            moved = {}
-            wire_a = state.occupant[site_a]
-            wire_b = state.occupant[site_b]
-            if wire_a is not None:
-                moved[wire_a] = site_b
-            if wire_b is not None:
-                moved[wire_b] = site_a
-
-            def dist(op: GateOperation) -> int:
-                a, b = op.qudits
-                return table[moved.get(a, where[a])][
-                    moved.get(b, where[b])
-                ]
-
-            total = sum(dist(op) for op in front_ops) / len(front_ops)
-            if window:
-                total += (
-                    self.config.lookahead_weight
-                    * sum(dist(op) for op in window)
-                    / len(window)
+        weight = self.config.lookahead_weight
+        scores = []
+        for site_a, site_b in candidates:
+            wire_a, wire_b = occupant[site_a], occupant[site_b]
+            total = (
+                front_sum + _swap_delta(
+                    front_partners, where, table,
+                    wire_a, site_a, wire_b, site_b,
                 )
-            return total * (1.0 + decay[site_a] + decay[site_b])
+            ) / len(front)
+            if window:
+                total += weight * (
+                    window_sum + _swap_delta(
+                        window_partners, where, table,
+                        wire_a, site_a, wire_b, site_b,
+                    )
+                ) / len(window)
+            scores.append((
+                (site_a, site_b),
+                total * (
+                    1.0 + decay.get(site_a, 0.0) + decay.get(site_b, 0.0)
+                ),
+            ))
+        return scores
 
+    def _best_swap(
+        self,
+        front: list[tuple[int, int]],
+        window: list[tuple[int, int]],
+        state: _RoutingState,
+        topology: "CouplingGraph",
+        decay: dict[int, float],
+        last_swap: tuple[int, int] | None,
+    ) -> tuple[int, int]:
+        """The SWAP minimising the front + discounted-window distance
+        (first in sorted order on ties)."""
         best_score: float | None = None
         best: tuple[int, int] | None = None
-        for site_a, site_b in candidates:
-            if last_swap is not None and {site_a, site_b} == set(last_swap):
+        for pair, value in self._swap_scores(
+            front, window, state, topology, decay
+        ):
+            if pair == last_swap:
                 continue  # never undo the move we just made
-            value = score(site_a, site_b)
             if best_score is None or value < best_score:
                 best_score = value
-                best = (site_a, site_b)
+                best = pair
         if best is None:
             # Only the reversing swap exists (degree-1 pocket): take it.
-            best = last_swap  # type: ignore[assignment]
+            best = last_swap
         if best is None:  # pragma: no cover - check_routable guarantees
             raise SchedulingError("no SWAP candidate on a connected device")
         return best
 
     def _greedy_unblock(
         self,
-        op: GateOperation,
+        pair: tuple[int, int],
         state: _RoutingState,
         topology: "CouplingGraph",
-        swap,
     ) -> None:
-        """Shortest-path fallback: force ``op``'s operands adjacent."""
-        wire_a, wire_b = op.qudits
-        while not topology.are_adjacent(
-            state.where[wire_a], state.where[wire_b]
-        ):
-            step = topology.shortest_path_step(
-                state.where[wire_a], state.where[wire_b]
-            )
-            state.apply_swap(swap, state.where[wire_a], step)
+        """Shortest-path fallback: force ``pair``'s wires adjacent."""
+        wire_a, wire_b = pair
+        where = state.where
+        while not topology.are_adjacent(where[wire_a], where[wire_b]):
+            step = topology.shortest_path_step(where[wire_a], where[wire_b])
+            state.apply_swap(where[wire_a], step)
 
 
 class GreedyRouter:

@@ -15,7 +15,7 @@ from ..qudits import Qudit, check_distinct
 class GateOperation:
     """``gate`` applied to an ordered tuple of distinct wires."""
 
-    __slots__ = ("_gate", "_qudits")
+    __slots__ = ("_gate", "_qudits", "_interned")
 
     def __init__(self, gate: Gate, wires: Sequence[Qudit]) -> None:
         wires = tuple(wires)
@@ -23,6 +23,9 @@ class GateOperation:
         gate.validate_wires(wires)
         self._gate = gate
         self._qudits = wires
+        #: Process-local int key of the wires and gate, filled on first
+        #: use by :func:`repro.optimize.commutation.interned`.
+        self._interned = None
 
     @property
     def gate(self) -> Gate:
@@ -105,3 +108,7 @@ class GateOperation:
 
     def __hash__(self) -> int:
         return hash((self._qudits, self._gate))
+
+    def __reduce__(self):
+        # The interned key holds process-local ids: never pickle it.
+        return (type(self), (self._gate, self._qudits))

@@ -26,6 +26,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..gates.base import Gate
 from ..gates.controlled import ControlledGate
+from .commutation import interned, spec_id
 
 #: Registered semantic names that are Clifford for every parameter value.
 _CLIFFORD_NAMES = frozenset(
@@ -115,7 +116,8 @@ class QutritCliffordTCostModel:
 
     def __init__(self, atol: float = 1e-9) -> None:
         self._atol = atol
-        self._clifford_cache: dict = {}
+        #: canonical spec id -> Clifford verdict.
+        self._clifford_cache: dict[int, bool] = {}
 
     def is_clifford(self, gate: Gate) -> bool:
         """Heuristic Clifford membership (False = priced as non-Clifford).
@@ -128,11 +130,13 @@ class QutritCliffordTCostModel:
         misclassifying a Clifford as non-Clifford only makes the engine
         stricter about accepting rewrites.
         """
-        key = gate.canonical_spec()
-        cached = self._clifford_cache.get(key)
+        return self._clifford(gate, spec_id(gate))
+
+    def _clifford(self, gate: Gate, gate_id: int) -> bool:
+        cached = self._clifford_cache.get(gate_id)
         if cached is None:
             cached = self._classify(gate)
-            self._clifford_cache[key] = cached
+            self._clifford_cache[gate_id] = cached
         return cached
 
     def _classify(self, gate: Gate) -> bool:
@@ -170,7 +174,7 @@ class QutritCliffordTCostModel:
         non_clifford = sum(
             1
             for op in circuit.all_operations()
-            if not self.is_clifford(op.gate)
+            if not self._clifford(op.gate, interned(op).spec)
         )
         return CircuitCost(
             depth=circuit.depth,

@@ -27,8 +27,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
 from ..gates.base import Gate, PhasedGate, index_to_values, values_to_index
-from ..gates.spec import GateSpec
-from .commutation import operations_commute
+from .commutation import interned, keys_commute, spec_id
 
 #: How many predecessors the commute-back walk examines before giving
 #: up.  Bounds every pass at O(ops * window) commutation queries; the
@@ -123,44 +122,27 @@ class RewritePass(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Shared gate analyses, cached on canonical specs
+# Shared gate analyses, cached on canonical spec ids
 # ---------------------------------------------------------------------------
 
-#: canonical spec -> canonical spec of the gate's inverse.
-_INVERSE_CANONICAL: dict[GateSpec, GateSpec] = {}
+#: spec id -> spec id of the gate's inverse.
+_INVERSE_IDS: dict[int, int] = {}
 
-#: canonical spec -> True iff the gate is the identity.
-_IDENTITY_CACHE: dict[GateSpec, bool] = {}
+#: spec id -> True iff the gate is the identity.
+_IDENTITY_IDS: dict[int, bool] = {}
 
 
-def inverse_canonical_spec(gate: Gate) -> GateSpec:
-    """The canonical spec of ``gate.inverse()``, memoised process-wide."""
-    key = gate.canonical_spec()
-    cached = _INVERSE_CANONICAL.get(key)
+def _inverse_id(gate: Gate, gate_id: int) -> int:
+    """The spec id of ``gate.inverse()`` (``gate_id`` is ``gate``'s)."""
+    cached = _INVERSE_IDS.get(gate_id)
     if cached is None:
-        cached = gate.inverse().canonical_spec()
-        _INVERSE_CANONICAL[key] = cached
+        cached = spec_id(gate.inverse())
+        _INVERSE_IDS[gate_id] = cached
     return cached
 
 
-def is_inverse_pair(first: Gate, second: Gate) -> bool:
-    """True iff ``first`` then ``second`` compose to the identity.
-
-    Decided on canonical specs: semantic inverse rules (PR 7's registry
-    table) make e.g. ``RX(t)``/``RX(-t)`` and ``T``/``T_DAG`` compare
-    exactly, and structurally built daggers (the Barenco CV/CV† pairs)
-    match because both sides are the same conjugate-transpose
-    arithmetic.
-    """
-    if first.dims != second.dims:
-        return False
-    return second.canonical_spec() == inverse_canonical_spec(first)
-
-
-def is_identity_gate(gate: Gate) -> bool:
-    """True iff the gate acts as the identity on its wires."""
-    key = gate.canonical_spec()
-    cached = _IDENTITY_CACHE.get(key)
+def _is_identity(gate: Gate, gate_id: int) -> bool:
+    cached = _IDENTITY_IDS.get(gate_id)
     if cached is None:
         phases = gate.diagonal_phases()
         if phases is not None:
@@ -170,8 +152,27 @@ def is_identity_gate(gate: Gate) -> bool:
                 cached = gate.permutation() == list(range(gate.total_dim))
             except NotClassicalError:
                 cached = False
-        _IDENTITY_CACHE[key] = cached
+        _IDENTITY_IDS[gate_id] = cached
     return cached
+
+
+def is_inverse_pair(first: Gate, second: Gate) -> bool:
+    """True iff ``first`` then ``second`` compose to the identity.
+
+    Decided on canonical specs: the registry's semantic inverse rules
+    make e.g. ``RX(t)``/``RX(-t)`` and ``T``/``T_DAG`` compare
+    exactly, and structurally built daggers (the Barenco CV/CV† pairs)
+    match because both sides are the same conjugate-transpose
+    arithmetic.
+    """
+    if first.dims != second.dims:
+        return False
+    return spec_id(second) == _inverse_id(first, spec_id(first))
+
+
+def is_identity_gate(gate: Gate) -> bool:
+    """True iff the gate acts as the identity on its wires."""
+    return _is_identity(gate, spec_id(gate))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,8 @@ class CancelAdjacentInverses(RewritePass):
         out: list[GateOperation] = []
         applied = 0
         for op in ops:
-            if is_identity_gate(op.gate):
+            key = interned(op)
+            if _is_identity(op.gate, key.spec):
                 applied += 1
                 continue
             position = len(out)
@@ -206,14 +208,15 @@ class CancelAdjacentInverses(RewritePass):
             steps = 0
             while position > 0 and steps < self.window:
                 prev = out[position - 1]
-                if prev.qudits == op.qudits and is_inverse_pair(
-                    prev.gate, op.gate
-                ):
+                prev_key = interned(prev)
+                if prev_key.wires == key.wires and _inverse_id(
+                    prev.gate, prev_key.spec
+                ) == key.spec:
                     del out[position - 1]
                     applied += 1
                     cancelled = True
                     break
-                if not operations_commute(prev, op):
+                if not keys_commute(prev, prev_key, op, key):
                     break
                 position -= 1
                 steps += 1
@@ -269,8 +272,8 @@ class FuseDiagonalGates(RewritePass):
         out: list[GateOperation] = []
         applied = 0
         for op in ops:
-            phases = op.gate.diagonal_phases()
-            if phases is None:
+            key = interned(op)
+            if not key.diagonal:
                 out.append(op)
                 continue
             position = len(out)
@@ -278,19 +281,20 @@ class FuseDiagonalGates(RewritePass):
             steps = 0
             while position > 0 and steps < self.window:
                 prev = out[position - 1]
-                if set(prev.qudits) == set(
-                    op.qudits
-                ) and prev.gate.is_diagonal:
+                prev_key = interned(prev)
+                if prev_key.mask == key.mask and prev_key.diagonal:
                     partner = position - 1
                     break
-                if not operations_commute(prev, op):
+                if not keys_commute(prev, prev_key, op, key):
                     break
                 position -= 1
                 steps += 1
             if partner is None:
                 out.append(op)
                 continue
-            merged = self._fuse(out[partner], op, phases)
+            merged = self._fuse(
+                out[partner], op, op.gate.diagonal_phases()
+            )
             applied += 1
             if merged is None:
                 del out[partner]
@@ -341,10 +345,12 @@ class CommutationPacking(RewritePass):
         out: list[GateOperation] = []
         applied = 0
         for op in ops:
+            key = interned(op)
             position = len(out)
             steps = 0
             while position > 0 and steps < self.window:
-                if not operations_commute(out[position - 1], op):
+                prev = out[position - 1]
+                if not keys_commute(prev, interned(prev), op, key):
                     break
                 position -= 1
                 steps += 1

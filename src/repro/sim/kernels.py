@@ -45,7 +45,9 @@ Cache keys:
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -224,20 +226,54 @@ _CHANNEL_KERNELS: "weakref.WeakKeyDictionary[object, ChannelKernel]" = (
     weakref.WeakKeyDictionary()
 )
 
+#: Entry cap of each gather cache.  A serving process meets a stream of
+#: distinct (gate, placement, register) combos, so the caches evict
+#: their least recently used entries instead of growing without bound;
+#: 256 keeps a simulation workload's whole warm set (tens of entries).
+GATHER_CACHE_ENTRIES = 256
+
+
+class _GatherCache:
+    """A thread-safe LRU of read-only gather arrays, capped in entries."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> "np.ndarray | None":
+        with self._lock:
+            gather = self._entries.get(key)
+            if gather is not None:
+                self._entries.move_to_end(key)
+            return gather
+
+    def put(self, key: tuple, gather: np.ndarray) -> None:
+        with self._lock:
+            self._entries[key] = gather
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 #: (canonical GateSpec, touched axes, register shape) -> full-register
 #: gather indices.  Entries are O(register size) ints, so this cache is
-#: the memory-heaviest of the family — clear_kernel_caches() drops it
-#: with the rest, and entries only exist for (gate, placement, register)
-#: combos the state-vector fast path actually executed.
-_PERM_GATHERS: dict[
-    tuple[GateSpec, tuple[int, ...], tuple[int, ...]], np.ndarray
-] = {}
+#: the memory-heaviest of the family; entries only exist for (gate,
+#: placement, register) combos the state-vector fast path executed.
+_PERM_GATHERS = _GatherCache(GATHER_CACHE_ENTRIES)
 
 #: (tuple of (canonical spec, axes) steps, register shape) -> composed
 #: full-register gather indices for a whole run of consecutive
-#: permutation operations.  Same memory note as _PERM_GATHERS; only
-#: multi-op segments are cached (single ops live in _PERM_GATHERS).
-_SEGMENT_GATHERS: dict[tuple, np.ndarray] = {}
+#: permutation operations.  Only multi-op segments are cached (single
+#: ops live in _PERM_GATHERS).
+_SEGMENT_GATHERS = _GatherCache(GATHER_CACHE_ENTRIES)
 
 
 def _as_block(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -361,7 +397,7 @@ def permutation_gather(
             )
         gather = _build_permutation_gather(kernel, axes, shape)
         gather.setflags(write=False)
-        _PERM_GATHERS[key] = gather
+        _PERM_GATHERS.put(key, gather)
     return gather
 
 
@@ -406,7 +442,7 @@ def segment_permutation_gather(
             total = step if total is None else total[step]
         gather = total
         gather.setflags(write=False)
-        _SEGMENT_GATHERS[key] = gather
+        _SEGMENT_GATHERS.put(key, gather)
     return gather
 
 

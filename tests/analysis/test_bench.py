@@ -1,10 +1,12 @@
 """Bench harness: smoke run, JSON shape, and rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.bench import (
+    BENCH_SUITES,
     ROUTE_SCHEMA,
     ROUTE_SMOKE_WIDTHS,
     ROUTE_WIDTHS,
@@ -29,6 +31,14 @@ from repro.analysis.bench import (
     state_record_key,
     write_report,
 )
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SUITES))
+def test_default_out_names_a_committed_baseline(name):
+    # `bench --suite NAME` without --out writes here; a name without a
+    # committed file at the repository root would leave a stray report.
+    root = Path(__file__).parents[2]
+    assert (root / BENCH_SUITES[name].default_out).is_file()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gates.matrix import MatrixGate
-from repro.gates.qubit import CNOT, H
+from repro.gates.qubit import CNOT, H, X
 from repro.gates.qutrit import X_PLUS_1
 from repro.noise.damping import amplitude_damping_channel
 from repro.noise.depolarizing import (
@@ -13,11 +13,14 @@ from repro.noise.depolarizing import (
 )
 from repro.qudits import qubits, qutrits
 from repro.sim.kernels import (
+    GATHER_CACHE_ENTRIES,
     channel_kernel,
     clear_kernel_caches,
     gate_kernel,
     kernel_cache_stats,
+    permutation_gather,
     permutation_kernel,
+    segment_permutation_gather,
 )
 
 
@@ -144,3 +147,102 @@ class TestPermutationKernels:
         kernel = permutation_kernel(CNOT.on(*qubits(2)))
         with pytest.raises(ValueError):
             kernel.table[0] = 3
+
+
+class TestGatherCacheBound:
+    """Both gather caches are LRUs capped at GATHER_CACHE_ENTRIES."""
+
+    @staticmethod
+    def _stream(count):
+        """Distinct permutation circuits: one X (a single-op gather) and
+        an X, CNOT run (a segment gather) per register shape."""
+        a, b = qubits(2)
+        for extra in range(2, count + 2):
+            shape = (2, 2, extra)
+            yield shape, [(X.on(a), (0,)), (CNOT.on(a, b), (0, 1))]
+
+    def test_stream_of_distinct_circuits_stays_under_the_cap(self):
+        clear_kernel_caches()
+        for shape, steps in self._stream(GATHER_CACHE_ENTRIES + 30):
+            permutation_gather(*steps[0], shape)
+            segment_permutation_gather(steps, shape)
+            stats = kernel_cache_stats()
+            assert stats["permutation_gathers"] <= GATHER_CACHE_ENTRIES
+            assert stats["segment_gathers"] <= GATHER_CACHE_ENTRIES
+        stats = kernel_cache_stats()
+        assert stats["segment_gathers"] == GATHER_CACHE_ENTRIES
+        # X and CNOT gathers of every shape compete for one cache.
+        assert stats["permutation_gathers"] == GATHER_CACHE_ENTRIES
+        clear_kernel_caches()
+
+    def test_hit_refreshes_recency(self, monkeypatch):
+        from repro.sim import kernels
+
+        clear_kernel_caches()
+        monkeypatch.setattr(kernels._SEGMENT_GATHERS, "capacity", 3)
+        cases = list(self._stream(4))
+        first = [segment_permutation_gather(steps, shape)
+                 for shape, steps in cases[:3]]
+        # Touch the oldest entry, then overflow by one: the second
+        # oldest is evicted, the touched one survives.
+        assert segment_permutation_gather(cases[0][1], cases[0][0]) \
+            is first[0]
+        segment_permutation_gather(cases[3][1], cases[3][0])
+        assert kernel_cache_stats()["segment_gathers"] == 3
+        assert segment_permutation_gather(cases[0][1], cases[0][0]) \
+            is first[0]
+        rebuilt = segment_permutation_gather(cases[1][1], cases[1][0])
+        assert rebuilt is not first[1]
+        assert np.array_equal(rebuilt, first[1])
+        clear_kernel_caches()
+
+    def test_stats_keys_unchanged(self):
+        assert set(kernel_cache_stats()) == {
+            "gate_kernels",
+            "channel_kernels",
+            "permutation_kernels",
+            "permutation_gathers",
+            "segment_gathers",
+        }
+
+
+def test_gather_cache_under_concurrent_workers(monkeypatch):
+    # More threads than cores share one small LRU: it must stay within
+    # its cap and every lookup must return its own key's gather.
+    import sys
+    import threading
+
+    from repro.sim import kernels
+
+    clear_kernel_caches()
+    monkeypatch.setattr(kernels._PERM_GATHERS, "capacity", 4)
+    a = qubits(1)[0]
+    shapes = [(2, extra) for extra in range(2, 12)]
+    expected = {shape: permutation_gather(X.on(a), (0,), shape).copy()
+                for shape in shapes}
+    errors: list = []
+    start = threading.Barrier(6)
+
+    def work(seed):
+        start.wait(timeout=10)
+        for k in range(200):
+            shape = shapes[(seed * 7 + k) % len(shapes)]
+            gather = permutation_gather(X.on(a), (0,), shape)
+            if not np.array_equal(gather, expected[shape]):
+                errors.append(shape)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(kernels._PERM_GATHERS) == 4
+    clear_kernel_caches()
