@@ -14,7 +14,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import SchedulingError, SerializationError, SimulationError
+from ..exceptions import (
+    ReproError,
+    SchedulingError,
+    SerializationError,
+    SimulationError,
+)
 from ..gates.base import index_to_values
 from ..gates.spec import GateRegistry
 from ..qudits import Qudit, total_dimension
@@ -32,14 +37,31 @@ def _flatten(tree: OpTree) -> Iterator[GateOperation]:
         yield tree
         return
     for item in tree:
-        yield from _flatten(item)
+        if isinstance(item, GateOperation):
+            yield item
+        else:
+            yield from _flatten(item)
+
+
+def _floor(value: object) -> int:
+    """A serialized barrier floor, which must be a plain integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"barrier floor must be an integer, got {value!r}")
+    return value
 
 
 class Circuit:
     """A sequence of moments over mixed-dimension wires."""
 
     def __init__(self, operations: OpTree = ()) -> None:
-        self._moments: list[Moment] = []
+        # Each moment's operations in append order.  Appends grow these
+        # lists in place; the immutable Moment of a list is built only
+        # when read (see _moment_list).
+        self._ops: list[list[GateOperation]] = []
+        # The Moment built from each list since its last change, or None.
+        self._built: list[Moment | None] = []
+        # False once some entry of _built may be None.
+        self._all_built = True
         # Index of the last moment using each wire, for O(1) ASAP appends.
         self._last_use: dict[Qudit, int] = {}
         # Earliest moment new appends may occupy (raised by barrier()).
@@ -59,41 +81,74 @@ class Circuit:
     def append(self, operations: OpTree) -> "Circuit":
         """Append operations with earliest-possible scheduling.
 
-        Returns ``self`` so building can be chained.
+        Each operation costs O(its wires): it joins the moment just
+        after the latest one using any of its wires (or the barrier
+        floor, whichever is later).  Returns ``self`` so building can
+        be chained.
         """
-        for op in _flatten(operations):
-            earliest = -1
-            for wire in op.qudits:
-                earliest = max(earliest, self._last_use.get(wire, -1))
-            index = max(earliest + 1, self._barrier_floor)
-            while index >= len(self._moments):
-                self._moments.append(Moment())
-            self._moments[index] = self._moments[index].with_operation(op)
-            for wire in op.qudits:
-                self._last_use[wire] = index
-            self._count_operation(op)
+        moments = self._ops
+        built = self._built
+        last_use = self._last_use
+        self._all_built = False
+        if isinstance(operations, GateOperation):
+            ops: Iterable[GateOperation] = (operations,)
+        else:
+            ops = _flatten(operations)
+        for op in ops:
+            wires = op.qudits
+            index = self._barrier_floor
+            for wire in wires:
+                used = last_use.get(wire, -1)
+                if used >= index:
+                    index = used + 1
+            if index == len(moments):
+                moments.append([op])
+                built.append(None)
+            else:
+                moments[index].append(op)
+                built[index] = None
+            for wire in wires:
+                last_use[wire] = index
+            self._num_operations += 1
+            if len(wires) >= 2:
+                self._num_multi_qudit += 1
         return self
 
     def append_moment(self, operations: OpTree) -> "Circuit":
         """Append operations as one new moment (a scheduling barrier)."""
-        ops = list(_flatten(operations))
-        moment = Moment(ops)
-        self._moments.append(moment)
-        index = len(self._moments) - 1
-        for wire in moment.qudits:
-            self._last_use[wire] = index
-        for op in ops:
-            self._count_operation(op)
+        self._push_moment(Moment(_flatten(operations)))
         return self
 
-    def _count_operation(self, op: GateOperation) -> None:
-        self._num_operations += 1
-        if op.is_multi_qudit:
-            self._num_multi_qudit += 1
+    def _push_moment(self, moment: Moment) -> None:
+        """Append an already-built moment verbatim as the last moment."""
+        index = len(self._ops)
+        self._ops.append(list(moment.operations))
+        self._built.append(moment)
+        for wire in moment.qudits:
+            self._last_use[wire] = index
+        for op in moment:
+            self._num_operations += 1
+            if op.is_multi_qudit:
+                self._num_multi_qudit += 1
+
+    def _moment_list(self) -> list[Moment]:
+        """Every moment as a :class:`Moment`, building only those whose
+        operations changed since the last read.
+
+        Idempotent, so threads reading one settled circuit may race
+        here harmlessly: at worst both build an equal moment.
+        """
+        built = self._built
+        if not self._all_built:
+            for index, moment in enumerate(built):
+                if moment is None:
+                    built[index] = Moment._disjoint(self._ops[index])
+            self._all_built = True
+        return built
 
     def barrier(self) -> "Circuit":
         """Prevent later appends from sliding into existing moments."""
-        self._barrier_floor = len(self._moments)
+        self._barrier_floor = len(self._ops)
         if (
             self._barrier_floor > 0
             and self._barrier_floor not in self._barrier_history
@@ -117,19 +172,18 @@ class Circuit:
         operations (the compile passes' hook)."""
         floors = iter(self._barrier_history)
         next_floor = next(floors, None)
-        for index, moment in enumerate(self._moments):
+        for index, ops in enumerate(self._ops):
             while next_floor is not None and next_floor <= index:
                 target.barrier()
                 next_floor = next(floors, None)
             if transform is None:
-                target.append(moment.operations)
+                target.append(ops)
             else:
-                for op in moment:
-                    target.append(transform(op))
+                target.append([transform(op) for op in ops])
         while next_floor is not None:
             target.barrier()
             next_floor = next(floors, None)
-        if self._barrier_floor >= len(self._moments):
+        if self._barrier_floor >= len(self._ops):
             target.barrier()
 
     def transformed(
@@ -160,12 +214,12 @@ class Circuit:
         if preserve_barriers:
             self._replay_onto(packed)
         else:
-            packed.append(self.all_operations())
+            packed.append(self._ops)
         return packed
 
     def _segment_bounds(self) -> list[int]:
         """Moment indices bounding the barrier segments: ``[0, f1, .., end]``."""
-        end = len(self._moments)
+        end = len(self._ops)
         interior = [f for f in self._barrier_history if 0 < f < end]
         return [0, *interior, end]
 
@@ -179,9 +233,10 @@ class Circuit:
         circuit with every floor replayed in place.  A circuit with no
         interior barriers is a single segment (possibly empty).
         """
+        moments = self._moment_list()
         bounds = self._segment_bounds()
         return [
-            tuple(self._moments[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            tuple(moments[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
         ]
 
     def with_replaced_moments(
@@ -224,18 +279,18 @@ class Circuit:
                         "all operations, not a mix"
                     )
                 for moment in content:
-                    result.append_moment(moment.operations)
+                    result._push_moment(moment)
             else:
                 result.append(content)
-        if preserve_floors and self._barrier_floor >= len(self._moments):
+        if preserve_floors and self._barrier_floor >= len(self._ops):
             result.barrier()
         return result
 
     def inverse(self) -> "Circuit":
         """The inverse circuit (reversed moments of inverted gates)."""
         inv = Circuit()
-        for moment in reversed(self._moments):
-            inv.append_moment(moment.inverse().operations)
+        for moment in reversed(self._moment_list()):
+            inv._push_moment(moment.inverse())
         return inv
 
     # ------------------------------------------------------------------
@@ -245,12 +300,11 @@ class Circuit:
     @property
     def moments(self) -> tuple[Moment, ...]:
         """The scheduled moments in time order."""
-        return tuple(self._moments)
+        return tuple(self._moment_list())
 
     def all_operations(self) -> Iterator[GateOperation]:
         """Operations in schedule order (moment by moment)."""
-        for moment in self._moments:
-            yield from moment
+        return iter([op for ops in self._ops for op in ops])
 
     def all_qudits(self) -> list[Qudit]:
         """Wires used anywhere in the circuit, sorted by index."""
@@ -259,7 +313,7 @@ class Circuit:
     @property
     def depth(self) -> int:
         """Number of moments = critical-path length (the paper's depth)."""
-        return len(self._moments)
+        return len(self._ops)
 
     @property
     def num_operations(self) -> int:
@@ -287,10 +341,10 @@ class Circuit:
         )
 
     def __len__(self) -> int:
-        return len(self._moments)
+        return len(self._ops)
 
     def __iter__(self) -> Iterator[Moment]:
-        return iter(self._moments)
+        return iter(self.moments)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -312,7 +366,7 @@ class Circuit:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        return self._moments == other._moments
+        return self._moment_list() == other._moment_list()
 
     def __ne__(self, other: object) -> bool:
         result = self.__eq__(other)
@@ -323,13 +377,13 @@ class Circuit:
     def __hash__(self) -> int:
         # Note: circuits are mutable builders; hash only settled circuits
         # (e.g. cache keys computed after construction finishes).
-        return hash(tuple(self._moments))
+        return hash(self.moments)
 
     def to_dict(self) -> dict:
         """Plain-data form of the circuit (moments, barriers, version)."""
         return {
             "version": SERIALIZATION_VERSION,
-            "moments": [moment.to_dict() for moment in self._moments],
+            "moments": [moment.to_dict() for moment in self._moment_list()],
             "barriers": list(self._barrier_history),
             "barrier_floor": self._barrier_floor,
         }
@@ -343,7 +397,10 @@ class Circuit:
         Moments are restored verbatim (no rescheduling), so
         ``Circuit.from_dict(c.to_dict()) == c`` for every circuit; the
         barrier state is restored too, so continued building behaves
-        like it would on the original.
+        like it would on the original.  Malformed data — bad gate or
+        wire entries, moments whose operations share a wire, or barrier
+        state :meth:`barrier` could not have produced — raises
+        :class:`SerializationError`.
         """
         version = data.get("version")
         if version != SERIALIZATION_VERSION:
@@ -351,20 +408,34 @@ class Circuit:
                 f"unsupported circuit format version {version!r} "
                 f"(this library reads version {SERIALIZATION_VERSION})"
             )
-        circuit = cls()
         try:
-            for moment_data in data["moments"]:
-                circuit.append_moment(
-                    Moment.from_dict(moment_data, registry).operations
-                )
-        except (KeyError, ValueError, TypeError) as error:
+            moments = [
+                Moment.from_dict(moment_data, registry)
+                for moment_data in data["moments"]
+            ]
+            history = [_floor(value) for value in data.get("barriers", [])]
+            floor = _floor(data.get("barrier_floor", 0))
+        except (KeyError, ValueError, TypeError, ReproError) as error:
             raise SerializationError(
                 f"malformed circuit data: {error}"
             ) from error
-        circuit._barrier_history = [
-            int(floor) for floor in data.get("barriers", [])
-        ]
-        circuit._barrier_floor = int(data.get("barrier_floor", 0))
+        depth = len(moments)
+        bounds = [0, *history, depth + 1]
+        if any(high <= low for low, high in zip(bounds, bounds[1:])):
+            raise SerializationError(
+                f"malformed circuit data: barriers {history} must be "
+                f"strictly increasing within [1, {depth}]"
+            )
+        if not 0 <= floor <= depth:
+            raise SerializationError(
+                f"malformed circuit data: barrier_floor {floor} must lie "
+                f"within [0, {depth}]"
+            )
+        circuit = cls()
+        for moment in moments:
+            circuit._push_moment(moment)
+        circuit._barrier_history = history
+        circuit._barrier_floor = floor
         return circuit
 
     def to_json(self, *, indent: int | None = None) -> str:

@@ -33,6 +33,20 @@ class Moment:
         self._operations = ops
         self._qudits = frozenset(used)
 
+    @classmethod
+    def _disjoint(cls, operations: Iterable[GateOperation]) -> "Moment":
+        """A moment of operations already known to use disjoint wires.
+
+        Skips the overlap check: only :class:`Circuit` calls this, for
+        moments its ASAP rule built (an operation joins a moment only
+        after every wire it uses was last used in an earlier one).  The
+        wire set is left for :attr:`qudits` to fill on first read.
+        """
+        moment = object.__new__(cls)
+        moment._operations = tuple(operations)
+        moment._qudits = None
+        return moment
+
     @property
     def operations(self) -> tuple[GateOperation, ...]:
         """Operations in this moment."""
@@ -41,6 +55,10 @@ class Moment:
     @property
     def qudits(self) -> frozenset[Qudit]:
         """Wires touched by this moment."""
+        if self._qudits is None:
+            self._qudits = frozenset(
+                [w for op in self._operations for w in op.qudits]
+            )
         return self._qudits
 
     @property
@@ -50,7 +68,7 @@ class Moment:
 
     def operates_on(self, wires: Iterable[Qudit]) -> bool:
         """True iff this moment touches any of ``wires``."""
-        return not self._qudits.isdisjoint(wires)
+        return not self.qudits.isdisjoint(wires)
 
     def with_operation(self, op: GateOperation) -> "Moment":
         """A new moment with ``op`` added (wires must be free)."""

@@ -15,7 +15,7 @@ from ..qudits import Qudit, check_distinct
 class GateOperation:
     """``gate`` applied to an ordered tuple of distinct wires."""
 
-    __slots__ = ("_gate", "_qudits", "_interned")
+    __slots__ = ("_gate", "_qudits", "_interned", "_cell")
 
     def __init__(self, gate: Gate, wires: Sequence[Qudit]) -> None:
         wires = tuple(wires)
@@ -26,6 +26,9 @@ class GateOperation:
         #: Process-local int key of the wires and gate, filled on first
         #: use by :func:`repro.optimize.commutation.interned`.
         self._interned = None
+        #: Fingerprint cell text, filled on first use by
+        #: :meth:`fingerprint_cell`.
+        self._cell = None
 
     @property
     def gate(self) -> Gate:
@@ -86,6 +89,24 @@ class GateOperation:
             "gate": self._gate.spec().to_dict(),
             "wires": [[w.index, w.dimension] for w in self._qudits],
         }
+
+    def fingerprint_cell(self) -> str:
+        """This operation's term in ``circuit_fingerprint``.
+
+        The compact sorted-key JSON text of ``{"gate": <canonical gate
+        spec>, "wires": [[index, dim], ...]}``, built once and cached.
+        """
+        cell = self._cell
+        if cell is None:
+            wires = ",".join(
+                f"[{w.index},{w.dimension}]" for w in self._qudits
+            )
+            cell = (
+                f'{{"gate":{self._gate.canonical_spec().to_json()},'
+                f'"wires":[{wires}]}}'
+            )
+            self._cell = cell
+        return cell
 
     @classmethod
     def from_dict(

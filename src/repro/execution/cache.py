@@ -39,23 +39,14 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     gates that merely share a display name can no longer collide, and
     two circuits fingerprint equal exactly when they are structurally
     equal (``Circuit.__eq__``).  Operations within a moment are sorted,
-    matching the order-insensitive moment equality.
+    matching the order-insensitive moment equality.  Each operation's
+    term is its cached ``GateOperation.fingerprint_cell()``, so no gate
+    spec is serialized twice.
     """
     digest = hashlib.sha256()
     for moment in circuit:
-        cells = sorted(
-            json.dumps(
-                {
-                    "gate": op.gate.canonical_spec().to_dict(),
-                    "wires": [[w.index, w.dimension] for w in op.qudits],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for op in moment.operations
-        )
         digest.update(b"|")
-        for cell in cells:
+        for cell in sorted(op.fingerprint_cell() for op in moment):
             digest.update(cell.encode())
             digest.update(b";")
     return digest.hexdigest()

@@ -136,8 +136,19 @@ class GateSpec:
         )
 
     def to_json(self) -> str:
-        """Canonical JSON text of the spec (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON text of the spec (sorted keys, no whitespace).
+
+        Computed once per spec object: specs are immutable, and every
+        operation of a gate fingerprints through its (cached) canonical
+        spec's text.
+        """
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(
+                self.to_dict(), sort_keys=True, separators=(",", ":")
+            )
+            object.__setattr__(self, "_json", text)
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "GateSpec":

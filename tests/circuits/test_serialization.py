@@ -3,7 +3,11 @@
 import pytest
 
 from repro.circuits import Circuit, GateOperation, Moment
-from repro.exceptions import SerializationError
+from repro.exceptions import (
+    DimensionMismatchError,
+    SchedulingError,
+    SerializationError,
+)
 from repro.gates import CNOT, H, X, X_PLUS_1, controlled_power_of_x
 from repro.qudits import Qudit, qubits, qutrits
 from repro.toffoli.registry import CONSTRUCTIONS, build_toffoli
@@ -84,6 +88,70 @@ class TestCircuitSerialization:
 
     def test_empty_circuit_round_trips(self):
         assert Circuit.from_json(Circuit().to_json()) == Circuit()
+
+
+class TestMalformedCircuitData:
+    """Outside data never reaches the circuit unchecked: every defect
+    raises SerializationError chained from its cause."""
+
+    @staticmethod
+    def _rejects(data, cause):
+        with pytest.raises(SerializationError, match="malformed") as info:
+            Circuit.from_dict(data)
+        if cause is not None:
+            assert isinstance(info.value.__cause__, cause)
+
+    def test_two_operations_on_one_wire_in_a_moment(self):
+        data = _sample_circuit().to_dict()
+        h_op = data["moments"][0]["operations"][0]
+        data["moments"][0]["operations"].append(h_op)
+        self._rejects(data, SchedulingError)
+
+    def test_wire_dimension_differs_from_gate(self):
+        data = _sample_circuit().to_dict()
+        data["moments"][0]["operations"][0]["wires"] = [[0, 3]]
+        self._rejects(data, DimensionMismatchError)
+
+    @pytest.mark.parametrize("value", ["2", "x", 1.5, None, True])
+    def test_non_integer_barrier_entry(self, value):
+        data = _sample_circuit().to_dict()
+        data["barriers"] = [value]
+        self._rejects(data, TypeError)
+
+    @pytest.mark.parametrize("value", ["2", "x", 1.5, None, False])
+    def test_non_integer_barrier_floor(self, value):
+        data = _sample_circuit().to_dict()
+        data["barrier_floor"] = value
+        self._rejects(data, TypeError)
+
+    def test_barrier_state_beyond_depth(self):
+        data = Circuit([H.on(qubits(1)[0])] * 2).to_dict()
+        assert len(data["moments"]) == 2
+        data["barriers"], data["barrier_floor"] = [5], 7
+        self._rejects(data, None)
+
+    @pytest.mark.parametrize(
+        "barriers", [[0], [2, 1], [1, 1], [-1], [1, 4]]
+    )
+    def test_barrier_history_not_strictly_increasing_in_range(
+        self, barriers
+    ):
+        data = _sample_circuit().to_dict()
+        data["barriers"] = barriers
+        self._rejects(data, None)
+
+    @pytest.mark.parametrize("floor", [-1, 4])
+    def test_barrier_floor_outside_depth(self, floor):
+        data = _sample_circuit().to_dict()
+        data["barrier_floor"] = floor
+        self._rejects(data, None)
+
+    def test_full_range_barrier_state_accepted(self):
+        data = _sample_circuit().to_dict()
+        data["barriers"], data["barrier_floor"] = [1, 3], 3
+        circuit = Circuit.from_dict(data)
+        assert circuit.barrier_floors == (1, 3)
+        assert circuit.append(H.on(qubits(1)[0])).depth == 4
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
