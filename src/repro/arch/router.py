@@ -50,6 +50,7 @@ from .routing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..gates.base import Gate
     from .topology import CouplingGraph
 
 
@@ -100,16 +101,22 @@ def _lowered_operations(
             yield from decompose_operation(op)
 
 
-class _Segment:
+class _SegmentDAG:
     """One barrier-delimited run of operations as a dependency DAG.
 
-    ``wires[i]`` holds operation ``i``'s logical wires as ints (their
-    positions in the routed wire list), interned once per route.
+    Built once per :meth:`LookaheadRouter.route` call and shared by
+    every candidate placement's pass, which walks it through its own
+    :class:`_SegmentRun`.  ``wires[i]`` holds operation ``i``'s logical
+    wires as ints (their positions in the routed wire list), interned
+    once per route.
     """
 
-    def __init__(self, wires: list[tuple[int, ...]]) -> None:
+    def __init__(
+        self, gates: list["Gate"], wires: list[tuple[int, ...]]
+    ) -> None:
+        self.gates = gates
         self.wires = wires
-        #: op index -> number of unfinished predecessors.
+        #: op index -> number of predecessors (before anything runs).
         self.blockers = [0] * len(wires)
         #: op index -> indices unblocked when it finishes.
         self.successors: list[list[int]] = [[] for _ in wires]
@@ -121,44 +128,90 @@ class _Segment:
                     self.successors[prev].append(index)
                     self.blockers[index] += 1
                 last_on_wire[wire] = index
-        self.front = deque(
+        #: Op indices with no predecessors, in schedule order.
+        self.front = [
             index
             for index, count in enumerate(self.blockers)
             if count == 0
-        )
-        #: Remaining two-qudit op indices in schedule order (for the
-        #: lookahead window); consumed lazily as gates execute.
-        self.pending_2q = deque(
+        ]
+        #: Two-qudit op indices in schedule order (the lookahead
+        #: window's source).
+        self.order_2q = [
             index
             for index, op_wires in enumerate(wires)
             if len(op_wires) == 2
-        )
-        self.done = [False] * len(wires)
-        self.remaining = len(wires)
+        ]
+
+    def start(self) -> "_SegmentRun":
+        """Fresh progress state for one routing pass over this DAG."""
+        return _SegmentRun(self)
+
+
+class _SegmentRun:
+    """One routing pass's progress through a shared :class:`_SegmentDAG`.
+
+    Only the blocker counts are copied; the pass keeps its own done
+    flags, front layer and lookahead-window head.
+    """
+
+    def __init__(self, dag: _SegmentDAG) -> None:
+        self.dag = dag
+        self.blockers = list(dag.blockers)
+        self.done = [False] * len(dag.wires)
+        self.front = deque(dag.front)
+        self.remaining = len(dag.wires)
+        #: Position in ``dag.order_2q`` of the first unexecuted op.
+        self.head = 0
 
     def finish(self, index: int) -> list[int]:
         """Mark ``index`` executed; returns newly unblocked op indices."""
         self.done[index] = True
         self.remaining -= 1
+        blockers = self.blockers
         unblocked = []
-        for nxt in self.successors[index]:
-            self.blockers[nxt] -= 1
-            if self.blockers[nxt] == 0:
+        for nxt in self.dag.successors[index]:
+            blockers[nxt] -= 1
+            if blockers[nxt] == 0:
                 unblocked.append(nxt)
         return unblocked
 
     def window(self, size: int) -> list[tuple[int, int]]:
         """Wire pairs of the next <= ``size`` unexecuted two-qudit ops
         past the front."""
-        while self.pending_2q and self.done[self.pending_2q[0]]:
-            self.pending_2q.popleft()
+        order, done = self.dag.order_2q, self.done
+        head, end = self.head, len(order)
+        while head < end and done[order[head]]:
+            head += 1
+        self.head = head
+        blockers, wires = self.blockers, self.dag.wires
         out = []
-        for index in self.pending_2q:
+        for position in range(head, end):
             if len(out) >= size:
                 break
-            if not self.done[index] and self.blockers[index] > 0:
-                out.append(self.wires[index])
+            index = order[position]
+            if not done[index] and blockers[index] > 0:
+                out.append(wires[index])
         return out
+
+
+def _segment_dags(
+    circuit: Circuit, logical_wires: list[Qudit]
+) -> list[_SegmentDAG]:
+    """``circuit``'s barrier segments as DAGs over interned wires.
+
+    Each logical wire becomes its position in ``logical_wires``.  Built
+    once per route: every candidate placement's pass walks these DAGs
+    with its own progress state.
+    """
+    wire_id = {wire: k for k, wire in enumerate(logical_wires)}
+    parts: list[tuple[list["Gate"], list[tuple[int, ...]]]] = [([], [])]
+    for op in _lowered_operations(circuit):
+        if op is BARRIER:
+            parts.append(([], []))
+        else:
+            parts[-1][0].append(op.gate)
+            parts[-1][1].append(tuple(wire_id[w] for w in op.qudits))
+    return [_SegmentDAG(gates, wires) for gates, wires in parts]
 
 
 class _RoutingState:
@@ -300,17 +353,7 @@ class LookaheadRouter:
                 Circuit(), [], {}, {}, 0, topology.name,
                 router_name=self.name,
             )
-        # Intern the wires once: routing passes see each logical wire
-        # as its position in ``logical_wires``.
-        wire_id = {wire: k for k, wire in enumerate(logical_wires)}
-        segments: list[tuple[list[GateOperation], list[tuple]]] = [([], [])]
-        for op in _lowered_operations(circuit):
-            if op is BARRIER:
-                segments.append(([], []))
-            else:
-                segments[-1][0].append(op)
-                segments[-1][1].append(tuple(wire_id[w] for w in op.qudits))
-
+        segments = _segment_dags(circuit, logical_wires)
         candidates = (
             [resolve_placement(logical_wires, placement, topology.size)]
             if placement is not None
@@ -351,7 +394,7 @@ class LookaheadRouter:
     def _candidate_placements(
         self,
         logical_wires: list[Qudit],
-        segments: list[tuple[list[GateOperation], list[tuple]]],
+        segments: list[_SegmentDAG],
         topology: "CouplingGraph",
     ) -> list[dict[Qudit, int]]:
         """Identity, interaction-frequency, and seeded random placements."""
@@ -378,7 +421,7 @@ class LookaheadRouter:
     def _interaction_placement(
         self,
         logical_wires: list[Qudit],
-        segments: list[tuple[list[GateOperation], list[tuple]]],
+        segments: list[_SegmentDAG],
         topology: "CouplingGraph",
     ) -> dict[Qudit, int]:
         """Greedy interaction-graph embedding.
@@ -391,8 +434,8 @@ class LookaheadRouter:
         """
         weight: Counter[tuple[int, int]] = Counter()
         degree = [0] * len(logical_wires)
-        for _, op_wires in segments:
-            for pair in op_wires:
+        for segment in segments:
+            for pair in segment.wires:
                 if len(pair) != 2:
                     continue
                 a, b = pair
@@ -430,29 +473,30 @@ class LookaheadRouter:
 
     def _route_once(
         self,
-        segments: list[tuple[list[GateOperation], list[tuple]]],
+        segments: list[_SegmentDAG],
         where: list[int],
         topology: "CouplingGraph",
         swap,
     ) -> _RoutingState:
         state = _RoutingState(where, topology.size, swap)
-        for position, (operations, wires) in enumerate(segments):
+        for position, dag in enumerate(segments):
             if position:
                 state.barrier()
-            self._route_segment(operations, wires, state, topology)
+            self._route_segment(dag, state, topology)
         return state
 
     def _route_segment(
         self,
-        operations: list[GateOperation],
-        wires: list[tuple[int, ...]],
+        dag: _SegmentDAG,
         state: _RoutingState,
         topology: "CouplingGraph",
     ) -> None:
         """Route one barrier-delimited segment with the SABRE loop."""
-        if not operations:
+        if not dag.wires:
             return
-        segment = _Segment(wires)
+        segment = dag.start()
+        gates, wires = dag.gates, dag.wires
+        adjacency = topology.adjacency()
         where = state.where
         decay: dict[int, float] = {}
         stalled = 0
@@ -468,13 +512,13 @@ class LookaheadRouter:
                 index = segment.front.popleft()
                 op_wires = wires[index]
                 if len(op_wires) == 1:
-                    state.emit(operations[index].gate, (where[op_wires[0]],))
+                    state.emit(gates[index], (where[op_wires[0]],))
                 else:
                     site_a, site_b = where[op_wires[0]], where[op_wires[1]]
-                    if not topology.are_adjacent(site_a, site_b):
+                    if site_b not in adjacency[site_a]:
                         segment.front.append(index)
                         continue
-                    state.emit(operations[index].gate, (site_a, site_b))
+                    state.emit(gates[index], (site_a, site_b))
                 segment.front.extend(segment.finish(index))
                 progressed = True
             if progressed:
@@ -526,14 +570,15 @@ class LookaheadRouter:
         table = topology.distance_table()
         front_sum, front_partners = _distance_sum(front, where, table)
         window_sum, window_partners = _distance_sum(window, where, table)
+        adjacency = topology.adjacency()
         active_sites = {where[w] for pair in front for w in pair}
         # Normalised pairs: an edge between two active sites would
         # otherwise be scored in both orientations (score is symmetric).
         candidates = sorted(
             {
-                (min(site, other), max(site, other))
+                (site, other) if site < other else (other, site)
                 for site in active_sites
-                for other in topology.neighbors(site)
+                for other in adjacency[site]
             }
         )
         weight = self.config.lookahead_weight

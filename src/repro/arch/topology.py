@@ -60,6 +60,12 @@ class CouplingGraph:
                 raise ValueError(f"edge ({a},{b}) outside 0..{size - 1}")
             self._adjacency[a].add(b)
             self._adjacency[b].add(a)
+        # Frozen copies for membership tests only: iterating them could
+        # visit neighbours in another order than ``_adjacency``, whose
+        # order breaks ties in ``shortest_path_step``.
+        self._frozen_adjacency = tuple(
+            frozenset(self._adjacency[site]) for site in range(size)
+        )
         self._distance: list[list[int]] | None = None
 
     @property
@@ -80,6 +86,17 @@ class CouplingGraph:
     def neighbors(self, site: int) -> set[int]:
         """Sites adjacent to ``site``."""
         return set(self._adjacency[site])
+
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Every site's neighbour set, indexed by site.
+
+        Built once per graph, so hot loops (the router's front and
+        SWAP-candidate scans) test ``b in adjacency[a]`` without a
+        method call or the copy :meth:`neighbors` makes.  For
+        membership tests and order-free uses: iteration order may
+        differ from :meth:`neighbors`.
+        """
+        return self._frozen_adjacency
 
     def edges(self) -> list[tuple[int, int]]:
         """Every undirected edge once, as sorted pairs in sorted order."""

@@ -9,7 +9,9 @@ order without changing the circuit's unitary?*  Three tiers decide it:
 2. two diagonal gates always commute (they share the computational
    eigenbasis — the phase-gadget observation of arXiv:2204.13681);
 3. otherwise the joint unitaries over the wire union are compared
-   directly, ``U_ab == U_ba``, capped at a small joint dimension.
+   directly, ``U_ab == U_ba``, capped at a small joint dimension; both
+   products are contracted from the two gate blocks onto the joint
+   identity, never simulated basis state by basis state.
 
 Each operation is interned once (:func:`interned`): its wires become
 a bitmask of process-wide wire ids and its canonical gate spec a small
@@ -27,8 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
-from ..qudits import Qudit
+from ..sim.kernels import apply_block, gate_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuits.operation import GateOperation
@@ -97,25 +98,30 @@ def clear_commutation_cache() -> None:
 def _dense_commute(
     op_a: "GateOperation", op_b: "GateOperation", pattern: tuple
 ) -> bool:
-    """``U_ab == U_ba`` on fresh wires laid out as ``op_a``'s wires,
-    then ``op_b``'s unshared ones (so the cache never pins the caller's
-    Qudit objects)."""
-    canon = [Qudit(k, dim) for k, dim in enumerate(op_a.gate.dims)]
-    on_b = []
+    """``U_ab == U_ba`` on joint wires laid out as ``op_a``'s wires,
+    then ``op_b``'s unshared ones.
+
+    Both products come from applying the two gates' kernel blocks to
+    the joint identity operator in either order — four small
+    contractions, with nothing pinned to the caller's wires.
+    """
+    dims = list(op_a.gate.dims)
+    axes_b = []
     for slot, dim in zip(pattern, op_b.gate.dims):
         if slot < 0:
-            slot = len(canon)
-            canon.append(Qudit(slot, dim))
-        on_b.append(canon[slot])
+            slot = len(dims)
+            dims.append(dim)
+        axes_b.append(slot)
     joint = 1
-    for wire in canon:
-        joint *= wire.dimension
+    for dim in dims:
+        joint *= dim
     if joint > MAX_JOINT_DIM:
         return False
-    a = op_a.gate.on(*canon[: op_a.num_qudits])
-    b = op_b.gate.on(*on_b)
-    u_ab = Circuit([a, b]).unitary(wire_order=canon)
-    u_ba = Circuit([b, a]).unitary(wire_order=canon)
+    axes_a = range(op_a.num_qudits)
+    block_a, block_b = gate_kernel(op_a).block, gate_kernel(op_b).block
+    identity = np.eye(joint, dtype=complex).reshape(tuple(dims) * 2)
+    u_ab = apply_block(apply_block(identity, block_a, axes_a), block_b, axes_b)
+    u_ba = apply_block(apply_block(identity, block_b, axes_b), block_a, axes_a)
     return bool(np.allclose(u_ab, u_ba, atol=1e-9))
 
 

@@ -109,6 +109,13 @@ def _phase_grid_level(phases: np.ndarray, dim: int, atol: float) -> int:
     return 2
 
 
+#: atol -> (canonical spec id -> Clifford verdict), process-wide like
+#: the passes' inverse table: a verdict depends only on the spec and
+#: the tolerance, so every model with the same ``atol`` shares one
+#: table and a new model classifies only specs never seen before.
+_CLIFFORD_VERDICTS: dict[float, dict[int, bool]] = {}
+
+
 class QutritCliffordTCostModel:
     """Clifford+T-aware gate pricing for mixed qubit/qutrit circuits."""
 
@@ -116,8 +123,8 @@ class QutritCliffordTCostModel:
 
     def __init__(self, atol: float = 1e-9) -> None:
         self._atol = atol
-        #: canonical spec id -> Clifford verdict.
-        self._clifford_cache: dict[int, bool] = {}
+        #: canonical spec id -> Clifford verdict (shared per ``atol``).
+        self._clifford_cache = _CLIFFORD_VERDICTS.setdefault(atol, {})
 
     def is_clifford(self, gate: Gate) -> bool:
         """Heuristic Clifford membership (False = priced as non-Clifford).

@@ -5,7 +5,10 @@ priced by the cost model and kept only if it strictly improves the
 score, so every accepted rewrite makes monotone progress and the
 fixpoint loop terminates.  Sweeps repeat until a full sweep accepts
 nothing (or ``max_iterations`` is hit) — cancellation exposes fusions,
-fusion exposes cancellations, packing exposes both.
+fusion exposes cancellations, packing exposes both.  A pass whose input
+is the same circuit object it last ran on is not re-run: nothing was
+accepted in between, so its previous (rejected or empty) stats are
+recorded again and the report reads as if it had run.
 
 ``verify`` wires in the equivalence oracles: ``"strict"`` checks every
 accepted rewrite against the original circuit and raises on mismatch,
@@ -16,7 +19,7 @@ against the same oracles across the Toffoli catalog).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..circuits.circuit import Circuit
@@ -105,11 +108,21 @@ class RewriteEngine:
         )
         current = circuit
         current_cost = cost_before
+        #: pass slot -> (the circuit it last ran on, that run's stats).
+        last_run: dict[int, tuple[Circuit, PassStats]] = {}
         for _ in range(self.max_iterations):
             report.iterations += 1
             improved = False
-            for rewrite_pass in self.passes:
+            for slot, rewrite_pass in enumerate(self.passes):
+                previous = last_run.get(slot)
+                if previous is not None and previous[0] is current:
+                    # Nothing was accepted since this pass last ran, so
+                    # (passes being deterministic) it would repeat the
+                    # same rejected or empty rewrite: reuse its stats.
+                    report.pass_stats.append(replace(previous[1]))
+                    continue
                 candidate, stats = rewrite_pass.run(current)
+                last_run[slot] = (current, stats)
                 if stats.applications:
                     candidate_cost = self.cost_model.cost(candidate)
                     if candidate_cost.score() < current_cost.score():

@@ -13,6 +13,10 @@ the control side of CNOT-likes, disjoint gates are free) until it hits
 a blocker — or, for cancellation and fusion, a partner.  This is what
 turns "adjacent"-inverse cancellation into the phase-gadget-style
 non-local rewrites of arXiv:2204.13681 without a dedicated gadget IR.
+Each walk keeps the :class:`~repro.optimize.commutation.OpKey` of every
+kept operation in a list beside its output, so a predecessor on other
+wires costs one mask test (it still counts toward the window) and the
+commutation check runs only where the wires overlap.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
 from ..gates.base import Gate, PhasedGate, index_to_values, values_to_index
-from .commutation import interned, keys_commute, spec_id
+from .commutation import OpKey, interned, keys_commute, spec_id
 
 #: How many predecessors the commute-back walk examines before giving
 #: up.  Bounds every pass at O(ops * window) commutation queries; the
@@ -71,7 +75,14 @@ class PassStats:
 
 
 class RewritePass(ABC):
-    """One rewrite rule, applied segment-wise under barrier floors."""
+    """One rewrite rule, applied segment-wise under barrier floors.
+
+    :meth:`rewrite_segment` must be a deterministic function of its
+    input operations: the engine skips a pass whose input is the very
+    circuit it last ran on (nothing was accepted since) and reuses that
+    run's :class:`PassStats`, which is only sound if a re-run would
+    return the same rewrite.
+    """
 
     #: Registry name (also the CLI ``--passes`` token).
     name: str = "rewrite"
@@ -197,31 +208,36 @@ class CancelAdjacentInverses(RewritePass):
         self, ops: list[GateOperation]
     ) -> tuple[list[GateOperation], int]:
         out: list[GateOperation] = []
+        keys: list[OpKey] = []  # keys[i] is interned(out[i])
         applied = 0
         for op in ops:
             key = interned(op)
             if _is_identity(op.gate, key.spec):
                 applied += 1
                 continue
+            mask = key.mask
             position = len(out)
             cancelled = False
             steps = 0
             while position > 0 and steps < self.window:
-                prev = out[position - 1]
-                prev_key = interned(prev)
-                if prev_key.wires == key.wires and _inverse_id(
-                    prev.gate, prev_key.spec
-                ) == key.spec:
-                    del out[position - 1]
-                    applied += 1
-                    cancelled = True
-                    break
-                if not keys_commute(prev, prev_key, op, key):
-                    break
+                prev_key = keys[position - 1]
+                if prev_key.mask & mask:
+                    prev = out[position - 1]
+                    if prev_key.wires == key.wires and _inverse_id(
+                        prev.gate, prev_key.spec
+                    ) == key.spec:
+                        del out[position - 1]
+                        del keys[position - 1]
+                        applied += 1
+                        cancelled = True
+                        break
+                    if not keys_commute(prev, prev_key, op, key):
+                        break
                 position -= 1
                 steps += 1
             if not cancelled:
                 out.append(op)
+                keys.append(key)
         return out, applied
 
 
@@ -270,27 +286,33 @@ class FuseDiagonalGates(RewritePass):
         self, ops: list[GateOperation]
     ) -> tuple[list[GateOperation], int]:
         out: list[GateOperation] = []
+        keys: list[OpKey] = []  # keys[i] is interned(out[i])
         applied = 0
         for op in ops:
             key = interned(op)
             if not key.diagonal:
                 out.append(op)
+                keys.append(key)
                 continue
+            mask = key.mask
             position = len(out)
             partner = None
             steps = 0
             while position > 0 and steps < self.window:
-                prev = out[position - 1]
-                prev_key = interned(prev)
-                if prev_key.mask == key.mask and prev_key.diagonal:
-                    partner = position - 1
-                    break
-                if not keys_commute(prev, prev_key, op, key):
-                    break
+                prev_key = keys[position - 1]
+                if prev_key.mask & mask:
+                    if prev_key.mask == mask and prev_key.diagonal:
+                        partner = position - 1
+                        break
+                    if not keys_commute(
+                        out[position - 1], prev_key, op, key
+                    ):
+                        break
                 position -= 1
                 steps += 1
             if partner is None:
                 out.append(op)
+                keys.append(key)
                 continue
             merged = self._fuse(
                 out[partner], op, op.gate.diagonal_phases()
@@ -298,8 +320,10 @@ class FuseDiagonalGates(RewritePass):
             applied += 1
             if merged is None:
                 del out[partner]
+                del keys[partner]
             else:
                 out[partner] = merged
+                keys[partner] = interned(merged)
         return out, applied
 
     @staticmethod
@@ -343,22 +367,28 @@ class CommutationPacking(RewritePass):
         self, ops: list[GateOperation]
     ) -> tuple[list[GateOperation], int]:
         out: list[GateOperation] = []
+        keys: list[OpKey] = []  # keys[i] is interned(out[i])
         applied = 0
         for op in ops:
             key = interned(op)
+            mask = key.mask
             position = len(out)
             steps = 0
             while position > 0 and steps < self.window:
-                prev = out[position - 1]
-                if not keys_commute(prev, interned(prev), op, key):
+                prev_key = keys[position - 1]
+                if prev_key.mask & mask and not keys_commute(
+                    out[position - 1], prev_key, op, key
+                ):
                     break
                 position -= 1
                 steps += 1
             if position < len(out):
                 out.insert(position, op)
+                keys.insert(position, key)
                 applied += 1
             else:
                 out.append(op)
+                keys.append(key)
         return out, applied
 
 

@@ -20,9 +20,13 @@ Design points:
   schema-mismatched file is treated as a miss, deleted, and counted in
   ``stats.corrupt_dropped``; the store never raises on load.
 * **Bounded size** — ``max_bytes`` / ``max_entries`` caps are enforced
-  after every write by evicting the least recently *used* files
-  (access bumps the file mtime), so a long-lived serve process cannot
-  grow the cache dir without bound.
+  after every write by evicting the least recently *used* files, so a
+  long-lived serve process cannot grow the cache dir without bound.
+  Recency and sizes live in an in-memory index (one directory scan, at
+  construction, ordered by file mtime), so a write costs O(1) instead
+  of a rescan of the directory.  Access still bumps the file mtime, so
+  a restarted store recovers the order.  The index assumes one live
+  process writes a store directory at a time.
 * **Write-through safety** — entries are written to a temp file and
   atomically renamed, so a crash mid-write never leaves a half entry
   under a valid name.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
@@ -125,6 +130,10 @@ class ResultStore:
         self.breaker = breaker
         self._fault_injector = fault_injector
         self._lock = Lock()
+        #: entry file name -> size in bytes, least recently used first.
+        self._index: OrderedDict[str, int] = OrderedDict()
+        self._index_bytes = 0
+        self._scan()
 
     def _disk_ok(self) -> None:
         if self.breaker is not None:
@@ -142,6 +151,30 @@ class ResultStore:
 
     def _entries(self) -> list[Path]:
         return list(self.root.glob("*.json"))
+
+    def _scan(self) -> None:
+        """Index the entries already on disk, oldest mtime first."""
+        found = []
+        for path in self._entries():
+            try:
+                stat = path.stat()
+            except OSError:  # pragma: no cover - raced unlink
+                continue
+            found.append((stat.st_mtime, stat.st_size, path.name))
+        for _, size, name in sorted(found):
+            self._index[name] = size
+            self._index_bytes += size
+
+    def _forget(self, name: str) -> None:
+        size = self._index.pop(name, None)
+        if size is not None:
+            self._index_bytes -= size
+
+    def _touch(self, name: str, size: int) -> None:
+        """Record ``name`` (``size`` bytes) as the most recently used."""
+        self._forget(name)
+        self._index[name] = size
+        self._index_bytes += size
 
     def __len__(self) -> int:
         return len(self._entries())
@@ -166,6 +199,7 @@ class ResultStore:
                 raw = path.read_text()
             except FileNotFoundError:
                 # A genuine miss is a *healthy* disk answer.
+                self._forget(path.name)
                 self._disk_ok()
                 self.stats.misses += 1
                 return None
@@ -196,15 +230,21 @@ class ResultStore:
                 # so it cannot poison later lookups; corruption counts
                 # against the disk's health.
                 path.unlink(missing_ok=True)
+                self._forget(path.name)
                 self._disk_failed()
                 self.stats.corrupt_dropped += 1
                 self.stats.misses += 1
                 return None
-            # Recency bump for eviction ordering.
+            # Recency bump for eviction ordering (the mtime carries it
+            # across restarts).
             try:
                 os.utime(path)
             except OSError:  # pragma: no cover - best effort
                 pass
+            if path.name in self._index:
+                self._index.move_to_end(path.name)
+            else:  # written behind this store's back
+                self._touch(path.name, len(raw.encode()))
             self._disk_ok()
             self.stats.hits += 1
             return result
@@ -224,7 +264,7 @@ class ResultStore:
                     "stored_at": time.time(),
                     "payload": result_to_dict(result),
                 }
-                text = json.dumps(envelope)
+                data = json.dumps(envelope).encode()
             except (SerializationError, TypeError, ValueError):
                 # Unserializable payloads say nothing about the disk:
                 # counted, but never fed to the breaker.
@@ -233,7 +273,7 @@ class ResultStore:
             temp = path.with_suffix(".tmp")
             try:
                 maybe_inject("store.write", self._fault_injector)
-                temp.write_text(text)
+                temp.write_bytes(data)
                 temp.replace(path)
             except (OSError, TransientServiceError):
                 temp.unlink(missing_ok=True)
@@ -243,6 +283,7 @@ class ResultStore:
                 return False
             self._disk_ok()
             self.stats.writes += 1
+            self._touch(path.name, len(data))
             self._evict_overflow()
             return True
 
@@ -250,21 +291,14 @@ class ResultStore:
 
     def _evict_overflow(self) -> None:
         """Delete least-recently-used entries until under both caps."""
-        entries = []
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - raced unlink
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        total = sum(size for _, size, _ in entries)
-        while entries and (
-            len(entries) > self.max_entries or total > self.max_bytes
+        index = self._index
+        while index and (
+            len(index) > self.max_entries
+            or self._index_bytes > self.max_bytes
         ):
-            _, size, path = entries.pop(0)
-            path.unlink(missing_ok=True)
-            total -= size
+            name, size = index.popitem(last=False)
+            self._index_bytes -= size
+            (self.root / name).unlink(missing_ok=True)
             self.stats.evictions += 1
 
     def clear(self) -> None:
@@ -272,3 +306,5 @@ class ResultStore:
         with self._lock:
             for path in self._entries():
                 path.unlink(missing_ok=True)
+            self._index.clear()
+            self._index_bytes = 0

@@ -20,7 +20,12 @@ from repro.optimize import (
     commutes_into,
     operations_commute,
 )
-from repro.optimize.commutation import MAX_JOINT_DIM, _COMMUTE_CACHE
+from repro.circuits.circuit import Circuit
+from repro.optimize.commutation import (
+    MAX_JOINT_DIM,
+    _COMMUTE_CACHE,
+    _dense_commute,
+)
 from repro.qudits import Qudit, qubits, qutrits
 
 
@@ -224,6 +229,70 @@ class TestInternedMemoParity:
         assert operations_commute(op, H.on(b)) is False
         clone = pickle.loads(pickle.dumps(op))
         assert clone == op and clone._interned is None
+
+
+def _unitary_dense_commute(op_a, op_b, pattern):
+    """The dense check as it was before it contracted kernel blocks:
+    both orders built as circuits and simulated basis state by basis
+    state through ``Circuit.unitary``."""
+    canon = [Qudit(k, dim) for k, dim in enumerate(op_a.gate.dims)]
+    on_b = []
+    for slot, dim in zip(pattern, op_b.gate.dims):
+        if slot < 0:
+            slot = len(canon)
+            canon.append(Qudit(slot, dim))
+        on_b.append(canon[slot])
+    joint = int(np.prod([wire.dimension for wire in canon]))
+    if joint > MAX_JOINT_DIM:
+        return False
+    a = op_a.gate.on(*canon[: op_a.num_qudits])
+    b = op_b.gate.on(*on_b)
+    u_ab = Circuit([a, b]).unitary(wire_order=canon)
+    u_ba = Circuit([b, a]).unitary(wire_order=canon)
+    return bool(np.allclose(u_ab, u_ba, atol=1e-9))
+
+
+class TestContractedDenseCheck:
+    """The block-contraction dense check gives the verdict the
+    ``Circuit.unitary`` simulation gave, on every catalog pair and
+    overlap pattern, and never simulates a circuit."""
+
+    def test_agrees_with_the_simulated_check(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("dense check simulated a circuit")
+
+        checked = commuting = 0
+        for name_a, gate_a in _CATALOG.items():
+            for name_b, gate_b in _CATALOG.items():
+                for pattern in _overlap_patterns(gate_a.dims, gate_b.dims):
+                    op_a, op_b = _place(gate_a, gate_b, pattern, False)
+                    expected = _unitary_dense_commute(op_a, op_b, pattern)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(Circuit, "unitary", no_simulation)
+                        verdict = _dense_commute(op_a, op_b, pattern)
+                    assert verdict == expected, (name_a, name_b, pattern)
+                    checked += 1
+                    commuting += verdict
+        assert checked > 200 and 0 < commuting < checked
+
+    def test_joint_dim_cap_is_unchanged(self):
+        from repro.gates import MatrixGate
+
+        # Z on the first wire commutes with a CNOT controlled there; a
+        # joint space of exactly MAX_JOINT_DIM is still decided, one
+        # wire more is the conservative "no".
+        for width, expected in ((7, True), (8, False)):
+            wide = MatrixGate(
+                np.kron(Z.unitary(), np.eye(2 ** (width - 1))),
+                (2,) * width, name=f"z{width}",
+            )
+            wires = qubits(width + 1)
+            op_a = wide.on(*wires[:width])
+            op_b = CNOT.on(wires[0], wires[width])
+            pattern = (0, -1)
+            assert 2 ** (width + 1) == MAX_JOINT_DIM * (1 + (not expected))
+            assert _unitary_dense_commute(op_a, op_b, pattern) is expected
+            assert _dense_commute(op_a, op_b, pattern) is expected
 
 
 class _SlowKey:

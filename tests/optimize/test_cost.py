@@ -96,6 +96,98 @@ class TestQutritCliffordT:
         assert cost.depth == circuit.depth
 
 
+class TestSharedCliffordVerdicts:
+    """Verdicts live in one process-wide table per ``atol``: a new model
+    classifies only specs no model with its tolerance has seen."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        classified = []
+        original = QutritCliffordTCostModel._classify
+
+        def counting(self, gate):
+            classified.append(gate.canonical_spec())
+            return original(self, gate)
+
+        monkeypatch.setattr(QutritCliffordTCostModel, "_classify", counting)
+        return classified
+
+    @staticmethod
+    def _circuit(angle):
+        a, b = qutrits(2)
+        circuit = Circuit()
+        # A phase no other test builds, so its spec is new here.
+        circuit.append(phase_gate(3, 1, angle).on(a))
+        circuit.append(X_PLUS_1.on(b))
+        circuit.append(QUTRIT_H.on(a))
+        return circuit
+
+    def test_second_default_model_classifies_nothing_seen(
+        self, monkeypatch
+    ):
+        classified = self._counting(monkeypatch)
+        circuit = self._circuit(0.31415)
+        first = QutritCliffordTCostModel().cost(circuit)
+        assert classified  # at least the fresh phase gate
+        seen = list(classified)
+        second = QutritCliffordTCostModel().cost(circuit)
+        assert classified == seen
+        assert second == first
+
+    def test_other_tolerance_keeps_its_own_verdicts(self, monkeypatch):
+        classified = self._counting(monkeypatch)
+        # 4.8e-8 of a grid step off the identity phase: Clifford at
+        # atol 1e-6 only.
+        gate = phase_gate(3, 1, 1e-7)
+        assert not QutritCliffordTCostModel().is_clifford(gate)
+        count = len(classified)
+        assert QutritCliffordTCostModel(atol=1e-6).is_clifford(gate)
+        assert len(classified) == count + 1
+        assert not QutritCliffordTCostModel().is_clifford(gate)
+        assert QutritCliffordTCostModel(atol=1e-6).is_clifford(gate)
+        assert len(classified) == count + 1
+
+
+def test_concurrent_models_share_consistent_verdicts():
+    # More threads than cores, switching every microsecond, each with
+    # its own model over fresh specs in its own order: every verdict
+    # must equal a fresh classification, whichever thread stored it.
+    import sys
+    import threading
+
+    gates = [phase_gate(3, 1, 2 * np.pi * k / 27 + 1e-4 * (k % 2))
+             for k in range(27)]
+    expected = [
+        QutritCliffordTCostModel()._classify(gate) for gate in gates
+    ]
+    threads_n = 8
+    seen: list = [None] * threads_n
+    start = threading.Barrier(threads_n)
+
+    def work(slot):
+        # A tolerance no other test uses: every verdict starts unknown.
+        model = QutritCliffordTCostModel(atol=1e-9 * (1 + 1e-12))
+        order = list(range(slot, len(gates))) + list(range(slot))
+        start.wait(timeout=10)
+        seen[slot] = {k: model.is_clifford(gates[k]) for k in order}
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    for verdicts in seen:
+        assert [verdicts[k] for k in range(len(gates))] == expected
+    assert 0 < sum(expected) < len(expected)
+
+
 class TestResolution:
     def test_default_is_qutrit_clifford_t(self):
         assert (

@@ -192,3 +192,122 @@ class TestEquivalenceOracles:
 
     def test_reexported_error_is_the_same_type(self):
         assert ReexportedError is OptimizationError
+
+
+# ---------------------------------------------------------------------------
+# Parity with the fixpoint loop that re-ran every pass each sweep
+# ---------------------------------------------------------------------------
+
+
+def _reference_run(engine, circuit):
+    """The engine's fixpoint loop before unchanged passes were skipped:
+    every pass runs in every sweep, whatever it saw last time."""
+    from repro.optimize.engine import OptimizationReport
+
+    cost_before = engine.cost_model.cost(circuit)
+    report = OptimizationReport(
+        cost_before=cost_before, cost_after=cost_before
+    )
+    current = circuit
+    current_cost = cost_before
+    for _ in range(engine.max_iterations):
+        report.iterations += 1
+        improved = False
+        for rewrite_pass in engine.passes:
+            candidate, stats = rewrite_pass.run(current)
+            if stats.applications:
+                candidate_cost = engine.cost_model.cost(candidate)
+                if candidate_cost.score() < current_cost.score():
+                    stats.accepted = True
+                    current = candidate
+                    current_cost = candidate_cost
+                    improved = True
+            report.pass_stats.append(stats)
+        if not improved:
+            break
+    report.cost_after = current_cost
+    return current, report
+
+
+def _optimizer_inputs():
+    """(case, circuit) for every optimize stage of the golden compile
+    workloads: the pre-route and post-route inputs."""
+    from repro.execution.passes import OptimizePass
+    from repro.execution.pipeline_spec import PIPELINE_SPECS
+
+    from tests.arch.test_compile_golden import cases, workloads
+
+    out = []
+    for key, pipeline in cases():
+        circuit = workloads()[key][1]()
+        for stage in PIPELINE_SPECS[pipeline].build():
+            if isinstance(stage, OptimizePass):
+                out.append((f"{key}|{pipeline}|{stage.name}", circuit))
+            circuit = stage.transform(circuit)
+    return out
+
+
+class TestSkippedPassParity:
+    """Skipping a pass whose input has not changed since it last ran
+    leaves every output circuit and report exactly as the full loop."""
+
+    def test_golden_workloads_match_the_full_fixpoint_loop(
+        self, monkeypatch
+    ):
+        from repro.execution.cache import circuit_fingerprint
+        from repro.optimize.passes import PASS_TYPES
+
+        inputs = _optimizer_inputs()
+        assert len(inputs) > 80
+        walks = {"reference": 0, "engine": 0}
+        for cls in PASS_TYPES.values():
+            original = cls.rewrite_segment
+
+            def counted(self, ops, original=original):
+                walks[walks["on"]] += 1
+                return original(self, ops)
+
+            monkeypatch.setattr(cls, "rewrite_segment", counted)
+
+        for case, circuit in inputs:
+            engine = RewriteEngine()
+            walks["on"] = "reference"
+            before = walks["reference"]
+            expected, expected_report = _reference_run(engine, circuit)
+            reference_walks = walks["reference"] - before
+            walks["on"] = "engine"
+            before = walks["engine"]
+            optimized, report = engine.run(circuit)
+            engine_walks = walks["engine"] - before
+            assert circuit_fingerprint(optimized) == circuit_fingerprint(
+                expected
+            ), case
+            assert [list(m) for m in optimized.moments] == [
+                list(m) for m in expected.moments
+            ], case
+            assert report.to_dict() == expected_report.to_dict(), case
+            assert engine_walks <= reference_walks, case
+        assert walks["engine"] < walks["reference"]
+
+    def test_unchanged_input_reuses_the_rejected_stats(self, monkeypatch):
+        from repro.optimize.passes import CommutationPacking
+
+        runs = []
+        original = CommutationPacking.run
+
+        def counted(self, circuit):
+            runs.append(circuit)
+            return original(self, circuit)
+
+        monkeypatch.setattr(CommutationPacking, "run", counted)
+        # Sweep 1 cancels T/T_DAG and H/H; sweep 2 accepts nothing, so
+        # packing (which saw the sweep-1 result) is not re-run.
+        optimized, report = RewriteEngine().run(_cancelable_circuit())
+        assert report.iterations == 2
+        names = [s.name for s in report.pass_stats]
+        assert names == ["cancel-inverses", "fuse-phases",
+                         "pack-commuting"] * 2
+        assert len(runs) == 1
+        first, second = report.pass_stats[2], report.pass_stats[5]
+        assert first == second and first is not second
+        assert not second.accepted
