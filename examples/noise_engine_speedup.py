@@ -6,7 +6,7 @@ controls) evolved as an exact density matrix under amplitude damping —
 once through the preserved v1 engine that embeds every operator into the
 full 243 x 243 space with ``kron``, once through the v2 engine that
 contracts only the touched wires' row/column legs.  The same circuit is
-then pushed through the trajectory estimator with looped vs batched
+then pushed through the trajectory estimator with looped vs fused
 shots.
 
 Run from the repository root::
@@ -27,7 +27,10 @@ import numpy as np
 from repro.noise.model import NoiseModel
 from repro.sim.dense_reference import DenseDensityMatrixSimulator
 from repro.sim.density import DensityMatrixSimulator
-from repro.sim.fidelity import estimate_circuit_fidelity
+from repro.sim.fidelity import (
+    estimate_circuit_fidelity,
+    estimate_circuit_fidelity_looped,
+)
 from repro.sim.state import StateVector
 from repro.toffoli.registry import construction_circuit
 
@@ -80,13 +83,13 @@ def main() -> None:
     )
     batched_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    looped = estimate_circuit_fidelity(
-        circuit, AMPLITUDE_DAMPING, trials=trials, seed=7, batch_size=1
+    looped = estimate_circuit_fidelity_looped(
+        circuit, AMPLITUDE_DAMPING, trials=trials, seed=7
     )
     looped_seconds = time.perf_counter() - start
     print(f"\n{trials} trajectories under amplitude damping:")
     print(
-        f"  batched engine        : {batched_seconds * 1000:8.1f} ms "
+        f"  fused engine          : {batched_seconds * 1000:8.1f} ms "
         f"(mean fidelity {batched.mean_fidelity:.4f})"
     )
     print(

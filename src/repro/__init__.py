@@ -71,7 +71,7 @@ from .execution import (
 # The serving layer sits on top of the execution layer.
 from .service import Job, JobQueue, JobState, ResultStore
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 #: Deprecated top-level names -> (module path, attribute) they forward to.
 _DEPRECATED_EXPORTS = {

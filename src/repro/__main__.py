@@ -95,6 +95,7 @@ def _print_run_result(result) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     from .execution import execute
+    from .execution.backends import check_run_options, resolve_backend
     from .noise.presets import ALL_MODELS
 
     noise_model = None
@@ -110,6 +111,13 @@ def _cmd_run(args: argparse.Namespace) -> None:
             f"backend {args.backend!r} needs --noise "
             f"(one of {sorted(ALL_MODELS)})"
         )
+    try:
+        check_run_options(
+            resolve_backend(args.backend, noise_model),
+            shots=args.shots, trials=args.trials,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
     common = dict(
         backend=args.backend,
@@ -658,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
         "--batch-size", type=int, default=None,
-        help="trajectory chunk size (default: auto; 1 = looped engine)",
+        help="trajectory rows per chunk (default: auto)",
     )
     run.add_argument(
         "--sweep", type=int, nargs=2, metavar=("LOW", "HIGH"),

@@ -11,11 +11,12 @@ trajectory; CI re-runs the smoke variants on every push):
   v1 dense ``kron`` embedding
   (:class:`~repro.sim.dense_reference.DenseDensityMatrixSimulator`),
   with a parity check on the final operators;
-* **trajectory** — the Figure 11 estimator, batched stacked-tensor
-  engine (``batch_size=None``) vs the looped reference
-  (``batch_size=1``) on one circuit/model pair;
+* **trajectory** — the Figure 11 estimator, fused-moment engine
+  (``batch_size=None``; the ``batched_*`` fields) vs the looped oracle
+  (:func:`~repro.sim.fidelity.estimate_circuit_fidelity_looped`) on one
+  circuit/model pair;
 * **workloads** — Table 2/3 style fidelity estimates (circuit construction
-  x noise model) through the default batched engine, so the JSON records
+  x noise model) through the default fused engine, so the JSON records
   both wall-clock and the physics numbers they produce;
 * **verification** (``BENCH_verify.json``) — exhaustive classical
   verification, batched permutation-table engine
@@ -91,7 +92,10 @@ from ..service.loadgen import (
 )
 from ..sim.dense_reference import DenseDensityMatrixSimulator
 from ..sim.density import DensityMatrixSimulator
-from ..sim.fidelity import estimate_circuit_fidelity
+from ..sim.fidelity import (
+    estimate_circuit_fidelity,
+    estimate_circuit_fidelity_looped,
+)
 from ..sim.kernels import mixed_radix_weights
 from ..sim.measurement import sample_counts, sample_state
 from ..sim.state import StateVector
@@ -219,17 +223,21 @@ def bench_trajectory(
     repeats: int = 1,
     construction: str = "qutrit_tree",
 ) -> dict:
-    """Batched vs looped trajectory estimation on one circuit/model."""
+    """Fused vs looped trajectory estimation on one circuit/model."""
     circuit = construction_circuit(construction, num_controls)
 
-    def run(batch_size: int | None):
-        return estimate_circuit_fidelity(
-            circuit, model, trials=trials, seed=seed,
-            batch_size=batch_size,
-        )
-
-    batched_seconds, batched = _best_of(repeats, lambda: run(None))
-    looped_seconds, looped = _best_of(repeats, lambda: run(1))
+    batched_seconds, batched = _best_of(
+        repeats,
+        lambda: estimate_circuit_fidelity(
+            circuit, model, trials=trials, seed=seed
+        ),
+    )
+    looped_seconds, looped = _best_of(
+        repeats,
+        lambda: estimate_circuit_fidelity_looped(
+            circuit, model, trials=trials, seed=seed
+        ),
+    )
     return {
         "workload": (
             f"{construction}(N={num_controls}) x {trials} trajectories"
@@ -266,7 +274,7 @@ def bench_workloads(
     seed: int = 2019,
     pairs: tuple[tuple[str, NoiseModel], ...] = WORKLOAD_PAIRS,
 ) -> list[dict]:
-    """Timed Table 2/3 style fidelity estimates on the batched engine."""
+    """Timed Table 2/3 style fidelity estimates on the fused engine."""
     records = []
     for construction, model in pairs:
         circuit = construction_circuit(construction, num_controls)
@@ -1278,11 +1286,11 @@ def render_report(report: dict) -> str:
         "",
         f"trajectory {trajectory['workload']} under "
         f"{trajectory['noise_model']}:",
-        f"  batched    {trajectory['batched_seconds'] * 1000:8.1f} ms",
+        f"  fused      {trajectory['batched_seconds'] * 1000:8.1f} ms",
         f"  looped     {trajectory['looped_seconds'] * 1000:8.1f} ms",
         f"  speedup    {trajectory['speedup']:8.1f} x",
         "",
-        "workloads (batched engine):",
+        "workloads (fused engine):",
     ]
     for record in report["workloads"]:
         lines.append(

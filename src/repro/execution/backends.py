@@ -9,7 +9,7 @@ state vectors, exact density-matrix evolution, sampled noisy trajectories
 * ``run(circuit, *, wires, initial, shots, trials, seed)`` — one circuit
   execution returning a :class:`~repro.execution.results.RunResult`
   (the trajectory backend additionally accepts ``batch_size``, its
-  stacked-trajectory chunking knob).
+  row-stack chunking knob).
 
 The adapters wrap the existing engines in :mod:`repro.sim` (which remain
 the canonical implementations); this module only translates arguments and
@@ -40,7 +40,8 @@ from .results import FidelityResult, RunResult
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What a backend supports, for upfront argument validation."""
+    """What a backend supports, for upfront argument validation
+    (:func:`check_run_options`)."""
 
     #: Payload family: "classical", "statevector", "density", "trajectory".
     kind: str
@@ -54,6 +55,34 @@ class BackendCapabilities:
     classical_circuits_only: bool = False
     #: True if results are deterministic for a fixed seed.
     seedable: bool = True
+
+
+def check_run_options(
+    backend: "Backend", *, shots: int | None, trials: int | None
+) -> None:
+    """Raise ``ValueError`` for run options ``backend`` cannot honour.
+
+    ``shots`` needs a backend that samples (``supports_shots``) and
+    ``trials`` one that runs trajectories (``supports_trials``); either
+    must be at least 1 when given.  :func:`repro.execute` and
+    ``JobQueue.submit`` call this before building or compiling anything,
+    so a bad option never reaches an engine, a cache key or the store.
+    """
+    capabilities = backend.capabilities
+    for option, value, supported in (
+        ("shots", shots, capabilities.supports_shots),
+        ("trials", trials, capabilities.supports_trials),
+    ):
+        if value is None:
+            continue
+        if not supported:
+            raise ValueError(
+                f"backend {backend.name!r} does not take {option}"
+            )
+        if value < 1:
+            raise ValueError(
+                f"backend {backend.name!r} needs {option} >= 1, got {value}"
+            )
 
 
 @runtime_checkable
@@ -164,7 +193,8 @@ class StateVectorBackend:
     state's probabilities (:func:`repro.sim.measurement.sample_counts`):
     one circuit execution serves any shot budget without materialising a
     per-shot sample array, and the counts are deterministic for a fixed
-    ``seed``.
+    ``seed``.  A run with ``shots`` returns the counts only
+    (``state=None``); run without ``shots`` to get the final state.
     """
 
     name = "statevector"
@@ -197,7 +227,7 @@ class StateVectorBackend:
             backend=self.name,
             wires=tuple(state.wires),
             seed=seed,
-            state=state,
+            state=None if shots else state,
             measurements=measurements,
         )
 
@@ -250,10 +280,9 @@ class DensityMatrixBackend:
 class TrajectoryBackend:
     """Sampled noisy trajectories — Algorithm 1, the Figure 11 harness.
 
-    Trials run through the batched stacked-tensor engine by default
-    (``batch_size=None`` auto-sizes per chunk); construct with
-    ``batch_size=1`` — or pass it per run — to force the looped
-    reference engine.
+    Trials run through the fused-moment engine at every chunk size;
+    ``batch_size`` (at construction or per run) sets the rows per
+    chunk, and ``None`` auto-sizes it.
     """
 
     name = "trajectory"

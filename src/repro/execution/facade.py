@@ -41,7 +41,7 @@ from ..resilience.faults import maybe_inject
 from ..sim.state import StateVector
 from ..toffoli.registry import build_toffoli
 from ..toffoli.spec import ConstructionResult
-from .backends import Backend, resolve_backend
+from .backends import Backend, check_run_options, resolve_backend
 from .cache import DEFAULT_CACHE, ResultCache, circuit_fingerprint
 from .pipeline import (
     CompilePipeline,
@@ -356,9 +356,12 @@ def execute(
     sweep points run across a process pool; on the trajectory backend
     each point's trials are additionally sharded and exactly merged, so
     parallel results match serial runs in distribution for a fixed
-    ``seed``.  ``batch_size`` tunes the trajectory backend's
-    stacked-trajectory chunking (``None`` auto-sizes; ``1`` forces the
-    looped reference engine); other backends ignore it.
+    ``seed``.  ``batch_size`` sets the trajectory backend's row-stack
+    chunk size (``None`` auto-sizes); other backends ignore it.
+    ``shots`` on a backend that does not sample, ``trials`` on one that
+    runs no trajectories, or either below 1 (at the top level or in any
+    sweep point) raises ``ValueError`` before anything is built.  With
+    ``shots``, a statevector result carries the counts and no state.
     ``cache=True`` memoises deterministic results in the
     process-wide :data:`~repro.execution.cache.DEFAULT_CACHE` (pass a
     :class:`ResultCache` to use your own); entries are keyed on the
@@ -410,6 +413,12 @@ def execute(
         ]
     else:
         points = [{}]
+    for point in points:
+        check_run_options(
+            probe,
+            shots=point.get("shots", shots),
+            trials=point.get("trials", trials),
+        )
 
     # -- build + compile every point up front --------------------------
     tasks: list[_Task] = []

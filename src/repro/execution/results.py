@@ -34,11 +34,11 @@ class RunResult:
     """Outcome of one backend run of one circuit.
 
     Exactly which payload fields are filled depends on the backend kind:
-    ``values`` for classical runs, ``state`` (plus ``measurements`` when
-    shots were requested) for state-vector runs, ``density`` for exact
-    noisy evolution.  ``params`` records the sweep point that produced the
-    run (empty outside sweeps) and ``seed`` the derived seed actually used,
-    so results stay reproducible after merging.
+    ``values`` for classical runs, ``state`` for state-vector runs — or
+    ``measurements`` alone when shots were requested — and ``density``
+    for exact noisy evolution.  ``params`` records the sweep point that
+    produced the run (empty outside sweeps) and ``seed`` the derived seed
+    actually used, so results stay reproducible after merging.
     """
 
     backend: str

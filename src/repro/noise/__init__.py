@@ -4,8 +4,8 @@ Channels come in two families (:mod:`repro.noise.kraus`): unitary
 mixtures with state-independent branch probabilities (depolarizing gate
 errors, idle dephasing) and general Kraus channels with
 state-dependent branches (amplitude damping).  Each family serves three
-consumers: per-shot sampling for the looped trajectory engine,
-vectorized branch draws for the batched engine, and the full Kraus
+consumers: per-shot sampling for the looped trajectory oracle,
+row-stack branch draws for the fused trajectory engine, and the full Kraus
 decomposition for the exact density engine (lowered once into cached
 contraction kernels by :mod:`repro.sim.kernels`).  Channel factories
 are ``lru_cache``-d, so a given parameter set builds its operators —

@@ -16,9 +16,10 @@ Both families expose two application surfaces:
 
 * the original per-trajectory sampling (``apply_sampled``), used by the
   looped :class:`~repro.sim.trajectory.TrajectorySimulator`;
-* vectorized accessors (``sample_indices``, ``gram_diagonal_matrix``,
-  ``operator``/``operator_diagonal``) that let the batched trajectory
-  engine draw one branch per stacked trajectory in a single numpy call.
+* accessors (``branch_index``, ``gram_diagonal_matrix``,
+  ``operator``/``operator_diagonal``) that let the fused trajectory
+  engine draw every row's branch from one uniform array and apply only
+  the branches that fired.
 
 The exact density-matrix engine does not sample at all: it consumes the
 full Kraus decomposition through
@@ -139,38 +140,27 @@ class UnitaryMixtureChannel:
     def operator_diagonal(self, index: int) -> np.ndarray | None:
         """Branch ``index``'s diagonal when the operator is diagonal.
 
-        ``None`` for non-diagonal branches; the batched engine uses this
+        ``None`` for non-diagonal branches; the fused engine uses this
         to replace a tensordot with a broadcast multiply.
         """
         return self._diagonals[index]
 
-    def sample_index(self, rng: np.random.Generator) -> int | None:
-        """Draw a branch index; ``None`` means the identity (no error)."""
-        u = rng.random()
+    def branch_index(self, u: float) -> int | None:
+        """The branch a uniform draw ``u`` in [0, 1) selects.
+
+        ``None`` means the identity (no error): ``u`` below the identity
+        probability.  Above it, ``u`` walks the cumulative table of the
+        error branches, so zero-probability branches are never chosen.
+        """
         if u < self._identity_prob:
             return None
         u -= self._identity_prob
         index = int(np.searchsorted(self._cumulative, u, side="right"))
         return min(index, len(self._ops) - 1)
 
-    def sample_indices(
-        self, rng: np.random.Generator, count: int
-    ) -> np.ndarray:
-        """Vectorized :meth:`sample_index`: one draw per batch member.
-
-        Returns an ``intp`` array of length ``count`` where ``-1`` marks
-        the identity branch (no error) and any other value indexes into
-        the non-identity branches.  Branch probabilities are
-        state-independent, so one uniform draw per member suffices.
-        """
-        u = rng.random(count)
-        indices = np.full(count, -1, dtype=np.intp)
-        fired = u >= self._identity_prob
-        if fired.any() and len(self._ops):
-            shifted = u[fired] - self._identity_prob
-            drawn = np.searchsorted(self._cumulative, shifted, side="right")
-            indices[fired] = np.minimum(drawn, len(self._ops) - 1)
-        return indices
+    def sample_index(self, rng: np.random.Generator) -> int | None:
+        """Draw a branch index; ``None`` means the identity (no error)."""
+        return self.branch_index(rng.random())
 
     def sample(self, rng: np.random.Generator) -> np.ndarray | None:
         """Draw one branch; ``None`` means the identity (no error)."""
@@ -243,8 +233,8 @@ class KrausChannel:
             for op in ops
         ]
         # (num_ops, total_dim) stack of the diagonal Gram matrices, used
-        # by the batched engine to turn per-member populations into
-        # branch probabilities with one matmul.
+        # by the fused engine to turn populations into branch
+        # probabilities with one matmul.
         self._gram_matrix = (
             np.stack([np.asarray(d) for d in self._gram_diagonals])
             if self._all_diagonal
@@ -276,7 +266,7 @@ class KrausChannel:
         """``(num_ops, dim)`` stack of diagonal ``K_i^dag K_i`` entries.
 
         ``None`` when some Gram matrix is non-diagonal; otherwise branch
-        probabilities for a whole batch follow from
+        probabilities for a stack of rows follow from
         ``populations @ gram_diagonal_matrix.T``.
         """
         return self._gram_matrix

@@ -12,8 +12,9 @@ execution modes before it is ever **rejected**:
 
 1. ``parallel=True -> parallel=False`` — one process image instead of
    ``workers`` of them;
-2. batched trajectories -> ``batch_size=1`` — the looped reference
-   engine holds one state at a time;
+2. batched trajectories -> ``batch_size=1`` — one-row chunks hold one
+   noisy state and its noise-free reference at a time (the step keeps
+   its historical name, ``batched-to-looped``);
 3. still over budget -> :class:`AdmissionError` (a clean, immediate,
    retryable-by-a-smaller-request failure — not an OOM).
 

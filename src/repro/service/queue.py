@@ -42,7 +42,7 @@ The resilience layer (``docs/RESILIENCE.md``) threads through here:
 * **admission control** — an
   :class:`~repro.resilience.AdmissionPolicy` estimates the run's
   memory from the circuit dims at submit time and downgrades
-  (``parallel`` -> serial, batched -> looped trajectories) or rejects
+  (``parallel`` -> serial, trajectory chunks -> one row) or rejects
   (:class:`~repro.resilience.AdmissionError`) instead of OOM-ing.
 * **fault injection** — the ``worker.run`` site raises seeded chaos
   faults inside the attempt loop, so the whole retry/failure fan-out
@@ -57,7 +57,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from ..circuits.circuit import Circuit
-from ..execution.backends import Backend, resolve_backend
+from ..execution.backends import (
+    Backend,
+    check_run_options,
+    resolve_backend,
+)
 from ..execution.cache import (
     ResultCache,
     cache_key_digest,
@@ -364,15 +368,17 @@ class JobQueue:
         before it is returned.
 
         Raises :class:`~repro.service.QueueClosedError` after shutdown
-        or drain, and :class:`~repro.resilience.AdmissionError` when
-        the estimated memory footprint exceeds the admission budget
-        even after downgrades.
+        or drain, :class:`~repro.resilience.AdmissionError` when the
+        estimated memory footprint exceeds the admission budget even
+        after downgrades, and ``ValueError`` for run options the backend
+        cannot honour (checked before the build).
         """
         if self._shutdown or not self._admitting:
             raise QueueClosedError("queue is shut down or draining")
         job_deadline = resolve_deadline(deadline)
-        compiled_pipeline = resolve_pipeline(pipeline)
         probe = resolve_backend(backend, noise_model)
+        check_run_options(probe, shots=shots, trials=trials)
+        compiled_pipeline = resolve_pipeline(pipeline)
         circuit, preferred_wires = materialize_target(
             target,
             build_kwargs,

@@ -19,6 +19,11 @@ Design points:
 * **Corruption tolerance** — a truncated, hand-edited, or
   schema-mismatched file is treated as a miss, deleted, and counted in
   ``stats.corrupt_dropped``; the store never raises on load.
+* **Upgrades** — an entry in a known older envelope (``v1``, written
+  before the trajectory engine's RNG stream moved and while shots
+  results still carried their state) is a plain miss: deleted, counted
+  in ``stats.stale_dropped``, and, like any plain miss, a healthy disk
+  answer to the breaker, so a warm store of old entries cannot trip it.
 * **Bounded size** — ``max_bytes`` / ``max_entries`` caps are enforced
   after every write by evicting the least recently *used* files, so a
   long-lived serve process cannot grow the cache dir without bound.
@@ -60,7 +65,10 @@ from ..resilience.retry import TransientServiceError
 from .serialization import result_from_dict, result_to_dict
 
 #: Version tag of the store's on-disk entry envelope.
-STORE_SCHEMA = "repro-result-store/v1"
+STORE_SCHEMA = "repro-result-store/v2"
+
+#: Envelopes of earlier versions: read as plain misses, not corruption.
+STALE_SCHEMAS = frozenset({"repro-result-store/v1"})
 
 
 @dataclass
@@ -73,6 +81,8 @@ class StoreStats:
     write_failures: int = 0
     evictions: int = 0
     corrupt_dropped: int = 0
+    #: Entries in an older envelope, dropped as plain misses.
+    stale_dropped: int = 0
     #: Disk-level failures (reads and writes), real or injected —
     #: excludes plain misses and serialization failures.
     io_errors: int = 0
@@ -99,6 +109,7 @@ class StoreStats:
             "write_failures": self.write_failures,
             "evictions": self.evictions,
             "corrupt_dropped": self.corrupt_dropped,
+            "stale_dropped": self.stale_dropped,
             "io_errors": self.io_errors,
             "short_circuited": self.short_circuited,
             "lookups": self.lookups,
@@ -210,6 +221,15 @@ class ResultStore:
                 return None
             try:
                 envelope = json.loads(raw)
+                if envelope.get("schema") in STALE_SCHEMAS:
+                    # Written by an earlier release: a healthy disk
+                    # answering with an entry this release never serves.
+                    path.unlink(missing_ok=True)
+                    self._forget(path.name)
+                    self._disk_ok()
+                    self.stats.stale_dropped += 1
+                    self.stats.misses += 1
+                    return None
                 if envelope.get("schema") != STORE_SCHEMA:
                     raise SerializationError(
                         f"unknown store schema {envelope.get('schema')!r}"

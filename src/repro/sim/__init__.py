@@ -22,6 +22,7 @@ from .trajectory import (
 from .fidelity import (
     FidelityEstimate,
     estimate_circuit_fidelity,
+    estimate_circuit_fidelity_looped,
     resolve_batch_size,
 )
 from .density import DensityMatrix, DensityMatrixSimulator, DensityTensor
@@ -49,6 +50,7 @@ __all__ = [
     "TrajectoryResult",
     "FidelityEstimate",
     "estimate_circuit_fidelity",
+    "estimate_circuit_fidelity_looped",
     "estimate_circuit_fidelity_parallel",
     "resolve_batch_size",
     "merge_estimates",

@@ -5,25 +5,32 @@ noiselessly and through one noisy trajectory, and records the squared
 overlap.  The estimate reports the mean and the 2-sigma standard error the
 paper quotes ("error bars are all 2 sigma < 0.1%").
 
-Trials run through the batched trajectory engine by default: shots are
-grouped into stacked-tensor chunks sized so one chunk stays cache-friendly
-(``batch_size=None`` auto-sizes; see :func:`resolve_batch_size`).  Pass
-``batch_size=1`` to force the original one-trajectory-at-a-time loop —
-both engines sample the same distribution, but their RNG streams differ,
-so fixed-seed results are engine-specific.
+Trials run through the fused trajectory engine at every chunk size:
+shots are grouped into row-stack chunks sized so one chunk stays
+cache-friendly (``batch_size=None`` auto-sizes; see
+:func:`resolve_batch_size`), down to one-row chunks for states above
+2^18 amplitudes or an explicit ``batch_size=1``.
+:func:`estimate_circuit_fidelity_looped` runs the same estimate on the
+looped oracle, one trajectory at a time — both engines sample the same
+distribution, but their RNG streams differ, so fixed-seed results are
+engine-specific.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..noise.model import NoiseModel
 from ..qudits import Qudit, total_dimension
-from .trajectory import BatchedTrajectorySimulator, TrajectorySimulator
+from .trajectory import (
+    BatchedTrajectorySimulator,
+    TrajectoryResult,
+    TrajectorySimulator,
+)
 
 #: Auto-batching budget: total stacked amplitudes per chunk.  A chunk of
 #: B trajectories over an n-wire state costs B * d^n complex entries;
@@ -44,7 +51,8 @@ def resolve_batch_size(
     ``None`` auto-sizes from the state dimension (the only shape input),
     so a given ``(circuit, trials, seed, batch_size=None)`` call is
     deterministic across machines.  Explicit values are clamped to
-    ``[1, trials]``; ``1`` selects the looped reference engine.
+    ``[1, trials]``.  The chunk size only shapes the fused engine's
+    stacks, never which engine runs.
     """
     if trials <= 1:
         return 1
@@ -94,38 +102,63 @@ def estimate_circuit_fidelity(
     Every trial uses its own random binary-subspace initial state, per
     Algorithm 1.  Deterministic given ``seed`` (and the effective batch
     size, which the default auto-sizing derives from the state shape
-    alone).  ``batch_size`` controls the stacked-trajectory chunking:
-    ``None`` auto-sizes, ``1`` forces the looped reference engine.
+    alone).  ``batch_size`` sets the fused engine's row-stack chunking;
+    ``None`` auto-sizes.
     """
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     wires = list(wires) if wires else circuit.all_qudits()
-    batch = resolve_batch_size(batch_size, wires, trials)
+    batched = BatchedTrajectorySimulator(
+        noise_model, np.random.default_rng(seed)
+    )
+    results = batched.run_trials(
+        circuit, wires, trials, resolve_batch_size(batch_size, wires, trials)
+    )
+    return _aggregate(results, trials, noise_model, circuit_name)
 
+
+def estimate_circuit_fidelity_looped(
+    circuit: Circuit,
+    noise_model: NoiseModel,
+    trials: int,
+    seed: int | None = None,
+    wires: Sequence[Qudit] | None = None,
+    circuit_name: str = "circuit",
+) -> FidelityEstimate:
+    """:func:`estimate_circuit_fidelity` on the looped oracle.
+
+    One :class:`TrajectorySimulator` trajectory at a time, each from its
+    own random binary-subspace input — the reference the tests and the
+    noise benchmark hold the fused engine to.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    wires = list(wires) if wires else circuit.all_qudits()
+    simulator = TrajectorySimulator(
+        noise_model, np.random.default_rng(seed)
+    )
+    results = (
+        simulator.run_trajectory(
+            circuit, simulator.random_binary_input(wires)
+        )
+        for _ in range(trials)
+    )
+    return _aggregate(results, trials, noise_model, circuit_name)
+
+
+def _aggregate(
+    results: Iterable[TrajectoryResult],
+    trials: int,
+    noise_model: NoiseModel,
+    circuit_name: str,
+) -> FidelityEstimate:
     fidelities = np.empty(trials)
     gate_errors = np.empty(trials)
     idle_jumps = np.empty(trials)
-    if batch <= 1:
-        simulator = TrajectorySimulator(noise_model, rng)
-        for trial in range(trials):
-            initial = simulator.random_binary_input(wires)
-            result = simulator.run_trajectory(circuit, initial)
-            fidelities[trial] = result.fidelity
-            gate_errors[trial] = result.gate_errors
-            idle_jumps[trial] = result.idle_jumps
-    else:
-        batched = BatchedTrajectorySimulator(noise_model, rng)
-        done = 0
-        while done < trials:
-            chunk = min(batch, trials - done)
-            initials = batched.random_binary_inputs(wires, chunk)
-            for offset, result in enumerate(
-                batched.run_batch(circuit, initials)
-            ):
-                fidelities[done + offset] = result.fidelity
-                gate_errors[done + offset] = result.gate_errors
-                idle_jumps[done + offset] = result.idle_jumps
-            done += chunk
-
+    for trial, result in enumerate(results):
+        fidelities[trial] = result.fidelity
+        gate_errors[trial] = result.gate_errors
+        idle_jumps[trial] = result.idle_jumps
     std_error = (
         float(fidelities.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     )

@@ -20,6 +20,14 @@ and :class:`~repro.sim.density.DensityTensor`):
   and leaves the output legs at the front, which callers move back into
   place with ``np.moveaxis``.
 
+A dense :class:`~repro.gates.controlled.ControlledGate` (one whose
+sub-gate is not a permutation) is the identity except on one control
+block: the slice where every control wire holds its activation value.
+:func:`apply_gate_block` applies only the sub-gate's block to that
+slice, in place, instead of contracting the whole ``dims + dims`` kernel
+against the register — the lowered qutrit tree's ``X±1`` roots under a
+control take this path.
+
 The classical engines have their own kernel family: a *permutation
 kernel* is the gate's whole-domain basis permutation lowered to a flat
 ``int64`` lookup table over the mixed-radix index of its wires (plus the
@@ -31,11 +39,11 @@ table gather.
 
 Cache keys:
 
-* gate kernels and permutation kernels are keyed on the gate's
-  **canonical spec** (:meth:`~repro.gates.base.Gate.spec` lowered to
-  structural form — the PR 2 content-addressed identity), so two
-  structurally equal gates share one kernel no matter how they were
-  built;
+* gate kernels, control sub-blocks and permutation kernels are keyed
+  on the gate's (or sub-gate's) **canonical spec**
+  (:meth:`~repro.gates.base.Gate.spec` lowered to structural form — the
+  content-addressed identity), so two structurally equal gates share
+  one kernel no matter how they were built;
 * channel kernels are keyed on the channel *instance*.  The channel
   factories in :mod:`repro.noise` are ``lru_cache``-d singletons, so this
   is equivalent to keying on the channel's parameters; hand-built
@@ -55,6 +63,7 @@ import numpy as np
 
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
+from ..gates.controlled import ControlledGate
 from ..gates.spec import GateSpec
 from ..noise.kraus import KrausChannel, UnitaryMixtureChannel
 
@@ -200,8 +209,8 @@ def apply_block(
     the input legs tie to the given ``axes`` and the result's new legs
     move back into place, leaving every other axis untouched.  This is
     the one contraction every dense engine shares: state vectors pass
-    their bare tensor, the batched engines pass stacked tensors whose
-    batch axis simply never appears in ``axes``.
+    their bare tensor, the fused trajectory engine passes row stacks
+    whose row axis simply never appears in ``axes``.
     """
     axes = list(axes)
     k = len(axes)
@@ -214,6 +223,10 @@ def apply_block(
 #: (the bulk-sweep mode) get their own entries, cast once from the
 #: complex128 block.
 _GATE_KERNELS: dict[tuple[GateSpec, str], GateKernel] = {}
+
+#: (canonical sub-gate GateSpec, dtype char) -> the sub-gate's unitary
+#: in ``dims + dims`` block form, for the control-block path.
+_CONTROL_BLOCKS: dict[tuple[GateSpec, str], np.ndarray] = {}
 
 #: canonical GateSpec -> PermutationKernel (including negative results:
 #: "not a permutation" is cached too, so classicality checks of circuits
@@ -305,6 +318,52 @@ def gate_kernel(
         kernel = GateKernel(dims, block, block.conj())
         _GATE_KERNELS[key] = kernel
     return kernel
+
+
+def _control_block(gate: ControlledGate, dtype: np.dtype) -> np.ndarray:
+    """The cached block of a controlled gate's sub-gate at ``dtype``."""
+    sub = gate.sub_gate
+    key = (sub.canonical_spec(), dtype.char)
+    block = _CONTROL_BLOCKS.get(key)
+    if block is None:
+        block = _as_block(sub.unitary(), tuple(sub.dims)).astype(
+            dtype, copy=False
+        )
+        _CONTROL_BLOCKS[key] = block
+    return block
+
+
+def apply_gate_block(
+    tensor: np.ndarray, op: GateOperation, axes: Sequence[int]
+) -> np.ndarray:
+    """Apply a non-permutation gate's unitary to ``axes`` of ``tensor``.
+
+    A :class:`~repro.gates.controlled.ControlledGate` touches only its
+    control block: the slice where every control axis holds its
+    activation value gets the sub-gate's block (cached per canonical
+    sub-gate spec and dtype), written back **in place**, and the rest of
+    the register is never read.  Any other gate contracts its whole
+    kernel block (:func:`gate_kernel`) into a new array.  Either way the
+    result is returned; callers must own ``tensor`` (other axes, such as
+    a leading batch axis, pass through untouched).
+    """
+    gate = op.gate
+    if not isinstance(gate, ControlledGate):
+        return apply_block(tensor, gate_kernel(op, tensor.dtype).block, axes)
+    block = _control_block(gate, tensor.dtype)
+    controls = axes[: gate.num_controls]
+    index = [slice(None)] * tensor.ndim
+    for axis, value in zip(controls, gate.control_values):
+        index[axis] = value
+    # Integer indices drop the control axes from the view, so each
+    # target axis shifts down by the controls in front of it.
+    targets = [
+        axis - sum(c < axis for c in controls)
+        for axis in axes[gate.num_controls:]
+    ]
+    view = tensor[tuple(index)]
+    view[...] = apply_block(view, block, targets)
+    return tensor
 
 
 def permutation_kernel(op: GateOperation) -> PermutationKernel:
@@ -492,6 +551,7 @@ def channel_kernel(
 def clear_kernel_caches() -> None:
     """Drop all cached kernels (tests and memory-sensitive callers)."""
     _GATE_KERNELS.clear()
+    _CONTROL_BLOCKS.clear()
     _CHANNEL_KERNELS.clear()
     _PERM_KERNELS.clear()
     _PERM_GATHERS.clear()
@@ -502,6 +562,7 @@ def kernel_cache_stats() -> dict[str, int]:
     """Entry counts of the process-wide kernel caches (diagnostics)."""
     return {
         "gate_kernels": len(_GATE_KERNELS),
+        "control_blocks": len(_CONTROL_BLOCKS),
         "channel_kernels": len(_CHANNEL_KERNELS),
         "permutation_kernels": len(_PERM_KERNELS),
         "permutation_gathers": len(_PERM_GATHERS),

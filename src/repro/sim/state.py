@@ -13,9 +13,10 @@ Tensor leg convention (shared across the simulation engines):
 * an operator on ``k`` wires is reshaped to ``dims + dims`` — output
   legs first, input legs last — and ``tensordot`` ties its input legs
   to the touched state axes (see :mod:`repro.sim.kernels`);
-* the batched trajectory engine prepends one batch axis (shape
-  ``(B, d_0, ..., d_{n-1})``); the density engine appends a mirrored
-  set of column legs (shape ``dims + dims``).
+* the fused trajectory engine stacks flat states as rows (shape
+  ``(R, d_0 ... d_{n-1})``, viewed as ``(R, d_0, ..., d_{n-1})`` for a
+  gate); the density engine appends a mirrored set of column legs
+  (shape ``dims + dims``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from ..exceptions import DimensionMismatchError, SimulationError
 from ..linalg import random_state_vector
 from ..qudits import Qudit
 from ..circuits.operation import GateOperation
+from ..gates.controlled import ControlledGate
 from .kernels import (
     apply_block,
+    apply_gate_block,
     gate_kernel,
     permutation_kernel,
     segment_permutation_gather,
@@ -82,6 +85,10 @@ class StateVector:
         self._wires = wires
         self._axis = {wire: k for k, wire in enumerate(wires)}
         self._tensor = tensor
+        #: True while the tensor may be seen outside this state (the
+        #: caller's array, or one handed out by ``tensor``/``vector``);
+        #: in-place updates copy it first.
+        self._shared = True
 
     # ------------------------------------------------------------------
     # Constructors
@@ -160,11 +167,13 @@ class StateVector:
     @property
     def tensor(self) -> np.ndarray:
         """The underlying tensor (a live view; copy before mutating)."""
+        self._shared = True
         return self._tensor
 
     @property
     def vector(self) -> np.ndarray:
         """Flat state vector (first wire most significant)."""
+        self._shared = True
         return self._tensor.reshape(-1)
 
     @property
@@ -178,13 +187,19 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         """Deep copy (dtype preserved)."""
-        return StateVector(self._wires, self._tensor.copy())
+        return self._private(self._tensor.copy())
 
     def astype(self, dtype: "np.dtype | type") -> "StateVector":
         """The same state at another amplitude precision (always a copy)."""
-        return StateVector(
-            self._wires, self._tensor.astype(np.dtype(dtype), copy=True)
+        return self._private(
+            self._tensor.astype(np.dtype(dtype), copy=True)
         )
+
+    def _private(self, tensor: np.ndarray) -> "StateVector":
+        """A state over this one's wires owning the fresh ``tensor``."""
+        state = StateVector(self._wires, tensor)
+        state._shared = False
+        return state
 
     def probability_of(self, values: Sequence[int]) -> float:
         """Probability of measuring the basis state ``values``."""
@@ -236,16 +251,32 @@ class StateVector:
         (:func:`repro.sim.kernels.permutation_gather`) and amplitudes
         move in one flat gather over the mixed-radix joint index —
         no dense contraction, no axis shuffling.  Everything else
-        falls back to :meth:`apply_operation_dense`.  Both the verdict
-        and the index maps are cached process-wide on the gate's
-        canonical spec, so dispatch costs one dict lookup per
-        application.
+        goes through :meth:`apply_gate_block`.  Both the verdict and the
+        index maps are cached process-wide on the gate's canonical spec,
+        so dispatch costs one dict lookup per application.
         """
         kernel = permutation_kernel(op)
         if kernel.is_permutation:
             self.apply_permutation_ops([op])
             return
-        self.apply_operation_dense(op)
+        self.apply_gate_block(op)
+
+    def apply_gate_block(self, op: GateOperation) -> None:
+        """Apply a non-permutation gate, on its control block if it has one.
+
+        A :class:`~repro.gates.controlled.ControlledGate` updates only
+        the slice where every control holds its activation value, in
+        place (:func:`repro.sim.kernels.apply_gate_block`); any other
+        gate takes the dense contraction.  Agrees with
+        :meth:`apply_operation_dense` to rounding, and exactly on the
+        lowered qutrit tree from basis inputs (both pinned by the
+        property suite).
+        """
+        if isinstance(op.gate, ControlledGate) and self._shared:
+            self._tensor = self._tensor.copy()
+            self._shared = False
+        axes = [self._axis[w] for w in op.qudits]
+        self._tensor = apply_gate_block(self._tensor, op, axes)
 
     def apply_permutation_ops(self, ops: Sequence[GateOperation]) -> None:
         """Apply a run of permutation operations as one flat gather.

@@ -6,8 +6,10 @@ full-register gather maps (:func:`repro.sim.kernels.permutation_gather`),
 and the run loop composes *consecutive* permutation gates into one
 cached segment gather (:func:`repro.sim.kernels
 .segment_permutation_gather`) — a permutation-only circuit costs a
-single pass over the amplitudes per run, however deep it is.  Only
-genuinely non-classical gates pay a dense contraction through the
+single pass over the amplitudes per run, however deep it is.  A
+non-classical :class:`~repro.gates.controlled.ControlledGate` updates
+only its control block (:func:`repro.sim.kernels.apply_gate_block`);
+only the remaining gates pay a dense contraction through the
 gate-kernel cache.  Either way a gate that occurs many times in a
 circuit — or across the thousands of basis inputs exhaustive
 verification runs — lowers exactly once per canonical spec.
@@ -19,8 +21,8 @@ Two knobs tune bulk sweeps:
   dense fallback uses per-precision cached kernels (parity bounds in
   docs/SIMULATORS.md, enforced by the property suite);
 * ``permutation_fast_path=False`` forces every gate through the dense
-  contraction — the pre-v2 engine, preserved as the parity oracle for
-  tests and ``BENCH_state.json``.
+  contraction (no gathers, no control blocks) — the pre-v2 engine,
+  preserved as the parity oracle for tests and ``BENCH_state.json``.
 
 Terminal sampling ships here too: :meth:`StateVectorSimulator
 .sample_counts` runs the circuit once and draws any number of shots
@@ -111,7 +113,7 @@ class StateVectorSimulator:
                     continue
                 state.apply_permutation_ops(segment)
                 segment.clear()
-                state.apply_operation_dense(op)
+                state.apply_gate_block(op)
         state.apply_permutation_ops(segment)
         return state
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
+from repro.execution.pipeline_spec import PipelineSpec
 from repro.gates.controlled import ControlledGate
+from repro.gates.matrix import MatrixGate
 from repro.gates.qutrit import (
     QUTRIT_H,
     X01,
@@ -22,7 +24,9 @@ from repro.gates.qutrit import (
     X_MINUS_1,
     X_PLUS_1,
 )
-from repro.qudits import qutrits
+from repro.linalg import random_unitary
+from repro.qudits import Qudit, qutrits
+from repro.sim.kernels import permutation_kernel
 from repro.sim.state import StateVector
 from repro.sim.statevector import StateVectorSimulator
 from repro.toffoli.registry import build_toffoli
@@ -208,3 +212,90 @@ class TestPipelineComposition:
         site_wires = routed.circuit.all_qudits() or routed.sites
         fast, dense = run_both(routed.circuit, site_wires, seed)
         assert np.array_equal(fast.vector, dense.vector)
+
+
+@st.composite
+def controlled_gates(draw):
+    """A random dense ControlledGate placed on a shuffled register.
+
+    1-2 controls of dimension 2 or 3 with any activation values, a Haar
+    unitary sub-gate on 1-2 wires of dimension 2 or 3, and up to one
+    spectator wire; the register's axis order is a random permutation,
+    so controls and targets land on any axes in any order.
+    """
+    control_dims = draw(st.lists(st.sampled_from((2, 3)), min_size=1,
+                                 max_size=2))
+    control_values = [draw(st.integers(0, d - 1)) for d in control_dims]
+    target_dims = draw(st.lists(st.sampled_from((2, 3)), min_size=1,
+                                max_size=2))
+    spare_dims = draw(st.lists(st.sampled_from((2, 3)), max_size=1))
+    sub_dim = int(np.prod(target_dims))
+    unitary = random_unitary(
+        sub_dim, np.random.default_rng(draw(st.integers(0, 2**16)))
+    )
+    gate = ControlledGate(
+        MatrixGate(unitary, target_dims), control_dims, control_values
+    )
+    dims = control_dims + target_dims + spare_dims
+    wires = [Qudit(index, dim) for index, dim in enumerate(dims)]
+    order = draw(st.permutations(range(len(wires))))
+    register = [wires[k] for k in order]
+    return gate.on(*wires[: gate.num_qudits]), register
+
+
+class TestControlBlockParity:
+    """A dense ControlledGate applied on its control block agrees with
+    the dense contraction oracle (``apply_operation_dense``)."""
+
+    @given(controlled_gates(), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_complex128_agrees_with_dense(self, op_and_register, seed):
+        op, register = op_and_register
+        amplitudes = StateVector.random(
+            register, np.random.default_rng(seed)
+        ).tensor
+        before = amplitudes.copy()
+        # ``blocked`` wraps the caller's array: the in-place control
+        # block must copy it first, never write through.
+        blocked = StateVector(register, amplitudes)
+        dense = StateVector(register, before.copy())
+        blocked.apply_gate_block(op)
+        dense.apply_operation_dense(op)
+        np.testing.assert_allclose(
+            blocked.vector, dense.vector, atol=1e-12, rtol=0
+        )
+        assert np.array_equal(amplitudes, before)
+
+    @given(controlled_gates(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_complex64_within_documented_bound(self, op_and_register,
+                                               seed):
+        op, register = op_and_register
+        initial = StateVector.random(register, np.random.default_rng(seed))
+        bulk = initial.astype(np.complex64)
+        bulk.apply_gate_block(op)
+        exact = initial.copy()
+        exact.apply_operation_dense(op)
+        assert bulk.dtype == np.complex64
+        bound = np.sqrt(exact.vector.size) * 1e-7
+        diff = np.abs(bulk.vector.astype(np.complex128) - exact.vector)
+        assert diff.max() <= bound
+
+    @pytest.mark.parametrize("num_controls", [4, 5, 6])
+    def test_lowered_tree_from_basis_inputs_is_exact(self, num_controls):
+        built = build_toffoli("qutrit_tree", num_controls)
+        circuit = PipelineSpec.from_name("lowering").build() \
+            .compile(built.circuit).circuit
+        wires = circuit.all_qudits()
+        assert any(
+            isinstance(op.gate, ControlledGate)
+            and not permutation_kernel(op).is_permutation
+            for op in circuit.all_operations()
+        )
+        rng = np.random.default_rng(num_controls)
+        for _ in range(4):
+            values = [int(v) for v in rng.integers(0, 2, len(wires))]
+            initial = StateVector.computational_basis(wires, values)
+            fast = FAST.run(circuit, initial)
+            dense = DENSE.run(circuit, initial)
+            assert np.array_equal(fast.vector, dense.vector)

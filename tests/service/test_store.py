@@ -285,3 +285,52 @@ def test_concurrent_puts_and_gets_keep_the_index_exact(tmp_path):
     assert len(store._index) == len(store) <= 6
     assert store._index_bytes == store.total_bytes() <= 6000
     assert store.stats.evictions > 0
+
+
+class TestSchemaUpgrade:
+    """Entries written by the previous release are plain misses."""
+
+    @staticmethod
+    def _breaker():
+        from repro.resilience import CircuitBreaker
+
+        return CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
+
+    def test_v2_entries_round_trip(self, tmp_path, result):
+        store = ResultStore(tmp_path, breaker=self._breaker())
+        assert store.put(KEY, result)
+        envelope = json.loads(store.path_for(KEY).read_text())
+        assert envelope["schema"] == STORE_SCHEMA == "repro-result-store/v2"
+        back = store.get(KEY)
+        np.testing.assert_array_equal(back.state.tensor, result.state.tensor)
+        assert store.breaker.state == "closed"
+
+    def test_v1_entry_is_a_miss_that_spares_the_breaker(
+        self, tmp_path, result
+    ):
+        store = ResultStore(tmp_path, breaker=self._breaker())
+        store.put(KEY, result)
+        envelope = json.loads(store.path_for(KEY).read_text())
+        envelope["schema"] = "repro-result-store/v1"
+        store.path_for(KEY).write_text(json.dumps(envelope))
+        reopened = ResultStore(tmp_path, breaker=self._breaker())
+        assert reopened.get(KEY) is None
+        assert reopened.stats.stale_dropped == 1
+        assert reopened.stats.corrupt_dropped == 0
+        assert reopened.stats.misses == 1
+        assert reopened.breaker.state == "closed"
+        assert not reopened.path_for(KEY).exists()
+        # The slot is free for a fresh result.
+        assert reopened.put(KEY, result)
+        assert reopened.get(KEY) is not None
+
+    def test_corruption_still_counts_against_the_disk(
+        self, tmp_path, result
+    ):
+        store = ResultStore(tmp_path, breaker=self._breaker())
+        store.put(KEY, result)
+        store.path_for(KEY).write_text('{"schema": "repro-result-store/v2"')
+        assert store.get(KEY) is None
+        assert store.stats.corrupt_dropped == 1
+        assert store.stats.stale_dropped == 0
+        assert store.breaker.state == "open"

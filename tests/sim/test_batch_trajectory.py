@@ -18,6 +18,7 @@ from repro.qudits import qubits, qutrits
 from repro.sim.density import DensityMatrixSimulator
 from repro.sim.fidelity import (
     estimate_circuit_fidelity,
+    estimate_circuit_fidelity_looped,
     resolve_batch_size,
 )
 from repro.sim.state import StateVector
@@ -77,8 +78,8 @@ class TestBatchedVsLooped:
         batched = estimate_circuit_fidelity(
             circuit, model, trials=400, seed=42
         )
-        looped = estimate_circuit_fidelity(
-            circuit, model, trials=400, seed=42, batch_size=1
+        looped = estimate_circuit_fidelity_looped(
+            circuit, model, trials=400, seed=42
         )
         tolerance = 4 * (batched.std_error + looped.std_error) + 1e-3
         assert abs(

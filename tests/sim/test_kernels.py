@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gates.controlled import ControlledGate
 from repro.gates.matrix import MatrixGate
 from repro.gates.qubit import CNOT, H, X
 from repro.gates.qutrit import X_PLUS_1
@@ -14,6 +15,7 @@ from repro.noise.depolarizing import (
 from repro.qudits import qubits, qutrits
 from repro.sim.kernels import (
     GATHER_CACHE_ENTRIES,
+    apply_gate_block,
     channel_kernel,
     clear_kernel_caches,
     gate_kernel,
@@ -100,10 +102,14 @@ class TestChannelKernels:
         gate_kernel(H.on(qubits(1)[0]))
         channel_kernel(single_qudit_depolarizing(2, 1e-3))
         permutation_kernel(CNOT.on(*qubits(2)))
+        controlled_h = ControlledGate(H, (2,)).on(*qubits(2))
+        apply_gate_block(np.ones((2, 2), dtype=complex), controlled_h, [0, 1])
+        assert kernel_cache_stats()["control_blocks"] == 1
         clear_kernel_caches()
         stats = kernel_cache_stats()
         assert stats == {
             "gate_kernels": 0,
+            "control_blocks": 0,
             "channel_kernels": 0,
             "permutation_kernels": 0,
             "permutation_gathers": 0,
@@ -199,6 +205,7 @@ class TestGatherCacheBound:
     def test_stats_keys_unchanged(self):
         assert set(kernel_cache_stats()) == {
             "gate_kernels",
+            "control_blocks",
             "channel_kernels",
             "permutation_kernels",
             "permutation_gathers",

@@ -58,6 +58,31 @@ class TestCli:
             main([])
 
 
+class TestRunCommand:
+    def test_statevector_shots(self, capsys):
+        assert main([
+            "run", "--construction", "qutrit_tree", "--controls", "3",
+            "--backend", "statevector", "--shots", "5", "--seed", "1",
+        ]) == 0
+        assert "/5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--backend", "statevector", "--trials", "3"],
+         "backend 'statevector' does not take trials"),
+        (["--backend", "trajectory", "--noise", "SC", "--shots", "3"],
+         "backend 'trajectory' does not take shots"),
+        (["--backend", "trajectory", "--noise", "SC", "--trials", "0"],
+         "backend 'trajectory' needs trials >= 1, got 0"),
+        (["--backend", "statevector", "--shots", "-2"],
+         "backend 'statevector' needs shots >= 1, got -2"),
+        (["--backend", "classical", "--shots", "4", "--sweep", "3", "4"],
+         "backend 'classical' does not take shots"),
+    ])
+    def test_refused_options_exit_with_message(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--construction", "qutrit_tree"] + argv)
+
+
 class TestCircuitCli:
     def test_save_show_load_round_trip(self, tmp_path, capsys):
         path = tmp_path / "tree.json"
