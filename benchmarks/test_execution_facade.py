@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.execution import (
+    PipelineSpec,
     ResultCache,
     circuit_fingerprint,
     execute,
-    lowering_pipeline,
 )
 from repro.noise.presets import SC
 from repro.toffoli.registry import build_toffoli
@@ -72,7 +72,7 @@ def test_cached_sweep_is_fast(benchmark, serial_sweep):
 
 def test_pipeline_matches_inline_decomposition():
     plain = build_toffoli("qutrit_tree", 6, decompose=False).circuit
-    compiled = lowering_pipeline().compile(plain)
+    compiled = PipelineSpec.from_name("lowering").build().compile(plain)
     inline = build_toffoli("qutrit_tree", 6).circuit
     assert circuit_fingerprint(compiled.circuit) == circuit_fingerprint(
         inline

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from repro import build_toffoli, execute, lowering_pipeline
+from repro import PipelineSpec, build_toffoli, execute
 from repro.noise import SC
 
 
@@ -51,7 +51,7 @@ def main() -> None:
         print(" ", build_toffoli(name, n).describe())
 
     # -- 4. compile through a pass pipeline ----------------------------
-    compiled = lowering_pipeline().compile(
+    compiled = PipelineSpec.from_name("lowering").build().compile(
         build_toffoli("qutrit_tree", n, decompose=False).circuit
     )
     print("\ncompile pipeline report:")

@@ -28,9 +28,9 @@ Quickstart::
     for point in points:
         print(dict(point.params), point.mean_fidelity)
 
-The simulator engines remain available in :mod:`repro.sim` for direct
-use; the old top-level simulator exports still work but are deprecated
-in favour of :func:`execute`.
+The simulator engines (``ClassicalSimulator``, ``StateVectorSimulator``,
+``TrajectorySimulator``, ``estimate_circuit_fidelity``, ...) are
+imported from :mod:`repro.sim` for direct use.
 """
 
 from .qudits import QUBIT_D, QUTRIT_D, Qudit, qubits, qudit_line, qutrits
@@ -61,9 +61,6 @@ from .execution import (
     RunResult,
     available_backends,
     execute,
-    hardware_pipeline,
-    lowering_pipeline,
-    qutrit_promotion_pipeline,
     register_backend,
     resolve_backend,
 )
@@ -71,40 +68,7 @@ from .execution import (
 # The serving layer sits on top of the execution layer.
 from .service import Job, JobQueue, JobState, ResultStore
 
-__version__ = "2.0.0"
-
-#: Deprecated top-level names -> (module path, attribute) they forward to.
-_DEPRECATED_EXPORTS = {
-    "ClassicalSimulator": ("repro.sim", "ClassicalSimulator"),
-    "StateVectorSimulator": ("repro.sim", "StateVectorSimulator"),
-    "TrajectorySimulator": ("repro.sim", "TrajectorySimulator"),
-    "FidelityEstimate": ("repro.sim", "FidelityEstimate"),
-    "estimate_circuit_fidelity": ("repro.sim", "estimate_circuit_fidelity"),
-}
-
-
-def __getattr__(name: str):
-    """Forward deprecated simulator entry points with a warning.
-
-    The classes themselves are not deprecated — import them from
-    :mod:`repro.sim`.  Only the *top-level* re-exports are shimmed, so
-    existing code keeps working while new code is steered to
-    :func:`execute`.
-    """
-    if name in _DEPRECATED_EXPORTS:
-        import importlib
-        import warnings
-
-        module_path, attribute = _DEPRECATED_EXPORTS[name]
-        warnings.warn(
-            f"'repro.{name}' is deprecated; use repro.execute() with a "
-            f"backend, or import {attribute} from {module_path}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_path), attribute)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
+__version__ = "3.0.0"
 
 __all__ = [
     "Qudit",
@@ -127,9 +91,6 @@ __all__ = [
     "CompilePipeline",
     "PipelineSpec",
     "PipelineStage",
-    "lowering_pipeline",
-    "qutrit_promotion_pipeline",
-    "hardware_pipeline",
     "CouplingGraph",
     "TopologySpec",
     "sized_topology",
@@ -146,11 +107,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "available_backends",
-    "ClassicalSimulator",
-    "StateVectorSimulator",
-    "TrajectorySimulator",
-    "FidelityEstimate",
-    "estimate_circuit_fidelity",
     "NoiseModel",
     "ALL_MODELS",
     "GeneralizedToffoli",

@@ -17,9 +17,6 @@ Usage::
     python -m repro bench --suite interop --smoke \\
         --check BENCH_interop.json               # CI regression gate
     python -m repro bench --suite state --out /tmp/state.json
-    python -m repro bench                        # deprecated flag zoo: runs
-                                                 # the seven legacy suites with
-                                                 # --*-out/--check-* flags
 
     # The rewrite engine: optimize a construction (or saved circuit),
     # print per-pass statistics, verify against the equivalence oracles.
@@ -53,29 +50,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-#: Named pipelines offered by ``run``, ``optimize`` and ``circuit
-#: save`` — mirrors :data:`repro.execution.PIPELINE_SPECS`.
-PIPELINE_CHOICES = [
-    "lowering", "qutrit-promotion", "optimize",
-    "naive-lift", "temporary-ternary",
-    "hardware-line", "hardware-grid", "hardware-heavy-hex",
-    "hardware-line-opt", "hardware-grid-opt", "hardware-heavy-hex-opt",
-]
-
-#: Benchmark suites offered by ``bench --suite`` — mirrors
-#: :data:`repro.analysis.bench.BENCH_SUITES` (plus ``all``).
-BENCH_SUITE_CHOICES = [
-    "noise", "verify", "route", "opt", "state", "serve", "chaos",
-    "interop", "all",
-]
-
 
 def _cli_pipeline(name: "str | None"):
-    """Build the pipeline behind a ``--pipeline`` choice.
-
-    Goes through :meth:`PipelineSpec.from_name` so CLI use never hits
-    the string-name deprecation shim in ``resolve_pipeline``.
-    """
+    """Build the pipeline behind a ``--pipeline`` choice."""
     if name is None:
         return None
     from .execution import PipelineSpec
@@ -327,57 +304,9 @@ def _cmd_circuit_load(args: argparse.Namespace) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     import json
-    import warnings
     from pathlib import Path
 
     from .analysis.bench import BENCH_SUITES, write_report
-
-    def run_suite(
-        name: str,
-        out: str,
-        check_path: "str | None",
-        label: "str | None" = None,
-        first: bool = False,
-    ) -> None:
-        suite = BENCH_SUITES[name]
-        label = label or suite.name
-        report = suite.run(args.smoke, args.seed)
-        if not first:
-            print()
-        print(suite.render(report))
-        if out != "-":
-            path = write_report(report, out)
-            print(f"\nwrote {path}")
-        if check_path is None:
-            return
-        if suite.check is None:
-            gated = sorted(
-                s.name for s in BENCH_SUITES.values()
-                if s.check is not None
-            )
-            raise SystemExit(
-                f"suite {name!r} has no regression gate; --check "
-                f"applies to {gated}"
-            )
-        try:
-            committed = json.loads(Path(check_path).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(
-                f"cannot read committed {label} report "
-                f"{check_path}: {error}"
-            )
-        failures = suite.check(committed, report)
-        if failures:
-            print(f"\n{label} regression check FAILED:")
-            for failure in failures:
-                print(f"  {failure}")
-            raise SystemExit(1)
-        print(
-            f"\n{label} regression check passed against {check_path}"
-        )
-
-    if args.suite is None and args.check is not None:
-        raise SystemExit("--check requires --suite (the gate is per-suite)")
 
     if args.suite == "all":
         if args.check is not None:
@@ -390,38 +319,45 @@ def _cmd_bench(args: argparse.Namespace) -> None:
                 "--out needs a single --suite; with --suite all each "
                 "report goes to its default path"
             )
-        for index, suite in enumerate(BENCH_SUITES.values()):
-            run_suite(suite.name, suite.default_out, None, first=index == 0)
-        return
+        suites = list(BENCH_SUITES.values())
+    else:
+        suites = [BENCH_SUITES[args.suite]]
 
-    if args.suite is not None:
-        suite = BENCH_SUITES[args.suite]
+    committed = None
+    if args.check is not None:
+        if suites[0].check is None:
+            gated = sorted(
+                s.name for s in BENCH_SUITES.values() if s.check is not None
+            )
+            raise SystemExit(
+                f"suite {args.suite!r} has no regression gate; --check "
+                f"applies to {gated}"
+            )
+        try:
+            committed = json.loads(Path(args.check).read_text())
+        except (OSError, json.JSONDecodeError) as error:
+            raise SystemExit(
+                f"cannot read committed {args.suite} report "
+                f"{args.check}: {error}"
+            )
+
+    for index, suite in enumerate(suites):
+        report = suite.run(args.smoke, args.seed)
+        if index:
+            print()
+        print(suite.render(report))
         out = args.out if args.out is not None else suite.default_out
-        run_suite(args.suite, out, args.check, first=True)
+        if out != "-":
+            print(f"\nwrote {write_report(report, out)}")
+    if committed is None:
         return
-
-    # No --suite: the original seven-suite flag zoo, kept as a shim.
-    warnings.warn(
-        "the all-in-one bench invocation with per-suite --*-out/"
-        "--check-* flags is deprecated; use 'repro bench --suite NAME "
-        "[--out PATH] [--check BASELINE]' (or --suite all)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    run_suite(
-        "noise",
-        args.out if args.out is not None else "BENCH_noise.json",
-        None,
-        first=True,
-    )
-    run_suite("verify", args.verify_out, None)
-    run_suite("route", args.route_out, args.check_route, label="routing")
-    run_suite("opt", args.opt_out, args.check_opt, label="optimizer")
-    run_suite(
-        "state", args.state_out, args.check_state, label="statevector"
-    )
-    run_suite("serve", args.serve_out, args.check_serve, label="serve")
-    run_suite("chaos", args.chaos_out, args.check_chaos, label="chaos")
+    failures = suites[0].check(committed, report)
+    if failures:
+        print(f"\n{args.suite} regression check FAILED:")
+        for failure in failures:
+            print(f"  {failure}")
+        raise SystemExit(1)
+    print(f"\n{args.suite} regression check passed against {args.check}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -629,6 +565,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Dispatch the repro command-line interface."""
+    from .analysis.bench import BENCH_SUITES
+    from .execution.pipeline_spec import PIPELINE_SPECS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the ISCA 2019 qutrit-circuits experiments.",
@@ -651,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["classical", "statevector", "density", "trajectory"],
     )
     run.add_argument(
-        "--pipeline", default=None, choices=PIPELINE_CHOICES,
+        "--pipeline", default=None, choices=list(PIPELINE_SPECS),
     )
     run.add_argument(
         "--noise", default=None,
@@ -695,20 +634,18 @@ def main(argv: list[str] | None = None) -> int:
     fidelity.set_defaults(func=_cmd_fidelity)
 
     bench = sub.add_parser(
-        "bench",
-        help="run a benchmark suite (--suite NAME|all); no --suite runs "
-        "the deprecated all-in-one flag interface",
+        "bench", help="run a benchmark suite (--suite NAME|all)"
     )
     bench.add_argument(
-        "--suite", default=None, choices=BENCH_SUITE_CHOICES,
+        "--suite", required=True, choices=[*BENCH_SUITES, "all"],
         help="benchmark suite to run ('all' runs every suite with its "
         "default output path)",
     )
     bench.add_argument(
         "--check", default=None, metavar="BASELINE",
-        help="with --suite: compare the fresh report against this "
-        "committed JSON and exit non-zero on regression (the CI "
-        "bench-regression gate; suites without a gate reject this)",
+        help="compare the fresh report against this committed JSON and "
+        "exit non-zero on regression (the CI bench-regression gate; "
+        "suites without a gate reject this before running)",
     )
     bench.add_argument(
         "--smoke", action="store_true",
@@ -717,67 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--out", default=None,
         help="report path ('-' skips writing; default: the suite's "
-        "BENCH_*.json, or BENCH_noise.json for the legacy interface)",
-    )
-    bench.add_argument(
-        "--verify-out", default="BENCH_verify.json",
-        help="(deprecated; use --suite verify --out) "
-        "verification-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--route-out", default="BENCH_route.json",
-        help="routing-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--check-route", default=None, metavar="BASELINE",
-        help="compare the fresh routing report against this committed "
-        "JSON and exit non-zero if a deterministic metric degraded >3x "
-        "(the CI bench-regression gate)",
-    )
-    bench.add_argument(
-        "--opt-out", default="BENCH_opt.json",
-        help="optimizer-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--check-opt", default=None, metavar="BASELINE",
-        help="compare the fresh optimizer report against this committed "
-        "JSON and exit non-zero if a deterministic reduction shrank or "
-        "equivalence verification regressed (the CI bench-regression "
-        "gate)",
-    )
-    bench.add_argument(
-        "--state-out", default="BENCH_state.json",
-        help="statevector-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--check-state", default=None, metavar="BASELINE",
-        help="check the fresh statevector report's deterministic "
-        "invariants (fast-path parity, sampler agreement and "
-        "determinism, chi-square GOF, complex64 bound) against this "
-        "committed JSON and exit non-zero on violation; speedups are "
-        "recorded, never gated",
-    )
-    bench.add_argument(
-        "--serve-out", default="BENCH_serve.json",
-        help="serving-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--check-serve", default=None, metavar="BASELINE",
-        help="check the fresh serve report's sharing invariants "
-        "(exactly-once execution, restart served from the store) "
-        "against this committed JSON and exit non-zero on violation",
-    )
-    bench.add_argument(
-        "--chaos-out", default="BENCH_chaos.json",
-        help="chaos-report path ('-' skips writing)",
-    )
-    bench.add_argument(
-        "--check-chaos", default=None, metavar="BASELINE",
-        help="check the fresh chaos report's resilience invariants "
-        "(no lost handles, capped retries, exactly-once fan-out, "
-        "corruption containment) against this committed JSON and exit "
-        "non-zero on violation; timings and injection counts are never "
-        "gated",
+        "BENCH_*.json)",
     )
     bench.add_argument("--seed", type=int, default=2019)
     bench.set_defaults(func=_cmd_bench)
@@ -882,7 +759,7 @@ def main(argv: list[str] | None = None) -> int:
         help="optimize a saved circuit JSON instead of a construction",
     )
     optimize.add_argument(
-        "--pipeline", default=None, choices=PIPELINE_CHOICES,
+        "--pipeline", default=None, choices=list(PIPELINE_SPECS),
         help="compile before optimizing (e.g. hardware-line to "
         "optimize the routed circuit)",
     )
@@ -946,7 +823,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     save.add_argument("--controls", type=int, default=5)
     save.add_argument(
-        "--pipeline", default=None, choices=PIPELINE_CHOICES,
+        "--pipeline", default=None, choices=list(PIPELINE_SPECS),
         help="compile before saving (same pipelines as 'run')",
     )
     save.add_argument(

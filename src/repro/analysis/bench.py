@@ -1,9 +1,11 @@
 """Engine benchmarks: the paper's workloads, timed and logged.
 
-``python -m repro bench`` runs the noise suites and writes the results
-to ``BENCH_noise.json``, then runs the verification suite into
-``BENCH_verify.json`` (the committed copies seed the repo's performance
-trajectory; CI re-runs the smoke variants on every push):
+``python -m repro bench --suite NAME`` runs one registered suite
+(:data:`BENCH_SUITES`) and writes its report to ``BENCH_NAME.json``;
+``--suite all`` runs every suite.  The committed copies seed the repo's
+performance trajectory; CI re-runs the smoke variants (``--smoke``) on
+every push.  The suites defined here (the first three together make
+up the ``noise`` suite, ``BENCH_noise.json``):
 
 * **density** — exact density-matrix evolution of a qutrit Generalized
   Toffoli under a noise preset, axis-local engine
@@ -386,7 +388,7 @@ def run_verify_bench(smoke: bool = False) -> dict:
         widest = bench_verify_width14(num_controls=13)
     return {
         "schema": VERIFY_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite verify"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
@@ -595,7 +597,7 @@ def run_route_bench(smoke: bool = False) -> dict:
     records = bench_route(widths=widths)
     return {
         "schema": ROUTE_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite route"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
@@ -815,7 +817,7 @@ def run_opt_bench(smoke: bool = False) -> dict:
     records = bench_opt(widths=widths)
     return {
         "schema": OPT_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite opt"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
@@ -1135,7 +1137,7 @@ def run_state_bench(smoke: bool = False) -> dict:
         ]
     return {
         "schema": STATE_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite state"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
@@ -1254,7 +1256,7 @@ def run_bench(smoke: bool = False, seed: int = 2019) -> dict:
         workloads = bench_workloads(num_controls=4, trials=150, seed=seed)
     return {
         "schema": SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite noise"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "seed": seed,
@@ -1326,8 +1328,8 @@ class BenchSuite:
     check: "Callable[[dict, dict], list[str]] | None" = None
 
 
-#: Every benchmark suite, in the order the legacy all-in-one
-#: ``repro bench`` invocation ran them (interop, the newest, is last).
+#: Every benchmark suite, in the order ``repro bench --suite all`` runs
+#: them (interop, the newest, is last).
 #: All callables bind late through this module's globals, so
 #: monkeypatching ``repro.analysis.bench.run_route_bench`` (as the CLI
 #: tests do) also redirects the registry.

@@ -32,7 +32,6 @@ from .cache import (
     circuit_fingerprint,
 )
 from .facade import (
-    NAMED_PIPELINES,
     execute,
     materialize_target,
     resolve_pipeline,
@@ -43,18 +42,9 @@ from .passes import (
     CompilePass,
     DecomposeToWidth2,
     MergeMoments,
-    PromoteQubitsToQutrits,
     RouteToTopology,
-    promote_gate,
-    transform_operations,
 )
-from .pipeline import (
-    CompiledCircuit,
-    CompilePipeline,
-    hardware_pipeline,
-    lowering_pipeline,
-    qutrit_promotion_pipeline,
-)
+from .pipeline import CompiledCircuit, CompilePipeline
 from .pipeline_spec import (
     PIPELINE_SPECS,
     STAGE_KINDS,
@@ -77,26 +67,19 @@ __all__ = [
     "FidelityResult",
     "CompilePass",
     "DecomposeToWidth2",
-    "PromoteQubitsToQutrits",
     "RouteToTopology",
     "ASAPReschedule",
     "MergeMoments",
-    "promote_gate",
-    "transform_operations",
     "CompilePipeline",
     "CompiledCircuit",
     "PipelineSpec",
     "PipelineStage",
     "PIPELINE_SPECS",
     "STAGE_KINDS",
-    "lowering_pipeline",
-    "qutrit_promotion_pipeline",
-    "hardware_pipeline",
     "execute",
     "materialize_target",
     "resolve_pipeline",
     "result_cache_key",
-    "NAMED_PIPELINES",
     "CacheBacking",
     "ResultCache",
     "CacheStats",

@@ -22,7 +22,6 @@ everything else feeds the circuit builder.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
@@ -43,14 +42,8 @@ from ..toffoli.registry import build_toffoli
 from ..toffoli.spec import ConstructionResult
 from .backends import Backend, check_run_options, resolve_backend
 from .cache import DEFAULT_CACHE, ResultCache, circuit_fingerprint
-from .pipeline import (
-    CompilePipeline,
-    hardware_pipeline,
-    lowering_pipeline,
-    optimize_pipeline,
-    qutrit_promotion_pipeline,
-)
-from .pipeline_spec import PIPELINE_SPECS, PipelineSpec
+from .pipeline import CompilePipeline
+from .pipeline_spec import PipelineSpec
 from .results import FidelityResult, RunResult
 
 ExecuteTarget = (
@@ -63,61 +56,30 @@ ExecuteTarget = (
 #: Sweep parameter names routed to the backend run, not the builder.
 RUN_PARAMS = frozenset({"shots", "trials", "seed", "initial"})
 
-#: Named pipelines accepted as ``pipeline="..."``.  The ``hardware-*``
-#: entries route through the lookahead engine onto a zoo topology sized
-#: to the circuit at compile time; the ``-opt`` variants additionally
-#: run the rewrite engine before and after routing.
-NAMED_PIPELINES: dict[str, Callable[[], CompilePipeline]] = {
-    "lowering": lowering_pipeline,
-    "qutrit-promotion": qutrit_promotion_pipeline,
-    "optimize": optimize_pipeline,
-    "hardware-line": lambda: hardware_pipeline("line"),
-    "hardware-grid": lambda: hardware_pipeline("grid_2d"),
-    "hardware-heavy-hex": lambda: hardware_pipeline("heavy_hex"),
-    "hardware-line-opt": lambda: hardware_pipeline("line", optimize=True),
-    "hardware-grid-opt": lambda: hardware_pipeline(
-        "grid_2d", optimize=True
-    ),
-    "hardware-heavy-hex-opt": lambda: hardware_pipeline(
-        "heavy_hex", optimize=True
-    ),
-}
-
-#: Same seed-derivation constant as :mod:`repro.sim.parallel`, so facade
-#: shards reproduce the existing parallel estimator exactly.
+#: Seed-derivation stride: trajectory shard ``i`` of a run seeded ``s``
+#: draws from ``s * _SEED_STRIDE + i`` (sweep point ``i`` likewise), so
+#: parallel runs are repeatable for a fixed seed and worker count.
 _SEED_STRIDE = 1_000_003
 
 
 def resolve_pipeline(
-    spec: "CompilePipeline | PipelineSpec | str | None",
+    spec: "CompilePipeline | PipelineSpec | None",
 ) -> CompilePipeline | None:
-    """Accept a pipeline, a :class:`PipelineSpec`, a name, or None.
+    """Accept a pipeline, a :class:`PipelineSpec`, or None.
 
-    Plain string names are the legacy form, kept as a deprecation shim:
-    they warn and resolve through the original factories (so observable
-    behaviour — including the reported pipeline name — is unchanged).
-    New call sites should pass ``PipelineSpec.from_name(name)`` or a
-    hand-built spec.
+    Pipeline names are resolved where text comes in (the CLI's
+    ``--pipeline``, the serve protocol's ``pipeline`` field) through
+    :meth:`PipelineSpec.from_name`; a bare string here is a
+    ``TypeError``.
     """
     if spec is None or isinstance(spec, CompilePipeline):
         return spec
     if isinstance(spec, PipelineSpec):
         return spec.build()
     if isinstance(spec, str):
-        if spec in NAMED_PIPELINES or spec in PIPELINE_SPECS:
-            warnings.warn(
-                f"passing pipeline name strings is deprecated; use "
-                f"PipelineSpec.from_name({spec!r})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if spec in NAMED_PIPELINES:
-                return NAMED_PIPELINES[spec]()
-            return PIPELINE_SPECS[spec].build()
-        raise KeyError(
-            f"unknown pipeline {spec!r}; choose from "
-            f"{sorted(set(NAMED_PIPELINES) | set(PIPELINE_SPECS))} or "
-            "pass a CompilePipeline / PipelineSpec"
+        raise TypeError(
+            f"pipeline names are not accepted here; pass "
+            f"PipelineSpec.from_name({spec!r})"
         )
     raise TypeError(
         f"cannot resolve a pipeline from {type(spec).__name__}"
@@ -333,7 +295,7 @@ def execute(
     target: ExecuteTarget,
     *,
     backend: str | Backend = "statevector",
-    pipeline: CompilePipeline | PipelineSpec | str | None = None,
+    pipeline: CompilePipeline | PipelineSpec | None = None,
     optimize: "bool | str | Sequence | object | None" = None,
     noise_model: NoiseModel | None = None,
     wires: Sequence[Qudit] | None = None,

@@ -5,8 +5,9 @@ circuit, optionally reporting metadata (e.g. SWAP counts from routing).
 Passes replace the ad-hoc ``decompose=...`` flags and per-app lowering
 calls scattered through the constructions: a
 :class:`~repro.execution.pipeline.CompilePipeline` chains them in order,
-mirroring Cirq-style transformer stacks (cf. the CirqTrit
-``qubit_to_qutrit`` transformer this module's promotion pass follows).
+mirroring Cirq-style transformer stacks.  The qubit-to-qutrit lift
+and its inverse live with the interop layer
+(:mod:`repro.interop.transform`).
 
 All structural passes preserve barrier semantics: operations are replayed
 through ASAP scheduling with the source circuit's barrier floors
@@ -16,11 +17,8 @@ downstream.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from ..arch.metrics import routing_metrics
 from ..arch.router import GreedyRouter, LookaheadRouter, RouterConfig, resolve_router
@@ -33,12 +31,7 @@ from ..arch.topology import (
     sized_topology,
 )
 from ..circuits.circuit import Circuit
-from ..circuits.operation import GateOperation
-from ..exceptions import DecompositionError
-from ..gates.base import Gate, PermutationGate, index_to_values, values_to_index
 from ..gates.decompositions import decompose_operation
-from ..gates.matrix import MatrixGate
-from ..gates.qutrit import embedded_qubit_gate
 from ..qudits import Qudit
 
 
@@ -65,19 +58,6 @@ class CompilePass(ABC):
         return self.transform(circuit)
 
 
-def transform_operations(
-    circuit: Circuit,
-    fn: Callable[[GateOperation], Iterable[GateOperation]],
-) -> Circuit:
-    """Map ``fn`` over every operation, rescheduling ASAP.
-
-    Barrier floors of the source circuit are replayed in place, so the
-    result respects the same phase separations.  Thin alias for
-    :meth:`Circuit.transformed`, kept as the pass-facing name.
-    """
-    return circuit.transformed(fn)
-
-
 class DecomposeToWidth2(CompilePass):
     """Lower every 3+-wire gate to 1- and 2-qudit gates.
 
@@ -89,102 +69,12 @@ class DecomposeToWidth2(CompilePass):
 
     def transform(self, circuit: Circuit) -> Circuit:
         before = circuit.num_operations
-        lowered = transform_operations(circuit, decompose_operation)
+        lowered = circuit.transformed(decompose_operation)
         self.last_metadata = {
             "ops_before": before,
             "ops_after": lowered.num_operations,
         }
         return lowered
-
-
-def promote_gate(gate: Gate, new_dims: Sequence[int]) -> Gate:
-    """Embed ``gate`` into wires of (elementwise larger) ``new_dims``.
-
-    The gate acts identically on its original levels and as the identity
-    on every basis state touching an added level — the CirqTrit
-    ``SingleQubitGateToQutritGate`` / ``TwoQubitGateToQutritGate``
-    behaviour, generalised to any dimensions and arities.  Permutation
-    gates stay permutation gates so classical simulation keeps working.
-    """
-    new_dims = tuple(new_dims)
-    old_dims = gate.dims
-    if len(new_dims) != len(old_dims) or any(
-        n < o for n, o in zip(new_dims, old_dims)
-    ):
-        raise DecompositionError(
-            f"cannot promote {gate.name} from dims {old_dims} to {new_dims}"
-        )
-    if new_dims == old_dims:
-        return gate
-    if len(old_dims) == 1 and old_dims[0] == 2:
-        return embedded_qubit_gate(gate, new_dims[0])
-    new_total = 1
-    for d in new_dims:
-        new_total *= d
-
-    def in_subspace(values: tuple[int, ...]) -> bool:
-        return all(v < d for v, d in zip(values, old_dims))
-
-    if gate.is_classical:
-        mapping = list(range(new_total))
-        for index in range(new_total):
-            values = index_to_values(index, new_dims)
-            if in_subspace(values):
-                image = gate.classical_action(values)
-                mapping[index] = values_to_index(image, new_dims)
-        return PermutationGate(
-            mapping, new_dims, f"{gate.name}@{new_dims}"
-        )
-
-    matrix = np.eye(new_total, dtype=complex)
-    unitary = gate.unitary()
-    old_total = unitary.shape[0]
-    embed = [
-        values_to_index(index_to_values(k, old_dims), new_dims)
-        for k in range(old_total)
-    ]
-    for row in range(old_total):
-        for col in range(old_total):
-            matrix[embed[row], embed[col]] = unitary[row, col]
-    return MatrixGate(matrix, new_dims, name=f"{gate.name}@{new_dims}")
-
-
-class PromoteQubitsToQutrits(CompilePass):
-    """Deprecated: use :class:`repro.interop.LiftToQutrits`.
-
-    This pass promoted *wires* and embedded each gate through anonymous
-    matrix/permutation wrappers; the interop layer's lift keeps the
-    sub-gate (so circuits lower back) and verifies its own output — no
-    qubit-dimensioned gate can slip through silently any more.  The
-    shim delegates to the lift and keeps the old error contract:
-    failures surface as :class:`DecompositionError`, metadata keeps the
-    ``promoted_wires`` key.
-    """
-
-    def __init__(self, dim: int = 3) -> None:
-        warnings.warn(
-            "PromoteQubitsToQutrits is deprecated; use "
-            "repro.interop.LiftToQutrits",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..interop.transform import LiftToQutrits
-
-        self._delegate = LiftToQutrits(dim)
-
-    def transform(self, circuit: Circuit) -> Circuit:
-        from ..exceptions import InteropError
-
-        try:
-            promoted_circuit = self._delegate.transform(circuit)
-        except InteropError as error:
-            raise DecompositionError(str(error)) from error
-        metadata = dict(self._delegate.last_metadata)
-        self.last_metadata = {
-            "promoted_wires": metadata.pop("lifted_wires"),
-            **metadata,
-        }
-        return promoted_circuit
 
 
 class RouteToTopology(CompilePass):
@@ -354,11 +244,8 @@ class MergeMoments(CompilePass):
 
 __all__ = [
     "CompilePass",
-    "transform_operations",
     "DecomposeToWidth2",
     "OptimizePass",
-    "PromoteQubitsToQutrits",
-    "promote_gate",
     "RouteToTopology",
     "ASAPReschedule",
     "MergeMoments",

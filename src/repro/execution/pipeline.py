@@ -11,19 +11,10 @@ accounting (Figures 9 and 10) falls out of these reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from ..arch.topology import CouplingGraph
 from ..circuits.circuit import Circuit
-from ..qudits import Qudit
-from .passes import (
-    ASAPReschedule,
-    CompilePass,
-    DecomposeToWidth2,
-    MergeMoments,
-    OptimizePass,
-    RouteToTopology,
-)
+from .passes import CompilePass
 
 
 @dataclass(frozen=True)
@@ -118,68 +109,3 @@ class CompilePipeline:
         inner = " -> ".join(self.pass_names) or "identity"
         return f"<CompilePipeline {self._name}: {inner}>"
 
-
-def lowering_pipeline() -> CompilePipeline:
-    """Decompose to hardware width, then barrier-preserving repack.
-
-    The default lowering the constructions' ``decompose=True`` flag used
-    to perform inline.
-    """
-    return CompilePipeline(
-        [DecomposeToWidth2(), MergeMoments()], name="lowering"
-    )
-
-
-def qutrit_promotion_pipeline(dim: int = 3) -> CompilePipeline:
-    """Lift qubit wires to qutrits, then repack.
-
-    Runs the interop layer's :class:`~repro.interop.LiftToQutrits`
-    (structure-preserving, self-verifying) — the pass that supersedes
-    the deprecated ``PromoteQubitsToQutrits``.
-    """
-    from ..interop.transform import LiftToQutrits
-
-    return CompilePipeline(
-        [LiftToQutrits(dim), MergeMoments()],
-        name="qutrit-promotion",
-    )
-
-
-def optimize_pipeline(
-    passes: "Sequence | None" = None,
-    cost_model=None,
-    verify: "bool | str" = False,
-) -> CompilePipeline:
-    """Rewrite-engine optimization as a standalone pipeline."""
-    return CompilePipeline(
-        [OptimizePass(passes=passes, cost_model=cost_model, verify=verify)],
-        name="optimize",
-    )
-
-
-def hardware_pipeline(
-    topology: "CouplingGraph | str | Callable[[int], CouplingGraph]",
-    placement: dict[Qudit, int] | None = None,
-    router: str | None = None,
-    optimize: bool = False,
-) -> CompilePipeline:
-    """Full lowering for a constrained device: decompose, route, repack.
-
-    ``topology`` accepts everything :class:`RouteToTopology` does (zoo
-    kind names size themselves to the circuit); ``router`` picks the
-    engine (default: the lookahead router).  With ``optimize`` the
-    rewrite engine runs in both slots — after decomposition (shrink the
-    circuit the router sees) and after routing (clean up around the
-    inserted SWAPs) — which is what the ``hardware-*-opt`` named
-    pipelines expose.
-    """
-    passes: list[CompilePass] = [DecomposeToWidth2()]
-    if optimize:
-        passes.append(OptimizePass(label="pre-route"))
-    passes.append(RouteToTopology(topology, placement, router=router))
-    if optimize:
-        passes.append(OptimizePass(label="post-route"))
-    passes.append(ASAPReschedule())
-    return CompilePipeline(
-        passes, name="hardware-opt" if optimize else "hardware"
-    )

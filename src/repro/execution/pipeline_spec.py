@@ -1,11 +1,7 @@
 """Declarative pipeline configuration: :class:`PipelineSpec`.
 
-The named-pipeline strings (``"hardware-grid-opt"``) were opaque: nine
-magic keys, each hiding a hand-assembled pass chain, with no way to
-tweak a stage short of building :class:`CompilePipeline` objects by
-hand.  A :class:`PipelineSpec` is the declarative replacement — an
-ordered list of named stages, each a ``(kind, params)`` pair drawn from
-a closed stage vocabulary:
+A :class:`PipelineSpec` is an ordered list of named stages, each a
+``(kind, params)`` pair drawn from a closed stage vocabulary:
 
 =============  =====================================================
 kind           builds
@@ -24,12 +20,10 @@ kind           builds
 
 Specs are frozen values: hashable, JSON round-trippable
 (:meth:`PipelineSpec.to_json` / :meth:`~PipelineSpec.from_json`), and
-buildable into a :class:`CompilePipeline` any number of times.  Every
-legacy named pipeline exists as a spec via
-:meth:`PipelineSpec.from_name`, plus the two interop compilation paths
-(``"naive-lift"``, ``"temporary-ternary"``).  ``execute()`` accepts a
-spec directly through :func:`repro.execution.facade.resolve_pipeline`;
-plain strings still work there as a deprecation shim.
+buildable into a :class:`CompilePipeline` any number of times.
+:data:`PIPELINE_SPECS` is the one registry of named pipelines, read
+through :meth:`PipelineSpec.from_name`; ``execute()`` and
+``JobQueue.submit`` take the spec itself, never its name.
 """
 
 from __future__ import annotations
@@ -278,10 +272,9 @@ class PipelineSpec:
     def from_name(cls, name: str) -> "PipelineSpec":
         """The registered spec for a pipeline name.
 
-        Covers every legacy named pipeline (``"lowering"``,
-        ``"qutrit-promotion"``, ``"optimize"``, the six
-        ``"hardware-*"`` variants) plus the interop compilation paths
-        ``"naive-lift"`` and ``"temporary-ternary"``.
+        Covers ``"lowering"``, ``"qutrit-promotion"``, ``"optimize"``,
+        the six ``"hardware-*"`` variants and the interop compilation
+        paths ``"naive-lift"`` and ``"temporary-ternary"``.
         """
         try:
             return PIPELINE_SPECS[name]

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..qudits import Qudit
 from ..sim.density import DensityMatrix
 from ..sim.fidelity import FidelityEstimate
 from ..sim.measurement import MeasurementResult
-from ..sim.parallel import merge_estimates
 from ..sim.state import StateVector
 
 
@@ -148,7 +149,19 @@ class FidelityResult(RunResult):
         """
         if not results:
             raise ValueError("nothing to merge")
-        merged = merge_estimates([r._require() for r in results])
+        estimates = [r._require() for r in results]
+        total = sum(e.trials for e in estimates)
+
+        def pooled(name: str) -> float:
+            return sum(getattr(e, name) * e.trials for e in estimates) / total
+
+        mean = pooled("mean_fidelity")
+        # Pool variances: Var = E[Var_shard] + Var[mean_shard], via moments.
+        second_moment = sum(
+            e.trials * ((e.std_error**2) * e.trials + e.mean_fidelity**2)
+            for e in estimates
+        )
+        variance = max(0.0, second_moment / total - mean**2)
         first = results[0]
         return FidelityResult(
             backend=first.backend,
@@ -156,7 +169,17 @@ class FidelityResult(RunResult):
             params=first.params,
             seed=first.seed,
             metadata={**first.metadata, "merged_shards": len(results)},
-            estimate=merged,
+            estimate=FidelityEstimate(
+                circuit_name=estimates[0].circuit_name,
+                noise_model_name=estimates[0].noise_model_name,
+                trials=total,
+                mean_fidelity=float(mean),
+                std_error=(
+                    float(np.sqrt(variance / total)) if total > 1 else 0.0
+                ),
+                mean_gate_errors=pooled("mean_gate_errors"),
+                mean_idle_jumps=pooled("mean_idle_jumps"),
+            ),
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

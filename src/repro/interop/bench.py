@@ -146,7 +146,7 @@ def run_interop_bench(smoke: bool = False) -> dict:
     return {
         "schema": INTEROP_SCHEMA,
         "generated_by": "python -m repro bench --suite interop"
-        + (" (smoke)" if smoke else ""),
+        + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
             "python": platform.python_version(),

@@ -30,7 +30,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import InteropError
-from ..execution.passes import CompilePass, transform_operations
+from ..execution.passes import CompilePass
 from ..gates.base import Gate
 from ..gates.controlled import ControlledGate
 from ..gates.decompositions import (
@@ -237,7 +237,7 @@ class DecomposeToQubitBasis(CompilePass):
                 f"found wires {bad}"
             )
         before = sum(1 for _ in circuit.all_operations())
-        lowered = transform_operations(circuit, to_qubit_basis)
+        lowered = circuit.transformed(to_qubit_basis)
         self.last_metadata = {
             "input_operations": before,
             "output_operations": sum(

@@ -19,7 +19,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import InteropError, NotClassicalError
-from ..execution.passes import CompilePass, transform_operations
+from ..execution.passes import CompilePass
 from ..gates.base import (
     Gate,
     PermutationGate,
@@ -159,10 +159,9 @@ def lower_gate(
 class LiftToQutrits(CompilePass):
     """Re-host every qubit wire on a d >= 3 wire, lifting the gate catalog.
 
-    Supersedes the wire-only ``PromoteQubitsToQutrits``: any gate —
-    registered, structural, controlled, or hand-built — is translated
-    through the embedding layer, and the pass *verifies* its own output
-    (no qubit-dimensioned wire may survive where promotion was
+    Any gate — registered, structural, controlled, or hand-built — is
+    translated through the embedding layer, and the pass *verifies* its
+    own output (no qubit-dimensioned wire may survive where promotion was
     requested), raising :class:`InteropError` instead of ever emitting a
     dim-mismatched circuit.
     """
@@ -200,7 +199,7 @@ class LiftToQutrits(CompilePass):
             lifted_gates += 1
             return [lift_gate(op.gate, new_dims).on(*new_wires)]
 
-        lifted_circuit = transform_operations(circuit, lift_op)
+        lifted_circuit = circuit.transformed(lift_op)
         leftover = set(lifted_circuit.all_qudits()) & set(mapping)
         if leftover:
             raise InteropError(
@@ -264,7 +263,7 @@ class LowerToQubits(CompilePass):
                 counts["projected"] += 1
             return [gate.on(*new_wires)]
 
-        lowered_circuit = transform_operations(circuit, lower_op)
+        lowered_circuit = circuit.transformed(lower_op)
         metadata = {
             "lowered_wires": len(mapping),
             **counts,

@@ -267,7 +267,7 @@ def run_chaos_bench(
     invariants["all_pass"] = all(invariants.values())
     return {
         "schema": CHAOS_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite chaos"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "seed": seed,

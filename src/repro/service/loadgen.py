@@ -184,7 +184,7 @@ def run_serve_bench(
 
     return {
         "schema": SERVE_SCHEMA,
-        "generated_by": "python -m repro bench"
+        "generated_by": "python -m repro bench --suite serve"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "seed": seed,

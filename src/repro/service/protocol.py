@@ -13,6 +13,8 @@ Requests are objects with an ``op`` and optional ``id`` (echoed back)::
      "input": [1, 1, 1, 1, 1, 0]}
     {"op": "submit", "target": "qutrit_tree", "backend": "trajectory",
      "noise": "SC", "trials": 50, "seed": 7, "wait": true}
+    {"op": "submit", "target": "qutrit_tree", "build": {"num_controls": 4},
+     "pipeline": "hardware-grid-opt", "wait": true}
     {"op": "status", "job": "job-000001"}
     {"op": "result", "job": "job-000001", "timeout": 30}
     {"op": "cancel", "job": "job-000001"}
@@ -20,10 +22,12 @@ Requests are objects with an ``op`` and optional ``id`` (echoed back)::
     {"op": "drain", "timeout": 30}
     {"op": "shutdown"}
 
-Responses always carry ``ok``; failures add ``error`` (and
-``traceback`` for FAILED jobs).  ``submit`` returns the job id and
-state; with ``"wait": true`` it blocks and inlines the serialized
-result (:func:`~repro.service.serialization.result_to_dict`).
+A submit's ``pipeline`` names a registered pipeline
+(:data:`~repro.execution.PIPELINE_SPECS`).  Responses always carry
+``ok``; failures add ``error`` (and ``traceback`` for FAILED jobs).
+``submit`` returns the job id and state; with ``"wait": true`` it
+blocks and inlines the serialized result
+(:func:`~repro.service.serialization.result_to_dict`).
 
 The loop is hardened against hostile or broken peers: a malformed or
 oversized request line gets a structured ``{"ok": false}`` response, an
@@ -42,6 +46,7 @@ import sys
 import threading
 from typing import Callable, Iterable, TextIO
 
+from ..execution.pipeline_spec import PipelineSpec
 from ..resilience.degradation import AdmissionError
 from ..resilience.faults import maybe_inject
 from ..resilience.retry import TransientServiceError
@@ -76,6 +81,15 @@ def _resolve_noise(name: str | None):
     return ALL_MODELS[name]
 
 
+def _resolve_pipeline(name: str | None) -> PipelineSpec | None:
+    if name is None:
+        return None
+    try:
+        return PipelineSpec.from_name(name)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+
+
 def _submit(queue: JobQueue, request: dict) -> dict:
     target = request.get("target")
     if not target:
@@ -85,7 +99,7 @@ def _submit(queue: JobQueue, request: dict) -> dict:
     job = queue.submit(
         target,
         backend=request.get("backend", "statevector"),
-        pipeline=request.get("pipeline"),
+        pipeline=_resolve_pipeline(request.get("pipeline")),
         noise_model=_resolve_noise(request.get("noise")),
         initial=tuple(initial) if initial is not None else None,
         shots=request.get("shots"),

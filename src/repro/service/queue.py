@@ -5,7 +5,7 @@
 * a **worker pool** of threads draining a :class:`FairScheduler`
   (per-submitter round-robin with aging priorities) — heavy jobs may
   additionally request ``parallel=True``, which reuses the facade's
-  process-shard machinery (:mod:`repro.sim.parallel`) inside the worker;
+  process-shard machinery (``execute(parallel=True)``) inside the worker;
 * **request coalescing** — submissions are keyed on the circuit's
   canonical fingerprint plus a digest of every run parameter; while a
   job with the same key is in flight, identical submissions attach to it
@@ -112,7 +112,7 @@ class JobRequest:
     trials: int | None
     seed: int | None
     batch_size: int | None
-    #: Process-shard heavy jobs through :mod:`repro.sim.parallel`.
+    #: Process-shard heavy jobs through ``execute(parallel=True)``.
     parallel: bool = False
     workers: int = 4
     #: Remaining deadline budget in seconds, refreshed per attempt by

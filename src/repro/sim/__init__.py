@@ -37,7 +37,6 @@ from .kernels import (
     permutation_kernel,
 )
 from .measurement import MeasurementResult, sample_counts, sample_state
-from .parallel import estimate_circuit_fidelity_parallel, merge_estimates
 
 __all__ = [
     "StateVector",
@@ -51,9 +50,7 @@ __all__ = [
     "FidelityEstimate",
     "estimate_circuit_fidelity",
     "estimate_circuit_fidelity_looped",
-    "estimate_circuit_fidelity_parallel",
     "resolve_batch_size",
-    "merge_estimates",
     "DensityMatrix",
     "DensityTensor",
     "DensityMatrixSimulator",

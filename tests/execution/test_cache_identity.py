@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import Circuit
-from repro.execution import ResultCache, circuit_fingerprint, execute
+from repro.execution import (
+    FidelityResult,
+    ResultCache,
+    circuit_fingerprint,
+    execute,
+)
 from repro.gates import CNOT, H, MatrixGate
 from repro.noise.model import NoiseModel
 from repro.qudits import qubits
-from repro.sim.fidelity import estimate_circuit_fidelity
-from repro.sim.parallel import (
-    estimate_circuit_fidelity_parallel,
-    merge_estimates,
-)
 from repro.toffoli.registry import build_toffoli
 
 NOISY = NoiseModel("noisy", 2e-3, 1e-3, 1e-7, 3e-7, t1=None)
@@ -133,24 +133,24 @@ class TestSerializedSharding:
         running the same shards in process."""
         circuit = self._circuit()
         trials, seed, workers = 40, 7, 2
-        pooled = estimate_circuit_fidelity_parallel(
-            circuit, NOISY, trials=trials, seed=seed, workers=workers
+        config = dict(backend="trajectory", noise_model=NOISY)
+        pooled = execute(
+            circuit, trials=trials, seed=seed, parallel=True,
+            workers=workers, **config,
         )
-        wires = circuit.all_qudits()
         base, extra = divmod(trials, workers)
-        in_process = merge_estimates(
+        in_process = FidelityResult.merge(
             [
-                estimate_circuit_fidelity(
+                execute(
                     circuit,
-                    NOISY,
                     trials=base + (1 if index < extra else 0),
                     seed=seed * 1_000_003 + index,
-                    wires=wires,
-                    circuit_name="circuit",
+                    **config,
                 )
                 for index in range(workers)
             ]
         )
+        assert pooled.metadata["merged_shards"] == workers
         assert pooled.mean_fidelity == in_process.mean_fidelity
         assert pooled.std_error == in_process.std_error
         assert pooled.trials == in_process.trials

@@ -8,10 +8,9 @@ import pytest
 from repro.circuits.circuit import Circuit
 from repro.execution import (
     FidelityResult,
+    PipelineSpec,
     ResultCache,
     execute,
-    lowering_pipeline,
-    resolve_pipeline,
 )
 from repro.gates.qubit import CNOT, H, X
 from repro.noise.model import NoiseModel
@@ -65,7 +64,7 @@ class TestTargets:
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(KeyError, match="unknown pipeline"):
-            resolve_pipeline("optimize-harder")
+            PipelineSpec.from_name("optimize-harder")
 
 
 class TestPipelineIntegration:
@@ -73,7 +72,7 @@ class TestPipelineIntegration:
         result = execute(
             "qutrit_tree",
             num_controls=4,
-            pipeline=lowering_pipeline(),
+            pipeline=PipelineSpec.from_name("lowering").build(),
             initial=(1, 1, 1, 1, 0),
             decompose=False,
         )
@@ -87,7 +86,7 @@ class TestPipelineIntegration:
         result = execute(
             "qutrit_tree",
             num_controls=3,
-            pipeline="lowering",
+            pipeline=PipelineSpec.from_name("lowering"),
             decompose=False,
         )
         assert result.metadata["pipeline"] == "lowering"
@@ -97,9 +96,9 @@ class TestPipelineIntegration:
             result = execute(
                 "qutrit_tree",
                 num_controls=3,
-                pipeline=name,
+                pipeline=PipelineSpec.from_name(name),
             )
-            assert result.metadata["pipeline"] == "hardware"
+            assert result.metadata["pipeline"] == name
             assert any(
                 pass_name.startswith("RouteToTopology")
                 for pass_name in result.metadata["passes"]

@@ -7,11 +7,10 @@ an optimized run is keyed on the *optimized* circuit's fingerprint.
 
 import numpy as np
 
-from repro.execution import execute
+from repro.execution import PIPELINE_SPECS, PipelineSpec, execute
 from repro.execution.cache import ResultCache, circuit_fingerprint
-from repro.execution.facade import NAMED_PIPELINES, resolve_pipeline
+from repro.execution.facade import resolve_pipeline
 from repro.execution.passes import OptimizePass
-from repro.execution.pipeline import hardware_pipeline, optimize_pipeline
 from repro.optimize import RewriteEngine
 from repro.toffoli.registry import construction_circuit
 
@@ -39,13 +38,13 @@ class TestOptimizePass:
 
 class TestPipelines:
     def test_optimize_pipeline_is_a_single_stage(self):
-        pipeline = optimize_pipeline()
+        pipeline = PipelineSpec.from_name("optimize").build()
         assert pipeline.name == "optimize"
         assert pipeline.pass_names == ("Optimize[optimize]",)
 
     def test_hardware_opt_brackets_the_router(self):
-        pipeline = hardware_pipeline("line", optimize=True)
-        assert pipeline.name == "hardware-opt"
+        pipeline = PipelineSpec.from_name("hardware-line-opt").build()
+        assert pipeline.name == "hardware-line-opt"
         names = pipeline.pass_names
         assert names[1] == "Optimize[pre-route]"
         assert names[3] == "Optimize[post-route]"
@@ -57,13 +56,14 @@ class TestPipelines:
             "hardware-grid-opt",
             "hardware-heavy-hex-opt",
         ):
-            assert name in NAMED_PIPELINES
-            assert resolve_pipeline(name) is not None
+            assert name in PIPELINE_SPECS
+            pipeline = resolve_pipeline(PipelineSpec.from_name(name))
+            assert pipeline.name == name
 
     def test_hardware_opt_compiles_equivalently(self):
         circuit = construction_circuit("he_tree", 3)
-        plain = resolve_pipeline("hardware-line").compile(circuit)
-        opt = resolve_pipeline("hardware-line-opt").compile(circuit)
+        plain = PipelineSpec.from_name("hardware-line").build().compile(circuit)
+        opt = PipelineSpec.from_name("hardware-line-opt").build().compile(circuit)
         assert opt.num_operations <= plain.num_operations
 
 

@@ -2,31 +2,19 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.arch.topology import line
 from repro.circuits.circuit import Circuit
-from repro.exceptions import DecompositionError
 from repro.execution import (
     ASAPReschedule,
     CompilePipeline,
     DecomposeToWidth2,
     MergeMoments,
-    PromoteQubitsToQutrits,
+    PipelineSpec,
     RouteToTopology,
     circuit_fingerprint,
-    execute,
-    lowering_pipeline,
-    promote_gate,
-    qutrit_promotion_pipeline,
-    transform_operations,
 )
-from repro.gates.base import PermutationGate
-from repro.gates.qubit import CNOT, H, X
-from repro.gates.qutrit import X01
-from repro.linalg import allclose_up_to_global_phase
-from repro.qudits import qubits, qutrits
+from repro.gates.qubit import CNOT, X
+from repro.qudits import qubits
 from repro.toffoli.registry import build_toffoli
 
 
@@ -47,58 +35,6 @@ class TestDecomposeToWidth2:
             compile_pass.last_metadata["ops_after"]
             == lowered.num_operations
         )
-
-
-class TestPromoteQubitsToQutrits:
-    def test_wires_and_semantics_promoted(self):
-        a, b = qubits(2)
-        bell = Circuit([H.on(a), CNOT.on(a, b)])
-        promoted = PromoteQubitsToQutrits().transform(bell)
-        new_wires = promoted.all_qudits()
-        assert all(w.dimension == 3 for w in new_wires)
-        original = execute(bell, backend="statevector")
-        lifted = execute(promoted, backend="statevector")
-        # Same Bell statistics on the binary subspace.
-        for outcome in [(0, 0), (1, 1)]:
-            assert np.isclose(
-                lifted.probability_of(outcome),
-                original.probability_of(outcome),
-                atol=1e-9,
-            )
-        assert np.isclose(lifted.probability_of((2, 2)), 0.0, atol=1e-12)
-
-    def test_classical_gates_stay_classical(self):
-        a, b = qubits(2)
-        circuit = Circuit([X.on(a), CNOT.on(a, b)])
-        promoted = PromoteQubitsToQutrits().transform(circuit)
-        result = execute(promoted, backend="classical")
-        assert result.values == (1, 1)
-
-    def test_promote_gate_keeps_permutations(self):
-        lifted = promote_gate(CNOT, (3, 3))
-        assert isinstance(lifted, PermutationGate)
-        assert lifted.classical_action((1, 0)) == (1, 1)
-        assert lifted.classical_action((2, 1)) == (2, 1)  # |2> untouched
-
-    def test_promote_single_qubit_embeds(self):
-        lifted = promote_gate(X, (3,))
-        assert allclose_up_to_global_phase(
-            lifted.unitary(), X01.unitary()
-        )
-
-    def test_mixed_dimension_circuits_promote_only_qubits(self):
-        a = qubits(1)[0]
-        t = qutrits(1, start=5)[0]
-        circuit = Circuit([X.on(a), X01.on(t)])
-        promoted = PromoteQubitsToQutrits().transform(circuit)
-        assert {w.dimension for w in promoted.all_qudits()} == {3}
-
-    def test_index_collision_rejected(self):
-        a = qubits(1)[0]  # index 0, d=2
-        t = qutrits(1)[0]  # index 0, d=3 — promotion would collide
-        circuit = Circuit([X.on(a), X01.on(t)])
-        with pytest.raises(DecompositionError, match="already exists"):
-            PromoteQubitsToQutrits().transform(circuit)
 
 
 class TestRouteToTopology:
@@ -199,9 +135,9 @@ class TestScheduling:
         packed = ASAPReschedule().transform(circuit)
         assert packed.depth == 1
 
-    def test_transform_operations_replays_barriers(self):
+    def test_transformed_replays_barriers(self):
         circuit = self._barriered()
-        identity = transform_operations(circuit, lambda op: [op])
+        identity = circuit.transformed(lambda op: [op])
         assert identity.depth == 2
         assert identity.barrier_floors == (1,)
 
@@ -209,7 +145,7 @@ class TestScheduling:
 class TestPipelines:
     def test_pipeline_trace(self):
         plain = build_toffoli("qutrit_tree", 4, decompose=False).circuit
-        compiled = lowering_pipeline().compile(plain)
+        compiled = PipelineSpec.from_name("lowering").build().compile(plain)
         assert compiled.pass_names == ("DecomposeToWidth2", "MergeMoments")
         assert len(compiled.pass_metadata) == 2
         assert compiled.input_depth == plain.depth
@@ -224,7 +160,8 @@ class TestPipelines:
     def test_qutrit_promotion_pipeline_on_qubit_circuit(self):
         a, b = qubits(2)
         circuit = Circuit([X.on(a), CNOT.on(a, b)])
-        compiled = qutrit_promotion_pipeline().compile(circuit)
+        pipeline = PipelineSpec.from_name("qutrit-promotion").build()
+        compiled = pipeline.compile(circuit)
         assert all(
             w.dimension == 3 for w in compiled.circuit.all_qudits()
         )

@@ -1,4 +1,4 @@
-"""Declarative PipelineSpec: registry parity, serialization, resolution."""
+"""Declarative PipelineSpec: the registry, serialization, resolution."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SerializationError
 from repro.execution import PipelineSpec, PipelineStage, execute
-from repro.execution.facade import NAMED_PIPELINES, resolve_pipeline
+from repro.execution.facade import resolve_pipeline
 from repro.execution.pipeline import CompilePipeline
 from repro.execution.pipeline_spec import PIPELINE_SPECS, STAGE_KINDS
 from repro.gates.qubit import CNOT, H
@@ -42,12 +42,37 @@ class TestStage:
             PipelineStage("schedule", {"mode": "alap"}).build()
 
 
-class TestRegistryParity:
-    @pytest.mark.parametrize("name", sorted(NAMED_PIPELINES))
-    def test_spec_matches_legacy_factory(self, name):
-        spec_pipeline = PipelineSpec.from_name(name).build()
-        legacy_pipeline = NAMED_PIPELINES[name]()
-        assert spec_pipeline.pass_names == legacy_pipeline.pass_names
+_ROUTE = "RouteToTopology[lookahead]"
+_HARDWARE = ("DecomposeToWidth2", _ROUTE, "ASAPReschedule")
+_HARDWARE_OPT = (
+    "DecomposeToWidth2", "Optimize[pre-route]", _ROUTE,
+    "Optimize[post-route]", "ASAPReschedule",
+)
+
+#: The pass chain each registered name builds.
+REGISTERED_PASS_NAMES = {
+    "lowering": ("DecomposeToWidth2", "MergeMoments"),
+    "qutrit-promotion": ("LiftToQutrits", "MergeMoments"),
+    "optimize": ("Optimize[optimize]",),
+    "naive-lift": ("DecomposeToQubitBasis", "LiftToQutrits"),
+    "temporary-ternary": ("LiftToQutrits", "DecomposeToWidth2"),
+    "hardware-line": _HARDWARE,
+    "hardware-grid": _HARDWARE,
+    "hardware-heavy-hex": _HARDWARE,
+    "hardware-line-opt": _HARDWARE_OPT,
+    "hardware-grid-opt": _HARDWARE_OPT,
+    "hardware-heavy-hex-opt": _HARDWARE_OPT,
+}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(REGISTERED_PASS_NAMES))
+    def test_registered_pass_chain(self, name):
+        pipeline = PipelineSpec.from_name(name).build()
+        assert pipeline.pass_names == REGISTERED_PASS_NAMES[name]
+
+    def test_registry_is_pinned(self):
+        assert set(PIPELINE_SPECS) == set(REGISTERED_PASS_NAMES)
 
     def test_interop_strategies_registered(self):
         naive = PipelineSpec.from_name("naive-lift")
@@ -64,17 +89,6 @@ class TestRegistryParity:
             pipeline = spec.build()
             assert isinstance(pipeline, CompilePipeline)
             assert pipeline.name == name
-
-    def test_cli_choices_cover_registry(self):
-        from repro.__main__ import PIPELINE_CHOICES
-
-        assert set(PIPELINE_CHOICES) == set(PIPELINE_SPECS)
-
-    def test_bench_suite_choices_cover_registry(self):
-        from repro.__main__ import BENCH_SUITE_CHOICES
-        from repro.analysis.bench import BENCH_SUITES
-
-        assert set(BENCH_SUITE_CHOICES) == set(BENCH_SUITES) | {"all"}
 
 
 class TestSerialization:
@@ -151,30 +165,21 @@ class TestResolvePipeline:
         pipeline = CompilePipeline([], name="empty")
         assert resolve_pipeline(pipeline) is pipeline
 
-    def test_spec_resolves_without_warning(self, recwarn):
+    def test_spec_resolves(self):
         pipeline = resolve_pipeline(PIPELINE_SPECS["lowering"])
-        assert pipeline.pass_names == (
-            NAMED_PIPELINES["lowering"]().pass_names
+        assert pipeline.pass_names == REGISTERED_PASS_NAMES["lowering"]
+
+    def test_resolved_pipeline_carries_the_registered_name(self):
+        pipeline = resolve_pipeline(
+            PipelineSpec.from_name("hardware-grid-opt")
         )
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
+        assert pipeline.name == "hardware-grid-opt"
+        assert pipeline.pass_names == _HARDWARE_OPT
 
-    def test_string_warns_and_keeps_legacy_pipeline(self):
-        with pytest.warns(DeprecationWarning, match="from_name"):
-            pipeline = resolve_pipeline("hardware-grid-opt")
-        assert pipeline.pass_names == (
-            NAMED_PIPELINES["hardware-grid-opt"]().pass_names
-        )
-
-    def test_spec_only_string_still_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            pipeline = resolve_pipeline("temporary-ternary")
-        assert pipeline.name == "temporary-ternary"
-
-    def test_unknown_string_raises_key_error(self):
-        with pytest.raises(KeyError, match="unknown pipeline"):
-            resolve_pipeline("annealing")
+    @pytest.mark.parametrize("name", ["hardware-grid-opt", "annealing"])
+    def test_name_strings_rejected(self, name):
+        with pytest.raises(TypeError, match="PipelineSpec.from_name"):
+            resolve_pipeline(name)
 
     def test_other_types_raise_type_error(self):
         with pytest.raises(TypeError, match="cannot resolve"):
@@ -202,11 +207,6 @@ class TestExecuteIntegration:
         )
         assert result.metadata["pipeline"] == "temporary-ternary"
 
-    def test_execute_string_shim_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            result = execute(
-                _bell_pair(),
-                backend="statevector",
-                pipeline="lowering",
-            )
-        assert result.metadata["pipeline"] == "lowering"
+    def test_execute_rejects_name_strings(self):
+        with pytest.raises(TypeError, match="PipelineSpec.from_name"):
+            execute(_bell_pair(), pipeline="lowering")

@@ -3,7 +3,7 @@ at reduced scale (full scale runs live in benchmarks/)."""
 
 import pytest
 
-from repro import build_toffoli, estimate_circuit_fidelity
+from repro import build_toffoli
 from repro.analysis.figures import fig9_depth_data, fig10_gate_count_data
 from repro.apps.grover import GroverSearch
 from repro.apps.incrementer import qutrit_incrementer_circuit
@@ -14,6 +14,7 @@ from repro.noise.presets import (
     SC_T1_GATES,
     TI_QUBIT,
 )
+from repro.sim import estimate_circuit_fidelity
 
 
 class TestHeadlineOrdering:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import InteropError
+from repro.execution import execute
 from repro.gates.controlled import ControlledGate
 from repro.gates.embedded import EmbeddedGate
 from repro.gates.qubit import CNOT, H, S, T, TOFFOLI, X
@@ -17,6 +18,7 @@ from repro.interop import (
     lower_circuit,
     lower_gate,
 )
+from repro.linalg import allclose_up_to_global_phase
 from repro.qudits import Qudit, qubits, qutrits
 
 
@@ -54,6 +56,17 @@ class TestLiftGate:
     def test_shrinking_lift_rejected(self):
         with pytest.raises(InteropError, match="cannot lift"):
             lift_gate(X01, (2,))
+
+    def test_lifted_cnot_stays_a_permutation(self):
+        lifted = lift_gate(CNOT, (3, 3))
+        assert lifted.is_classical
+        assert lifted.classical_action((1, 0)) == (1, 1)
+        assert lifted.classical_action((2, 1)) == (2, 1)  # |2> untouched
+
+    def test_lifted_x_acts_as_x01(self):
+        assert allclose_up_to_global_phase(
+            lift_gate(X, (3,)).unitary(), X01.unitary()
+        )
 
 
 class TestLowerGate:
@@ -107,6 +120,23 @@ class TestLiftToQutrits:
         with pytest.raises(InteropError, match="already exists"):
             lift_circuit(circuit)
 
+    def test_bell_statistics_kept_on_the_binary_subspace(self):
+        bell = _bell_pair()
+        original = execute(bell, backend="statevector")
+        lifted = execute(lift_circuit(bell), backend="statevector")
+        for outcome in [(0, 0), (1, 1)]:
+            assert np.isclose(
+                lifted.probability_of(outcome),
+                original.probability_of(outcome),
+                atol=1e-9,
+            )
+        assert np.isclose(lifted.probability_of((2, 2)), 0.0, atol=1e-12)
+
+    def test_classical_gates_stay_classical(self):
+        a, b = qubits(2)
+        lifted = lift_circuit(Circuit([X.on(a), CNOT.on(a, b)]))
+        assert execute(lifted, backend="classical").values == (1, 1)
+
     def test_mixed_circuit_lifts_only_qubit_wires(self):
         q2 = Qudit(0, 2)
         q3 = Qudit(1, 3)
@@ -154,26 +184,3 @@ class TestLowerToQubits:
         (a,) = qutrits(1)
         with pytest.raises(InteropError, match="not transient"):
             lower_circuit(Circuit([X_PLUS_1.on(a)]))
-
-
-class TestDeprecatedPromoteShim:
-    def test_promote_warns_and_delegates(self):
-        from repro.execution.passes import PromoteQubitsToQutrits
-
-        with pytest.warns(DeprecationWarning, match="LiftToQutrits"):
-            promote = PromoteQubitsToQutrits()
-        promoted = promote.transform(_bell_pair())
-        assert {w.dimension for w in promoted.all_qudits()} == {3}
-        assert promote.last_metadata["promoted_wires"] == 2
-
-    def test_promote_collision_keeps_old_error_type(self):
-        from repro.exceptions import DecompositionError
-        from repro.execution.passes import PromoteQubitsToQutrits
-
-        circuit = Circuit(
-            [H.on(Qudit(0, 2)), X01.on(Qudit(0, 3))]
-        )
-        with pytest.warns(DeprecationWarning):
-            promote = PromoteQubitsToQutrits()
-        with pytest.raises(DecompositionError, match="already exists"):
-            promote.transform(circuit)

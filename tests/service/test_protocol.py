@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
+from repro.execution import PIPELINE_SPECS, PipelineSpec
 from repro.service import JobQueue, handle_request, serve_lines
 from repro.service.protocol import PROTOCOL
+from repro.service.serialization import result_to_dict
 
 TREE = {"target": "qutrit_tree", "build": {"num_controls": 3},
         "backend": "classical", "input": [1, 1, 1, 0]}
@@ -65,6 +67,34 @@ class TestHandleRequest:
         })
         assert not response["ok"]
         assert "unknown noise model" in response["error"]
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_named_pipeline_matches_spec_submit(self, queue):
+        build = {"num_controls": 3}
+        response = handle_request(queue, {
+            "op": "submit", "wait": True, "target": "qutrit_tree",
+            "build": build, "pipeline": "hardware-grid-opt",
+        })
+        assert response["ok"], response
+        with JobQueue(workers=1) as direct:
+            job = direct.submit(
+                "qutrit_tree",
+                pipeline=PipelineSpec.from_name("hardware-grid-opt"),
+                **build,
+            )
+            expected = result_to_dict(job.result(30))
+        assert response["result"] == expected
+
+    def test_unknown_pipeline_is_an_error(self, queue):
+        response = handle_request(queue, {
+            "op": "submit", "target": "qutrit_tree",
+            "build": {"num_controls": 3}, "pipeline": "annealing",
+        })
+        assert response == {
+            "ok": False,
+            "error": f"unknown pipeline 'annealing'; choose from "
+            f"{sorted(PIPELINE_SPECS)}",
+        }
 
     def test_missing_target_is_an_error(self, queue):
         response = handle_request(queue, {"op": "submit"})

@@ -210,66 +210,8 @@ class TestRouteCommand:
         assert "grid" in out
 
 
-def _stub_bench_suites(monkeypatch, *, keep=()):
-    # Stub every bench suite except the ones under test, so the bench
-    # command stays fast and never rewrites a committed BENCH_*.json
-    # from the test run's working directory.
-    from repro.analysis import bench as bench_module
-
-    stubs = {
-        "noise": (
-            ("run_bench", lambda smoke, seed: {"smoke": smoke}),
-            ("render_report", lambda report: "noise stub"),
-        ),
-        "verify": (
-            ("run_verify_bench", lambda smoke: {"smoke": smoke}),
-            ("render_verify_report", lambda report: "verify stub"),
-        ),
-        "route": (
-            ("run_route_bench", lambda smoke: {"smoke": smoke}),
-            ("render_route_report", lambda report: "route stub"),
-        ),
-        "opt": (
-            ("run_opt_bench", lambda smoke: {"smoke": smoke}),
-            ("render_opt_report", lambda report: "opt stub"),
-        ),
-        "serve": (
-            ("run_serve_bench", lambda smoke, seed: {"smoke": smoke}),
-            ("render_serve_report", lambda report: "serve stub"),
-        ),
-        "state": (
-            ("run_state_bench", lambda smoke: {"smoke": smoke}),
-            ("render_state_report", lambda report: "state stub"),
-        ),
-        "chaos": (
-            ("run_chaos_bench", lambda smoke, seed: {"smoke": smoke}),
-            ("render_chaos_report", lambda report: "chaos stub"),
-        ),
-    }
-    for suite, patches in stubs.items():
-        if suite in keep:
-            continue
-        for name, stub in patches:
-            monkeypatch.setattr(bench_module, name, stub)
-
-
-#: Silence every per-suite report file the bench command would write.
-_BENCH_NO_FILES = [
-    "--out", "-", "--verify-out", "-", "--route-out", "-",
-    "--opt-out", "-", "--serve-out", "-", "--state-out", "-",
-    "--chaos-out", "-",
-]
-
-
-def _bench_args(**overrides):
-    args = ["bench", "--smoke", *_BENCH_NO_FILES]
-    for flag, value in overrides.items():
-        name = "--" + flag.replace("_", "-")
-        if name in args:
-            args[args.index(name) + 1] = value
-        else:
-            args.extend([name, value])
-    return args
+def _bench(suite, out, *extra):
+    return main(["bench", "--suite", suite, "--smoke", "--out", out, *extra])
 
 
 class TestBenchRouteCheck:
@@ -278,31 +220,20 @@ class TestBenchRouteCheck:
 
         return run_route_bench(smoke=True)
 
-    @staticmethod
-    def _stub_heavy_suites(monkeypatch):
-        _stub_bench_suites(monkeypatch, keep={"route"})
-
     def test_check_route_passes_against_identical_baseline(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys
     ):
         import json
 
         report = self._fresh_smoke_report()
         baseline = tmp_path / "BENCH_route.json"
         baseline.write_text(json.dumps(report))
-        self._stub_heavy_suites(monkeypatch)
-        assert main(
-            _bench_args(
-                route_out=str(tmp_path / "fresh.json"),
-                check_route=str(baseline),
-            )
-        ) == 0
+        fresh = str(tmp_path / "fresh.json")
+        assert _bench("route", fresh, "--check", str(baseline)) == 0
         out = capsys.readouterr().out
-        assert "regression check passed" in out
+        assert "route regression check passed" in out
 
-    def test_check_route_fails_on_degraded_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_check_route_fails_on_degraded_baseline(self, tmp_path, capsys):
         import json
 
         report = self._fresh_smoke_report()
@@ -313,16 +244,14 @@ class TestBenchRouteCheck:
             )
         baseline = tmp_path / "BENCH_route.json"
         baseline.write_text(json.dumps(shrunk))
-        self._stub_heavy_suites(monkeypatch)
         with pytest.raises(SystemExit):
-            main(_bench_args(check_route=str(baseline)))
+            _bench("route", "-", "--check", str(baseline))
         out = capsys.readouterr().out
-        assert "regression check FAILED" in out
+        assert "route regression check FAILED" in out
 
-    def test_check_route_unreadable_baseline(self, tmp_path, monkeypatch):
-        _stub_bench_suites(monkeypatch)
+    def test_check_route_unreadable_baseline(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
-            main(_bench_args(check_route=str(tmp_path / "missing.json")))
+            _bench("route", "-", "--check", str(tmp_path / "missing.json"))
 
 
 class TestBenchOptCheck:
@@ -333,25 +262,22 @@ class TestBenchOptCheck:
         return run_opt_bench(smoke=True)
 
     def test_check_opt_passes_against_identical_baseline(
-        self, smoke_report, tmp_path, capsys, monkeypatch
+        self, smoke_report, tmp_path, capsys
     ):
         import json
 
         baseline = tmp_path / "BENCH_opt.json"
         baseline.write_text(json.dumps(smoke_report))
-        _stub_bench_suites(monkeypatch, keep={"opt"})
-        assert main(
-            _bench_args(
-                opt_out=str(tmp_path / "fresh.json"),
-                check_opt=str(baseline),
-            )
-        ) == 0
+        fresh = tmp_path / "fresh.json"
+        assert _bench("opt", str(fresh), "--check", str(baseline)) == 0
         out = capsys.readouterr().out
-        assert "optimizer regression check passed" in out
-        assert (tmp_path / "fresh.json").exists()
+        assert "opt regression check passed" in out
+        assert json.loads(fresh.read_text())["generated_by"] == (
+            "python -m repro bench --suite opt --smoke"
+        )
 
     def test_check_opt_fails_on_inflated_baseline(
-        self, smoke_report, tmp_path, capsys, monkeypatch
+        self, smoke_report, tmp_path, capsys
     ):
         import json
 
@@ -360,16 +286,46 @@ class TestBenchOptCheck:
             record["gates_removed"] += 5
         baseline = tmp_path / "BENCH_opt.json"
         baseline.write_text(json.dumps(inflated))
-        _stub_bench_suites(monkeypatch, keep={"opt"})
         with pytest.raises(SystemExit):
-            main(_bench_args(check_opt=str(baseline)))
+            _bench("opt", "-", "--check", str(baseline))
         out = capsys.readouterr().out
-        assert "optimizer regression check FAILED" in out
+        assert "opt regression check FAILED" in out
 
-    def test_check_opt_unreadable_baseline(self, tmp_path, monkeypatch):
-        _stub_bench_suites(monkeypatch)
+    def test_check_opt_unreadable_baseline(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
-            main(_bench_args(check_opt=str(tmp_path / "missing.json")))
+            _bench("opt", "-", "--check", str(tmp_path / "missing.json"))
+
+
+class TestBenchSuiteErrors:
+    @pytest.mark.parametrize(
+        "suite, runner", [("noise", "run_bench"), ("verify", "run_verify_bench")]
+    )
+    def test_check_on_gateless_suite_refused_before_running(
+        self, suite, runner, monkeypatch
+    ):
+        from repro.analysis import bench as bench_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"suite {suite!r} ran")
+
+        monkeypatch.setattr(bench_module, runner, refuse)
+        with pytest.raises(SystemExit, match="has no regression gate"):
+            _bench(suite, "-", "--check", f"BENCH_{suite}.json")
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--check", "--check needs a single --suite"),
+         ("--out", "--out needs a single --suite")],
+    )
+    def test_suite_all_rejects_per_suite_flags(self, flag, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["bench", "--suite", "all", flag, "BENCH_route.json"])
+
+    def test_suite_is_required(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--smoke"])
+        assert raised.value.code == 2
+        assert "--suite" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:
