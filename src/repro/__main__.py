@@ -474,6 +474,7 @@ def _cmd_route(args: argparse.Namespace) -> None:
 def _cmd_optimize(args: argparse.Namespace) -> None:
     from pathlib import Path
 
+    from .exceptions import VerificationError
     from .optimize import RewriteEngine
     from .toffoli.registry import construction_circuit
 
@@ -494,7 +495,10 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
     engine = RewriteEngine(
         passes=passes, cost_model=args.cost_model, verify=verify
     )
-    optimized, report = engine.run(circuit)
+    try:
+        optimized, report = engine.run(circuit)
+    except VerificationError as error:
+        raise SystemExit(str(error))
 
     print(f"optimizing {label} ({engine.cost_model.name} cost model)")
     before, after = report.cost_before, report.cost_after
@@ -530,6 +534,7 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> None:
     from inspect import signature
 
+    from .exceptions import VerificationError
     from .toffoli.registry import CONSTRUCTIONS, build_toffoli
     from .toffoli.verification import verify_construction
 
@@ -544,9 +549,11 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         names = sorted(CONSTRUCTIONS)
     for name in names:
         build_kwargs = {}
+        decomposes = "decompose" in signature(
+            CONSTRUCTIONS[name].builder
+        ).parameters
         if args.undecomposed:
-            builder = CONSTRUCTIONS[name].builder
-            if "decompose" not in signature(builder).parameters:
+            if not decomposes:
                 if args.construction is not None:
                     raise SystemExit(
                         f"construction {name!r} does not take "
@@ -556,10 +563,19 @@ def _cmd_verify(args: argparse.Namespace) -> None:
             else:
                 build_kwargs["decompose"] = False
         result = build_toffoli(name, args.controls, **build_kwargs)
-        checked = verify_construction(result)
+        try:
+            verdict = verify_construction(result)
+        except VerificationError as error:
+            hint = ""
+            if decomposes and not args.undecomposed:
+                hint = (
+                    "; --undecomposed checks the permutation-level "
+                    "circuit in linear time"
+                )
+            raise SystemExit(f"{error}{hint}")
         print(
-            f"{name:20s} N={args.controls}: verified {checked} inputs "
-            f"({result.describe()})"
+            f"{name:20s} N={args.controls}: verified {verdict.inputs} "
+            f"inputs, {verdict.oracle} oracle ({result.describe()})"
         )
 
 

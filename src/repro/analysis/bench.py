@@ -22,7 +22,7 @@ up the ``noise`` suite, ``BENCH_noise.json``):
   both wall-clock and the physics numbers they produce;
 * **verification** (``BENCH_verify.json``) — exhaustive classical
   verification, batched permutation-table engine
-  (:func:`~repro.toffoli.verification.verify_classical`) vs the looped
+  (:func:`~repro.toffoli.verification.verify_construction`) vs the looped
   per-input reference, plus the paper's Sec. 6 headline workload: the
   width-14 exhaustive check (qutrit tree, N=13 controls, all 2^14
   classical inputs), timed end to end;
@@ -104,8 +104,8 @@ from ..sim.state import StateVector
 from ..sim.statevector import StateVectorSimulator
 from ..toffoli.registry import build_toffoli, construction_circuit
 from ..toffoli.verification import (
-    verify_classical,
     verify_classical_looped,
+    verify_construction,
 )
 
 __all__ = [
@@ -318,10 +318,10 @@ def bench_verify_speedup(
     the noise suites' kernel warmup).
     """
     result = build_toffoli(construction, num_controls, decompose=False)
-    batched_count = verify_classical(result)
+    batched_count = verify_construction(result).inputs
     looped_count = verify_classical_looped(result)
     batched_seconds, _ = _best_of(
-        repeats, lambda: verify_classical(result)
+        repeats, lambda: verify_construction(result)
     )
     looped_seconds, _ = _best_of(
         repeats, lambda: verify_classical_looped(result)
@@ -355,8 +355,8 @@ def bench_verify_width14(
     inputs up to width 14"), timed and committed.
     """
     result = build_toffoli(construction, num_controls, decompose=False)
-    checked = verify_classical(result)
-    seconds, _ = _best_of(repeats, lambda: verify_classical(result))
+    checked = verify_construction(result).inputs
+    seconds, _ = _best_of(repeats, lambda: verify_construction(result))
     return {
         "workload": (
             f"{construction}(N={num_controls}) width-"

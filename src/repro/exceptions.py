@@ -51,3 +51,8 @@ class InteropError(ReproError):
     Raised when lifting meets a gate that cannot be embedded, or when
     lowering meets a gate whose action leaks out of the qubit subspace
     (the |2> population is not transient at that gate)."""
+
+
+class VerificationError(ReproError):
+    """A circuit does not act as its reference, or no equivalence oracle
+    can decide it (see :mod:`repro.verify`)."""

@@ -15,9 +15,9 @@ Layer map:
 * transform layer — :func:`lift_gate` / :func:`lower_gate` and the
   circuit-level :func:`lift_circuit` / :func:`lower_circuit`, plus the
   compile passes :class:`LiftToQutrits` and :class:`LowerToQubits`;
-* verification — :func:`subspace_equivalent`: a lifted circuit must act
-  on the embedded qubit subspace exactly as its original, checked with
-  the batched classical / statevector oracles;
+* verification — :func:`repro.verify.assert_equivalent` with the qubit
+  circuit as the reference: a lifted circuit must act on the embedded
+  qubit subspace exactly as its original;
 * qubit-basis compilation — :class:`DecomposeToQubitBasis`, the
   CNOT + single-qubit lowering that defines the *naive lift* baseline;
 * workloads + bench — :mod:`repro.interop.workloads` and
@@ -32,12 +32,6 @@ from .transform import (
     lift_gate,
     lower_circuit,
     lower_gate,
-)
-from .verify import (
-    INTEROP_DENSE_CAP,
-    assert_subspace_equivalent,
-    subspace_equivalence_method,
-    subspace_equivalent,
 )
 from .qubitbasis import (
     DecomposeToQubitBasis,
@@ -69,10 +63,6 @@ __all__ = [
     "lower_circuit",
     "LiftToQutrits",
     "LowerToQubits",
-    "subspace_equivalent",
-    "subspace_equivalence_method",
-    "assert_subspace_equivalent",
-    "INTEROP_DENSE_CAP",
     "DecomposeToQubitBasis",
     "to_qubit_basis",
     "controlled_u_to_qubit_basis",

@@ -14,9 +14,9 @@ Two compilation paths from the same qubit workload to a qutrit device:
   the |2> level as workspace.
 
 Both paths are equivalence-checked against the original qubit circuit
-with the subspace oracle before routing, then routed onto the topology
-zoo; records carry logical gate count / two-qudit count / depth and
-routed swap count / depth.  All structural metrics are deterministic,
+(:func:`repro.verify.assert_equivalent`) before routing, then routed
+onto the topology zoo; records carry logical gate count / two-qudit
+count / depth and routed swap count / depth.  All structural metrics are deterministic,
 which is what the CI regression gate compares.
 """
 
@@ -30,8 +30,8 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..execution.passes import DecomposeToWidth2, RouteToTopology
 from .qubitbasis import DecomposeToQubitBasis
+from ..verify import assert_equivalent
 from .transform import lift_circuit
-from .verify import assert_subspace_equivalent
 from .workloads import build_workload
 
 INTEROP_SCHEMA = "repro-bench-interop/v1"
@@ -103,8 +103,8 @@ def run_interop_bench(smoke: bool = False) -> dict:
     """Run the interop sweep and return the JSON-ready report.
 
     Each (workload, strategy) pair compiles once — with the compiled
-    circuit verified against the qubit original through the subspace
-    oracle — then routes once per topology.
+    circuit verified against the qubit original — then routes once per
+    topology.
     """
     cases = INTEROP_SMOKE_CASES if smoke else INTEROP_CASES
     topologies = (
@@ -117,11 +117,11 @@ def run_interop_bench(smoke: bool = False) -> dict:
             start = time.perf_counter()
             compiled = compile_strategy(original, strategy)
             compile_seconds = time.perf_counter() - start
-            oracle = assert_subspace_equivalent(
-                original,
+            oracle = assert_equivalent(
                 compiled,
+                original,
                 context=f"{strategy} lift of {workload}(n={size})",
-            )
+            ).oracle
             logical = _logical_metrics(compiled)
             for kind in topologies:
                 router = RouteToTopology(kind, router="lookahead")

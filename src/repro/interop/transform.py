@@ -30,6 +30,7 @@ from ..gates.controlled import ControlledGate
 from ..gates.embedded import EmbeddedGate
 from ..gates.matrix import MatrixGate
 from ..qudits import QUBIT_D, Qudit
+from ..verify import assert_equivalent
 
 __all__ = [
     "lift_gate",
@@ -225,9 +226,9 @@ class LowerToQubits(CompilePass):
     the added levels raises :class:`InteropError` — the pass's proof
     obligation that the |2> population is transient at every gate.
 
-    ``verify=True`` additionally checks the lowered circuit against the
-    input with the subspace equivalence oracle
-    (:func:`repro.interop.subspace_equivalent`).
+    ``verify=True`` additionally checks that the input acts on the qubit
+    subspace exactly as the lowered circuit
+    (:func:`repro.verify.assert_equivalent`).
     """
 
     def __init__(self, atol: float = 1e-9, verify: bool = False) -> None:
@@ -269,11 +270,12 @@ class LowerToQubits(CompilePass):
             **counts,
         }
         if self._verify:
-            from .verify import assert_subspace_equivalent
-
-            metadata["verified"] = assert_subspace_equivalent(
-                lowered_circuit, circuit, context="LowerToQubits"
-            )
+            metadata["verified"] = assert_equivalent(
+                circuit,
+                lowered_circuit,
+                wires=[mapping.get(w, w) for w in circuit.all_qudits()],
+                context="LowerToQubits",
+            ).oracle
         self.last_metadata = metadata
         return lowered_circuit
 

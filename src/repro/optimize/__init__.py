@@ -4,8 +4,8 @@ The subsystem ROADMAP item 2 names: a :class:`RewriteEngine` running
 ordered, fixpoint-iterated passes — adjacent-inverse cancellation,
 diagonal/phase fusion (after arXiv:2204.13681), commutation-aware depth
 packing — gated by a :class:`CostModel` (qutrit Clifford+T-aware by
-default, after arXiv:2204.00552) and verified against the PR 4 batched
-equivalence oracles.  Pipeline integration lives in
+default, after arXiv:2204.00552) and verified against the equivalence
+oracle in :mod:`repro.verify`.  Pipeline integration lives in
 :mod:`repro.execution` (``OptimizePass`` stages, ``*-opt`` named
 pipelines, ``execute(optimize=...)``); the CLI surface is
 ``python -m repro optimize``.
@@ -43,12 +43,6 @@ from .passes import (
     is_inverse_pair,
     resolve_passes,
 )
-from .verify import (
-    MAX_DENSE_DIM,
-    assert_equivalent,
-    circuits_equivalent,
-    equivalence_method,
-)
 from ..exceptions import OptimizationError
 
 __all__ = [
@@ -61,7 +55,6 @@ __all__ = [
     "DEFAULT_PASS_NAMES",
     "FuseDiagonalGates",
     "GateCountCostModel",
-    "MAX_DENSE_DIM",
     "OptimizationError",
     "OptimizationReport",
     "PASS_TYPES",
@@ -69,11 +62,8 @@ __all__ = [
     "QutritCliffordTCostModel",
     "RewriteEngine",
     "RewritePass",
-    "assert_equivalent",
-    "circuits_equivalent",
     "clear_commutation_cache",
     "commutes_into",
-    "equivalence_method",
     "is_identity_gate",
     "is_inverse_pair",
     "operations_commute",

@@ -10,11 +10,13 @@ is the same circuit object it last ran on is not re-run: nothing was
 accepted in between, so its previous (rejected or empty) stats are
 recorded again and the report reads as if it had run.
 
-``verify`` wires in the equivalence oracles: ``"strict"`` checks every
-accepted rewrite against the original circuit and raises on mismatch,
-``"auto"`` checks when an oracle is feasible and records a skip
-otherwise, ``False`` trusts the passes (they are property-tested
-against the same oracles across the Toffoli catalog).
+``verify`` wires in the equivalence oracle (:mod:`repro.verify`):
+``"strict"`` checks the optimized circuit against the original and
+raises :class:`~repro.exceptions.VerificationError` on a mismatch or
+when no oracle reaches the pair, ``"auto"`` checks when an oracle
+reaches it and records a skip otherwise, ``False`` trusts the passes
+(they are property-tested against the same oracle across the Toffoli
+catalog).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Sequence
 
 from ..circuits.circuit import Circuit
 from ..exceptions import OptimizationError
+from ..verify import assert_equivalent, oracle_for
 from .cost import CircuitCost, CostModel, resolve_cost_model
 from .passes import PassStats, RewritePass, resolve_passes
-from .verify import assert_equivalent, equivalence_method
 
 #: Fixpoint ceiling: every accepted sweep strictly lowers the score, so
 #: this is a safety net, not a tuning knob.
@@ -136,13 +138,13 @@ class RewriteEngine:
         report.cost_after = current_cost
         if self.verify and current is not circuit:
             if self.verify == "auto" and (
-                equivalence_method(circuit, current) is None
+                oracle_for(current, circuit) is None
             ):
                 report.verified = "skipped"
             else:
                 report.verified = assert_equivalent(
-                    circuit, current, context="optimization"
-                )
+                    current, circuit, context="optimization"
+                ).oracle
         return current, report
 
     def optimize(self, circuit: Circuit) -> Circuit:

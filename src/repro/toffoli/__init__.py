@@ -12,20 +12,11 @@ from .he_tree import build_he_tree
 from .wang_chain import build_wang_chain
 from .lanyon_target import build_lanyon_target
 from .registry import CONSTRUCTIONS, ConstructionInfo, build_toffoli
-from .verification import (
-    VerificationError,
-    verify_classical,
-    verify_classical_looped,
-    verify_construction,
-    verify_statevector,
-)
+from .verification import verify_classical_looped, verify_construction
 
 __all__ = [
-    "VerificationError",
-    "verify_classical",
     "verify_classical_looped",
     "verify_construction",
-    "verify_statevector",
     "GeneralizedToffoli",
     "ConstructionResult",
     "build_qutrit_tree",

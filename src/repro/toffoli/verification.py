@@ -1,30 +1,23 @@
-"""Public verification API for Generalized Toffoli constructions.
+"""Verification of Generalized Toffoli constructions (Sec. 4.2 / Sec. 6).
 
-Mirrors the paper's two verification modes (Sec. 4.2 / Sec. 6):
+A construction promises a classical map: binary data wires, clean
+ancilla starting (and ending) in |0>, borrowed wires in any pattern and
+restored, and the target flipped exactly when every control is active —
+each output reached with amplitude exactly 1, so no relative phase.
 
-* :func:`verify_classical` — exhaustive basis-input checking through the
-  batched classical permutation engine.  The whole input space advances
-  as one ``(B, width)`` integer array (one table gather per operation),
-  which is what makes the paper's width-14 exhaustive check finish in
-  seconds — see ``BENCH_verify.json``.  Only valid for permutation
-  circuits (the undecomposed tree, ladders, chains).
+* :func:`verify_construction` hands those input levels and that
+  expected map to :func:`repro.verify.assert_equivalent`, which gathers
+  permutation tables for permutation circuits (the undecomposed tree,
+  ladders, chains: the paper's width-14 check, see
+  ``BENCH_verify.json``) and advances the basis densely otherwise (the
+  decomposed circuits' fractional-power gates).
 * :func:`verify_classical_looped` — the per-input reference walking
   ``Circuit.classical_map``.  Kept as the parity oracle and the looped
-  side of the verification benchmark; decisions are identical to the
-  batched path.
-* :func:`verify_statevector` — exhaustive basis-input checking through
-  dense state vectors, valid for any circuit (the decomposed circuits
-  contain fractional-power gates that are not permutations).  Basis
-  inputs advance in stacked ``(B, d_0, ..., d_{n-1})`` chunks through
-  the engines' shared vectorized contraction
-  (:func:`repro.sim.kernels.apply_block`, the trajectory engine's
-  ideal-pass primitive), one cached gate kernel per operation.
-* :func:`verify_construction` — picks the right mode from the
-  permutation-table lowering, also checking that clean ancilla return to
-  |0> and borrowed wires are restored for every dirty pattern.
+  side of the verification benchmark; its decisions and first-mismatch
+  reports match the batched path.
 
-Raising :class:`VerificationError` with the offending input makes these
-usable both from tests and from user code validating custom constructions.
+Both raise :class:`~repro.exceptions.VerificationError` naming the first
+offending input.
 """
 
 from __future__ import annotations
@@ -34,15 +27,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ..exceptions import ReproError
-from ..sim.classical_batch import BatchedClassicalSimulator
-from ..sim.fidelity import resolve_batch_size
-from ..sim.kernels import apply_block, gate_kernel
+from ..exceptions import VerificationError
+from ..verify import Verdict, assert_equivalent
 from .spec import ConstructionResult
-
-
-class VerificationError(ReproError):
-    """A construction produced the wrong output for some input."""
 
 
 def _expected_output(result: ConstructionResult, values: list[int]) -> list[int]:
@@ -73,21 +60,13 @@ def _input_space(
             yield list(data) + [0] * num_clean + list(borrowed)
 
 
-def _input_array(
-    result: ConstructionResult, dirty_patterns: bool
-) -> np.ndarray:
-    """The whole input space as one ``(B, width)`` array.
-
-    Binary data wires, |0> clean ancilla, borrowed wires swept (or
-    pinned to 0) — expressed as per-wire level restrictions over the
-    batched engine's :meth:`input_space`, whose ``product`` row order
-    matches :func:`_input_space` (data bits outer, borrowed patterns
+def _input_levels(result: ConstructionResult, dirty_patterns: bool) -> dict:
+    """Binary data wires, |0> clean ancilla, borrowed wires swept (or
+    pinned to 0).  Over ``result.all_wires`` these levels enumerate in
+    :func:`_input_space` order (data bits outer, borrowed patterns
     inner), so failure reports and input counts agree between the
-    batched and looped paths.
-    """
-    levels: dict = {
-        w: (0, 1) for w in result.controls + [result.target]
-    }
+    batched and looped paths."""
+    levels: dict = {w: (0, 1) for w in result.controls + [result.target]}
     levels.update({w: (0,) for w in result.clean_ancilla})
     levels.update(
         {
@@ -95,7 +74,7 @@ def _input_array(
             for w in result.borrowed_ancilla
         }
     )
-    return BatchedClassicalSimulator.input_space(result.all_wires, levels)
+    return levels
 
 
 def _expected_array(
@@ -114,42 +93,31 @@ def _expected_array(
     return expected
 
 
-def _raise_first_mismatch(
-    result: ConstructionResult,
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    expected: np.ndarray,
-) -> None:
-    row = int(np.argmax(np.any(outputs != expected, axis=1)))
-    raise VerificationError(
-        f"{result.name}: input {inputs[row].tolist()} -> "
-        f"{outputs[row].tolist()}, expected {expected[row].tolist()}"
-    )
-
-
-def verify_classical(
+def verify_construction(
     result: ConstructionResult, dirty_patterns: bool = True
-) -> int:
-    """Exhaustively verify a permutation construction; returns input count.
+) -> Verdict:
+    """Exhaustively verify a construction against its spec.
 
-    The paper's width-14 verification trick, batched: the full input
-    space runs as one array through the permutation-table engine and the
-    expected outputs are compared in one vectorized pass.
+    Checks every binary data input (and, with ``dirty_patterns``, every
+    borrowed-wire pattern) with the oracle the circuit allows.  Returns
+    the :class:`~repro.verify.Verdict` (oracle and input count); raises
+    :class:`~repro.exceptions.VerificationError` on any mismatch, or
+    when a non-permutation circuit is too wide for the dense check.
     """
-    inputs = _input_array(result, dirty_patterns)
-    outputs = BatchedClassicalSimulator().run_array(
-        result.circuit, result.all_wires, inputs
+    return assert_equivalent(
+        result.circuit,
+        lambda inputs: _expected_array(result, inputs),
+        wires=result.all_wires,
+        levels=_input_levels(result, dirty_patterns),
+        context=result.name,
     )
-    expected = _expected_array(result, inputs)
-    if not np.array_equal(outputs, expected):
-        _raise_first_mismatch(result, inputs, outputs, expected)
-    return len(inputs)
 
 
 def verify_classical_looped(
     result: ConstructionResult, dirty_patterns: bool = True
 ) -> int:
-    """Per-input reference implementation of :func:`verify_classical`.
+    """Per-input reference implementation of :func:`verify_construction`
+    for permutation circuits; returns the input count.
 
     Walks ``Circuit.classical_map`` once per input — the pre-batching
     engine, preserved verbatim so the benchmark has a looped side to
@@ -168,66 +136,3 @@ def verify_classical_looped(
             )
         checked += 1
     return checked
-
-
-def verify_statevector(
-    result: ConstructionResult,
-    dirty_patterns: bool = True,
-    atol: float = 1e-7,
-    batch_size: int | None = None,
-) -> int:
-    """Exhaustively verify any construction via dense simulation.
-
-    Basis inputs advance together as stacked ``(B, dims...)`` tensors —
-    the trajectory engine's vectorized ideal pass over cached gate
-    kernels — chunked like trajectory batching (``batch_size=None``
-    auto-sizes from the state dimension).
-    """
-    wires = result.all_wires
-    dims = tuple(w.dimension for w in wires)
-    inputs = _input_array(result, dirty_patterns)
-    expected = _expected_array(result, inputs)
-    operations = list(result.circuit.all_operations())
-    axis = {w: 1 + k for k, w in enumerate(wires)}
-    chunk = resolve_batch_size(batch_size, wires, len(inputs))
-    for start in range(0, len(inputs), chunk):
-        rows = inputs[start : start + chunk]
-        batch = np.zeros((len(rows),) + dims, dtype=complex)
-        member = (np.arange(len(rows)),) + tuple(
-            rows[:, k] for k in range(len(wires))
-        )
-        batch[member] = 1.0
-        for op in operations:
-            kernel = gate_kernel(op)
-            batch = apply_block(
-                batch, kernel.block, [axis[w] for w in op.qudits]
-            )
-        want = expected[start : start + chunk]
-        amplitudes = batch[
-            (np.arange(len(rows)),)
-            + tuple(want[:, k] for k in range(len(wires)))
-        ]
-        probabilities = np.abs(amplitudes) ** 2
-        if not np.all(np.isclose(probabilities, 1.0, atol=atol)):
-            row = int(np.argmax(~np.isclose(probabilities, 1.0, atol=atol)))
-            raise VerificationError(
-                f"{result.name}: input {rows[row].tolist()} reached the "
-                f"expected output with probability "
-                f"{probabilities[row]:.6f}"
-            )
-    return len(inputs)
-
-
-def verify_construction(
-    result: ConstructionResult, dirty_patterns: bool = True
-) -> int:
-    """Verify a construction with the cheapest sound method.
-
-    Uses the batched classical engine when every gate lowers to a
-    permutation table and falls back to stacked state vectors otherwise.
-    Returns the number of inputs checked; raises
-    :class:`VerificationError` on any mismatch.
-    """
-    if BatchedClassicalSimulator().is_classical_circuit(result.circuit):
-        return verify_classical(result, dirty_patterns)
-    return verify_statevector(result, dirty_patterns)

@@ -4,9 +4,10 @@ import numpy as np
 
 from repro.arch import cleanup_routed, count_swaps, resolve_router
 from repro.arch.topology import sized_topology
-from repro.optimize import RewriteEngine, circuits_equivalent
+from repro.optimize import RewriteEngine
 from repro.sim.classical_batch import BatchedClassicalSimulator
 from repro.toffoli.registry import construction_circuit
+from repro.verify import assert_equivalent
 
 
 def _routed(construction="he_tree", controls=3, kind="line"):
@@ -28,8 +29,8 @@ class TestCleanupRouted:
         cleaned, report = cleanup_routed(routed)
         assert cleaned.circuit.num_operations < routed.circuit.num_operations
         assert report.gates_removed > 0
-        assert circuits_equivalent(
-            routed.circuit, cleaned.circuit, wires=routed.sites
+        assert_equivalent(
+            cleaned.circuit, routed.circuit, wires=routed.sites
         )
 
     def test_placements_are_untouched(self):
@@ -57,8 +58,8 @@ class TestCleanupRouted:
         routed = _routed()
         cleaned, report = cleanup_routed(routed, engine="cancel-inverses")
         assert report.gates_removed >= 0
-        assert circuits_equivalent(
-            routed.circuit, cleaned.circuit, wires=routed.sites
+        assert_equivalent(
+            cleaned.circuit, routed.circuit, wires=routed.sites
         )
 
     def test_classical_routed_circuit_keeps_permutation(self):

@@ -13,7 +13,8 @@ import pytest
 from repro.apps.incrementer import qutrit_incrementer_circuit
 from repro.sim.statevector import StateVectorSimulator
 from repro.toffoli.registry import build_toffoli
-from repro.toffoli.verification import verify_statevector
+from repro.toffoli.verification import verify_construction
+from repro.verify import Verdict
 
 pytestmark = pytest.mark.slow
 
@@ -22,20 +23,24 @@ class TestDecomposedConstructionsWide:
     @pytest.mark.parametrize("n", [6, 7])
     def test_qutrit_tree_decomposed(self, n):
         result = build_toffoli("qutrit_tree", n)
-        assert verify_statevector(result) == 2 ** (n + 1)
+        assert verify_construction(result) == Verdict(
+            "statevector", 2 ** (n + 1)
+        )
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_dirty_decomposed(self, n):
         result = build_toffoli("qubit_one_dirty", n)
-        assert verify_statevector(result) == 2 ** (n + 1) * 2
+        assert verify_construction(result) == Verdict(
+            "statevector", 2 ** (n + 1) * 2
+        )
 
     def test_ancilla_free_decomposed(self):
         result = build_toffoli("qubit_ancilla_free", 7)
-        assert verify_statevector(result) == 2**8
+        assert verify_construction(result) == Verdict("statevector", 2**8)
 
     def test_he_tree_decomposed(self):
         result = build_toffoli("he_tree", 8)
-        assert verify_statevector(result) == 2**9
+        assert verify_construction(result) == Verdict("statevector", 2**9)
 
 
 class TestIncrementerDecomposedWide:

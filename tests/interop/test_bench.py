@@ -19,8 +19,8 @@ from repro.interop.bench import (
     render_interop_table,
     run_interop_bench,
 )
-from repro.interop.verify import subspace_equivalent
 from repro.interop.workloads import build_workload
+from repro.verify import assert_equivalent
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -39,7 +39,7 @@ class TestCompileStrategy:
         assert all(
             op.gate.num_qudits <= 2 for op in compiled.all_operations()
         )
-        assert subspace_equivalent(original, compiled)
+        assert_equivalent(compiled, original)
 
     def test_ternary_beats_naive_on_toffoli_workload(self):
         original = build_workload("adder", n=2)

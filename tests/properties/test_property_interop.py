@@ -20,10 +20,11 @@ from repro.gates.controlled import ControlledGate
 from repro.gates.embedded import EmbeddedGate
 from repro.gates.qubit import CNOT, CZ, H, S, SWAP, T, TOFFOLI, X
 from repro.gates.qutrit import shift_gate
-from repro.interop import lift_circuit, lower_circuit, subspace_equivalent
+from repro.interop import lift_circuit, lower_circuit
 from repro.noise.model import NoiseModel
 from repro.qudits import Qudit
 from repro.sim.classical_batch import BatchedClassicalSimulator
+from repro.verify import assert_equivalent
 
 NOISELESS = NoiseModel("clean", 0.0, 0.0, 1e-7, 3e-7, t1=None)
 
@@ -76,7 +77,7 @@ class TestSubspaceParity:
     @settings(max_examples=25, deadline=None)
     @given(qubit_circuits())
     def test_lift_preserves_subspace_action(self, circuit):
-        assert subspace_equivalent(circuit, lift_circuit(circuit))
+        assert_equivalent(lift_circuit(circuit), circuit)
 
 
 class TestPermutationVectorEquality:

@@ -36,11 +36,11 @@ from repro.optimize import (
     CommutationPacking,
     FuseDiagonalGates,
     RewriteEngine,
-    circuits_equivalent,
 )
 from repro.qudits import qutrits
 from repro.sim.classical_batch import BatchedClassicalSimulator
 from repro.sim.kernels import mixed_radix_weights
+from repro.verify import assert_equivalent
 
 #: Classical qutrit gates incl. inverse pairs, so cancellation fires.
 GATES = [X01, X02, X_PLUS_1, X_MINUS_1]
@@ -189,8 +189,8 @@ class TestOptimizerComposesWithRouters:
         circuit, wires, topology, router = setup
         routed = resolve_router(router).route(circuit, topology, wires=wires)
         cleaned, _ = RewriteEngine().run(routed.circuit)
-        assert circuits_equivalent(
-            routed.circuit, cleaned, wires=routed.sites
+        assert_equivalent(
+            cleaned, routed.circuit, wires=routed.sites
         )
         self._assert_conjugated_equality(
             circuit, wires, routed, cleaned_circuit=cleaned

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestCli:
@@ -32,8 +39,45 @@ class TestCli:
     def test_verify_single_construction(self, capsys):
         assert main(["verify", "qutrit_tree", "-n", "3"]) == 0
         out = capsys.readouterr().out
-        assert "qutrit_tree" in out and "verified 16 inputs" in out
+        assert "qutrit_tree" in out
+        assert "verified 16 inputs, statevector oracle" in out
         assert "he_tree" not in out
+
+    def test_verify_mismatch_exits_with_the_oracle_message(
+        self, monkeypatch
+    ):
+        from repro.circuits.circuit import Circuit
+        from repro.gates.qutrit import Z3
+        from repro.toffoli import registry
+
+        build = registry.build_toffoli
+
+        def with_relative_phase(name, num_controls, **kwargs):
+            result = build(name, num_controls, **kwargs)
+            result.circuit += Circuit([Z3.on(result.controls[0])])
+            return result
+
+        monkeypatch.setattr(registry, "build_toffoli", with_relative_phase)
+        with pytest.raises(SystemExit) as raised:
+            main(["verify", "qutrit_tree", "-n", "3"])
+        message = raised.value.code
+        assert message.startswith("qutrit_tree: input [1, 0, 0, 0] ->")
+        assert "statevector oracle" in message and "\n" not in message
+
+    def test_verify_cap_refusal_exits_1_naming_undecomposed(self):
+        # The decomposed width-14 tree is far past the dense cap; only
+        # the permutation-level circuit checks in linear time.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "qutrit_tree",
+             "-n", "13"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        (line,) = completed.stderr.strip().splitlines()
+        assert line.startswith("cannot verify qutrit_tree:")
+        assert "--undecomposed" in line
 
     def test_verify_unknown_construction(self):
         with pytest.raises(SystemExit, match="unknown construction"):
@@ -47,7 +91,7 @@ class TestCli:
             ["verify", "qutrit_tree", "-n", "10", "--undecomposed"]
         ) == 0
         out = capsys.readouterr().out
-        assert "verified 2048 inputs" in out
+        assert "verified 2048 inputs, classical oracle" in out
 
     def test_verify_undecomposed_rejected_for_permutation_native(self):
         with pytest.raises(SystemExit, match="does not take"):
@@ -349,6 +393,31 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "cancel-inverses" in out
         assert "fuse-phases" not in out
+
+    def test_optimize_strict_mismatch_exits_with_the_oracle_message(
+        self, monkeypatch
+    ):
+        from repro.circuits.circuit import Circuit
+        from repro.optimize import CancelAdjacentInverses, PassStats
+
+        def drop_first_gate(self, circuit):
+            ops = list(circuit.all_operations())
+            return Circuit(ops[1:]), PassStats(
+                self.name, applications=1, gates_removed=1
+            )
+
+        monkeypatch.setattr(CancelAdjacentInverses, "run", drop_first_gate)
+        with pytest.raises(SystemExit) as raised:
+            main(
+                [
+                    "optimize", "--construction", "he_tree",
+                    "--controls", "3", "--passes", "cancel-inverses",
+                    "--verify", "strict",
+                ]
+            )
+        message = raised.value.code
+        assert message.startswith("optimization: input [")
+        assert "statevector oracle" in message
 
     def test_optimize_verify_off(self, capsys):
         assert main(
