@@ -16,8 +16,8 @@ Run from the repository root::
 Expect a several-fold win on both comparisons here.  Amplitude damping
 is the *cheap* channel (3 Kraus operators); under a full gate-error
 preset, where every two-qutrit gate carries an 80-term depolarizing
-channel, the gap widens to ~25x — that run is recorded in the committed
-``BENCH_noise.json`` (regenerate with ``python -m repro bench``).
+channel, the gap widens (15.5x in the committed ``BENCH_noise.json``;
+regenerate with ``python -m repro bench --suite noise``).
 """
 
 import time

@@ -14,7 +14,8 @@ Shows the serving layer end to end:
    disk.
 
 The CLI equivalents are ``python -m repro serve`` (the live service)
-and ``python -m repro bench`` (the committed ``BENCH_serve.json``).
+and ``python -m repro bench --suite serve`` (the committed
+``BENCH_serve.json``).
 """
 
 from __future__ import annotations

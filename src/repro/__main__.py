@@ -12,10 +12,10 @@ Usage::
     python -m repro fidelity --controls 13 --trials 1000   # paper size
     python -m repro verify            # exhaustive construction checks
     python -m repro verify qutrit_tree -n 13 --undecomposed  # width-14 check
-    python -m repro bench --suite all            # every suite, default outs
+    python -m repro bench --suite all            # every suite, full size
     python -m repro bench --suite route          # one suite -> BENCH_route.json
     python -m repro bench --suite interop --smoke \\
-        --check BENCH_interop.json               # CI regression gate
+        --check BENCH_interop.json               # -> BENCH_interop.smoke.json
     python -m repro bench --suite state --out /tmp/state.json
 
     # The rewrite engine: optimize a construction (or saved circuit),
@@ -306,7 +306,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
 
-    from .analysis.bench import BENCH_SUITES, write_report
+    from .analysis import bench
 
     if args.suite == "all":
         if args.check is not None:
@@ -319,20 +319,12 @@ def _cmd_bench(args: argparse.Namespace) -> None:
                 "--out needs a single --suite; with --suite all each "
                 "report goes to its default path"
             )
-        suites = list(BENCH_SUITES.values())
+        names = list(bench.BENCH_SUITES)
     else:
-        suites = [BENCH_SUITES[args.suite]]
+        names = [args.suite]
 
     committed = None
     if args.check is not None:
-        if suites[0].check is None:
-            gated = sorted(
-                s.name for s in BENCH_SUITES.values() if s.check is not None
-            )
-            raise SystemExit(
-                f"suite {args.suite!r} has no regression gate; --check "
-                f"applies to {gated}"
-            )
         try:
             committed = json.loads(Path(args.check).read_text())
         except (OSError, json.JSONDecodeError) as error:
@@ -340,18 +332,25 @@ def _cmd_bench(args: argparse.Namespace) -> None:
                 f"cannot read committed {args.suite} report "
                 f"{args.check}: {error}"
             )
+        # Refuse another suite's baseline before running: against an
+        # empty report of this suite, only the schema/suite rule fires.
+        mismatch = bench.check_report(committed, {
+            "schema": bench.SCHEMA, "suite": args.suite, "records": [],
+        })
+        if mismatch:
+            raise SystemExit(f"{args.check}: {mismatch[0]}")
 
-    for index, suite in enumerate(suites):
-        report = suite.run(args.smoke, args.seed)
+    for index, name in enumerate(names):
+        report = bench.run_suite(name, args.smoke, args.seed)
         if index:
             print()
-        print(suite.render(report))
-        out = args.out if args.out is not None else suite.default_out
+        print(bench.render_report(report))
+        out = args.out or f"BENCH_{name}{'.smoke' if args.smoke else ''}.json"
         if out != "-":
-            print(f"\nwrote {write_report(report, out)}")
+            print(f"\nwrote {bench.write_report(report, out)}")
     if committed is None:
         return
-    failures = suites[0].check(committed, report)
+    failures = bench.check_report(committed, report)
     if failures:
         print(f"\n{args.suite} regression check FAILED:")
         for failure in failures:
@@ -659,9 +658,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--check", default=None, metavar="BASELINE",
-        help="compare the fresh report against this committed JSON and "
-        "exit non-zero on regression (the CI bench-regression gate; "
-        "suites without a gate reject this before running)",
+        help="gate the fresh report against this committed report of "
+        "the same suite and exit non-zero on any failure (the CI "
+        "bench-regression gate)",
     )
     bench.add_argument(
         "--smoke", action="store_true",
@@ -669,8 +668,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--out", default=None,
-        help="report path ('-' skips writing; default: the suite's "
-        "BENCH_*.json)",
+        help="report path ('-' skips writing; default: BENCH_<suite>.json, "
+        "or BENCH_<suite>.smoke.json with --smoke)",
     )
     bench.add_argument("--seed", type=int, default=2019)
     bench.set_defaults(func=_cmd_bench)

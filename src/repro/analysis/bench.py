@@ -1,76 +1,67 @@
-"""Engine benchmarks: the paper's workloads, timed and logged.
+"""Engine benchmarks: one record format, one gate, one renderer.
 
 ``python -m repro bench --suite NAME`` runs one registered suite
-(:data:`BENCH_SUITES`) and writes its report to ``BENCH_NAME.json``;
-``--suite all`` runs every suite.  The committed copies seed the repo's
-performance trajectory; CI re-runs the smoke variants (``--smoke``) on
-every push.  The suites defined here (the first three together make
-up the ``noise`` suite, ``BENCH_noise.json``):
+(:data:`BENCH_SUITES`) and writes its report to ``BENCH_NAME.json``
+(``BENCH_NAME.smoke.json`` with ``--smoke``); ``--suite all`` runs
+every suite, and ``--check BASELINE`` gates the fresh report against a
+committed one (:func:`check_report`).
 
-* **density** — exact density-matrix evolution of a qutrit Generalized
-  Toffoli under a noise preset, axis-local engine
-  (:class:`~repro.sim.density.DensityMatrixSimulator`) vs the preserved
-  v1 dense ``kron`` embedding
-  (:class:`~repro.sim.dense_reference.DenseDensityMatrixSimulator`),
-  with a parity check on the final operators;
-* **trajectory** — the Figure 11 estimator, fused-moment engine
-  (``batch_size=None``; the ``batched_*`` fields) vs the looped oracle
-  (:func:`~repro.sim.fidelity.estimate_circuit_fidelity_looped`) on one
-  circuit/model pair;
-* **workloads** — Table 2/3 style fidelity estimates (circuit construction
-  x noise model) through the default fused engine, so the JSON records
-  both wall-clock and the physics numbers they produce;
-* **verification** (``BENCH_verify.json``) — exhaustive classical
-  verification, batched permutation-table engine
-  (:func:`~repro.toffoli.verification.verify_construction`) vs the looped
-  per-input reference, plus the paper's Sec. 6 headline workload: the
-  width-14 exhaustive check (qutrit tree, N=13 controls, all 2^14
-  classical inputs), timed end to end;
-* **routing** (``BENCH_route.json``) — the Sec. VII connectivity study:
-  construction x topology x width, each routed by the greedy v1
-  baseline and the lookahead v2 engine
-  (:class:`~repro.arch.router.LookaheadRouter`), recording SWAP counts,
-  depth inflation, and the closed-form noise-model fidelity proxy.
-  Structural numbers (swaps, depths) are deterministic, so CI's
-  bench-regression step compares a fresh smoke run against the
-  committed JSON (:func:`check_route_regression`);
-* **optimizer** (``BENCH_opt.json``) — the rewrite engine
-  (:class:`~repro.optimize.RewriteEngine`) over the Fig. 9/10
-  constructions, logical and line-routed, recording gate/two-qudit/
-  depth reductions per pass and the equivalence-oracle verdict.
-  Reductions are deterministic, so CI gates on them the same way
-  (:func:`check_opt_regression`); wall-clock is recorded, never gated;
-* **state** (``BENCH_state.json``) — the statevector-v2 engine: the
-  permutation fast path vs the preserved dense-kernel oracle on an
-  undecomposed qutrit tree (timed, with an exactness check), the
-  batched counts sampler vs the per-shot reference (timed, with exact
-  agreement / determinism / chi-square invariants), and the complex64
-  bulk mode vs complex128 (timed, against the documented parity
-  bound).  The boolean invariants are deterministic and CI gates on
-  them (:func:`check_state_regression`); speedups are recorded, never
-  gated.
+A report is ``{"schema", "suite", "generated_by", "smoke", "platform",
+"records"}``.  A record is four flat maps:
 
-All suites are seeded and deterministic in their *results*; timings are
-hardware-dependent (the JSON records the platform).
+* ``key`` — the case identity, unique within a report;
+* ``recorded`` — values that are never gated: timings, speedups,
+  fidelity estimates, oracle names, counts that depend on thread timing;
+* ``structural`` — ints that repeat exactly from run to run for one
+  library version: gate counts, SWAPs, depths, inputs checked;
+* ``invariants`` — the bools the suite claims.  A claim the suite could
+  not make is absent, not false.
+
+Each suite is a ``(smoke, seed) -> records`` function.  Its smoke cases
+are a subset of its full cases, so a smoke run joins the committed full
+baseline record for record:
+
+* **noise** — density-matrix evolution, axis-local engine vs the dense
+  ``kron`` reference; fused vs looped trajectory estimation; Table 2/3
+  style fidelity estimates (construction x noise model);
+* **verify** — batched vs looped exhaustive classical verification, and
+  the paper's Sec. 6 width-14 exhaustive check;
+* **route** — the Sec. VII connectivity study: construction x topology x
+  width, greedy and lookahead routers;
+* **opt** — the rewrite engine over the Fig. 9/10 constructions,
+  logical and line-routed, each changed circuit oracle-verified;
+* **state** — the statevector permutation fast path, the batched counts
+  sampler and the complex64 mode, each against its reference;
+* **serve** — zipfian load through the job queue, then a simulated
+  restart served from the persistent store;
+* **chaos** — the same stack under injected faults, then corrupted
+  store entries;
+* **interop** — naive lifting vs temporary ternary compilation.
+
+All suites are seeded and deterministic in their structural values and
+invariants; timings are hardware-dependent (the report records the
+platform).
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import tempfile
+import textwrap
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from ..interop.bench import (
-    INTEROP_SCHEMA,
-    check_interop_regression,
-    interop_record_key,
-    render_interop_table,
-    run_interop_bench,
+    INTEROP_CASES,
+    INTEROP_SMOKE_CASES,
+    INTEROP_SMOKE_TOPOLOGIES,
+    INTEROP_TOPOLOGIES,
+    STRATEGIES,
+    compile_strategy,
 )
 from ..noise.model import NoiseModel
 from ..noise.presets import (
@@ -79,18 +70,6 @@ from ..noise.presets import (
     SC,
     SC_T1_GATES,
     TI_QUBIT,
-)
-from ..resilience.chaos import (
-    CHAOS_SCHEMA,
-    check_chaos_regression,
-    render_chaos_report,
-    run_chaos_bench,
-)
-from ..service.loadgen import (
-    SERVE_SCHEMA,
-    check_serve_regression,
-    render_serve_report,
-    run_serve_bench,
 )
 from ..sim.dense_reference import DenseDensityMatrixSimulator
 from ..sim.density import DensityMatrixSimulator
@@ -110,59 +89,30 @@ from ..toffoli.verification import (
 
 __all__ = [
     "SCHEMA",
-    "VERIFY_SCHEMA",
-    "ROUTE_SCHEMA",
-    "SERVE_SCHEMA",
-    "CHAOS_SCHEMA",
-    "OPT_SCHEMA",
-    "STATE_SCHEMA",
-    "INTEROP_SCHEMA",
-    "run_bench",
-    "run_verify_bench",
-    "run_route_bench",
-    "run_serve_bench",
-    "run_chaos_bench",
-    "run_opt_bench",
-    "run_state_bench",
-    "run_interop_bench",
-    "render_report",
-    "render_verify_report",
-    "render_route_report",
-    "render_serve_report",
-    "render_chaos_report",
-    "render_opt_report",
-    "render_state_report",
-    "render_interop_table",
-    "check_route_regression",
-    "check_serve_regression",
-    "check_chaos_regression",
-    "check_opt_regression",
-    "check_state_regression",
-    "check_interop_regression",
-    "route_record_key",
-    "opt_record_key",
-    "state_record_key",
-    "interop_record_key",
-    "write_report",
-    "BenchSuite",
     "BENCH_SUITES",
+    "run_suite",
+    "check_report",
+    "render_report",
+    "write_report",
 ]
 
-#: Schema tag written into the JSON, so later PRs can evolve the format.
-SCHEMA = "repro-bench-noise/v1"
+#: The one schema tag every bench report carries.
+SCHEMA = "repro-bench/v1"
 
-#: Schema tag of the verification report (``BENCH_verify.json``).
-VERIFY_SCHEMA = "repro-bench-verify/v1"
 
-#: Schema tag of the routing report (``BENCH_route.json``).
-ROUTE_SCHEMA = "repro-bench-route/v1"
-
-#: Schema tag of the optimizer report (``BENCH_opt.json``).
-OPT_SCHEMA = "repro-bench-opt/v1"
-
-#: Schema tag of the statevector report (``BENCH_state.json``).
-STATE_SCHEMA = "repro-bench-state/v1"
-
+def _record(
+    key: dict,
+    *,
+    recorded: dict | None = None,
+    structural: dict | None = None,
+    invariants: dict | None = None,
+) -> dict:
+    return {
+        "key": key,
+        "recorded": recorded or {},
+        "structural": structural or {},
+        "invariants": invariants or {},
+    }
 
 
 def _best_of(repeats: int, task: Callable[[], object]) -> tuple[float, object]:
@@ -174,6 +124,11 @@ def _best_of(repeats: int, task: Callable[[], object]) -> tuple[float, object]:
         result = task()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+# ----------------------------------------------------------------------
+# noise
+# ----------------------------------------------------------------------
 
 
 def bench_density(
@@ -202,19 +157,26 @@ def bench_density(
         repeats, lambda: old_sim.run(circuit, initial)
     )
     max_diff = float(np.abs(rho_new.matrix - rho_old.matrix).max())
-    return {
-        "workload": f"{construction}(N={num_controls}) density evolution",
-        "construction": construction,
-        "num_controls": num_controls,
-        "wires": len(wires),
-        "hilbert_dim": int(np.prod([w.dimension for w in wires])),
-        "noise_model": model.name,
-        "operations": circuit.num_operations,
-        "axis_local_seconds": new_seconds,
-        "dense_kron_seconds": old_seconds,
-        "speedup": old_seconds / new_seconds,
-        "parity_max_abs_diff": max_diff,
-    }
+    return _record(
+        {
+            "case": "density",
+            "construction": construction,
+            "num_controls": num_controls,
+            "noise_model": model.name,
+        },
+        recorded={
+            "axis_local_seconds": new_seconds,
+            "dense_kron_seconds": old_seconds,
+            "speedup": old_seconds / new_seconds,
+            "parity_max_abs_diff": max_diff,
+        },
+        structural={
+            "wires": len(wires),
+            "hilbert_dim": int(np.prod([w.dimension for w in wires])),
+            "operations": circuit.num_operations,
+        },
+        invariants={"parity_below_1e-12": max_diff < 1e-12},
+    )
 
 
 def bench_trajectory(
@@ -225,7 +187,11 @@ def bench_trajectory(
     repeats: int = 1,
     construction: str = "qutrit_tree",
 ) -> dict:
-    """Fused vs looped trajectory estimation on one circuit/model."""
+    """Fused vs looped trajectory estimation on one circuit/model.
+
+    The two engines draw independent streams, so they agree within
+    twice their combined two-sigma (at least 0.05), not exactly.
+    """
     circuit = construction_circuit(construction, num_controls)
 
     batched_seconds, batched = _best_of(
@@ -240,23 +206,27 @@ def bench_trajectory(
             circuit, model, trials=trials, seed=seed
         ),
     )
-    return {
-        "workload": (
-            f"{construction}(N={num_controls}) x {trials} trajectories"
-        ),
-        "construction": construction,
-        "num_controls": num_controls,
-        "noise_model": model.name,
-        "trials": trials,
-        "seed": seed,
-        "batched_seconds": batched_seconds,
-        "looped_seconds": looped_seconds,
-        "speedup": looped_seconds / batched_seconds,
-        "batched_mean_fidelity": batched.mean_fidelity,
-        "looped_mean_fidelity": looped.mean_fidelity,
-        # Agreement scale for the two engines' independent streams.
-        "combined_two_sigma": batched.two_sigma + looped.two_sigma,
-    }
+    combined = batched.two_sigma + looped.two_sigma
+    gap = abs(batched.mean_fidelity - looped.mean_fidelity)
+    return _record(
+        {
+            "case": "trajectory",
+            "construction": construction,
+            "num_controls": num_controls,
+            "noise_model": model.name,
+            "trials": trials,
+            "seed": seed,
+        },
+        recorded={
+            "batched_seconds": batched_seconds,
+            "looped_seconds": looped_seconds,
+            "speedup": looped_seconds / batched_seconds,
+            "batched_mean_fidelity": batched.mean_fidelity,
+            "looped_mean_fidelity": looped.mean_fidelity,
+            "combined_two_sigma": combined,
+        },
+        invariants={"engines_agree": bool(gap < max(2 * combined, 0.05))},
+    )
 
 
 #: Figure 11 / Tables 2-3 style pairs: construction x noise model.
@@ -286,21 +256,53 @@ def bench_workloads(
             circuit_name=construction,
         )
         seconds = time.perf_counter() - start
-        records.append(
+        fidelity = estimate.mean_fidelity
+        records.append(_record(
             {
+                "case": "workload",
                 "construction": construction,
                 "num_controls": num_controls,
                 "noise_model": model.name,
                 "trials": trials,
                 "seed": seed,
+            },
+            recorded={
                 "seconds": seconds,
-                "mean_fidelity": estimate.mean_fidelity,
+                "mean_fidelity": fidelity,
                 "two_sigma": estimate.two_sigma,
                 "mean_gate_errors": estimate.mean_gate_errors,
                 "mean_idle_jumps": estimate.mean_idle_jumps,
-            }
-        )
+            },
+            invariants={
+                "fidelity_in_unit_interval": 0.0 <= fidelity <= 1.0 + 1e-9
+            },
+        ))
     return records
+
+
+def noise_suite(smoke: bool, seed: int) -> list[dict]:
+    """The 4-wire smoke cases, then (full run) the 5-wire acceptance
+    workload: density, trajectory and Table 2/3 estimates."""
+    records = [
+        bench_density(num_controls=3, repeats=1),
+        bench_trajectory(num_controls=3, trials=60, seed=seed),
+        *bench_workloads(
+            num_controls=3, trials=30, seed=seed,
+            pairs=(("qutrit_tree", SC), ("qutrit_tree", DRESSED_QUTRIT)),
+        ),
+    ]
+    if not smoke:
+        records += [
+            bench_density(num_controls=4, repeats=2),
+            bench_trajectory(num_controls=4, trials=300, seed=seed),
+            *bench_workloads(num_controls=4, trials=150, seed=seed),
+        ]
+    return records
+
+
+# ----------------------------------------------------------------------
+# verify
+# ----------------------------------------------------------------------
 
 
 def bench_verify_speedup(
@@ -315,7 +317,7 @@ def bench_verify_speedup(
     batched permutation-table engine and through the per-input looped
     reference.  Both paths are warmed once before timing (the lowering
     and permutation caches are process-wide steady state, exactly like
-    the noise suites' kernel warmup).
+    the noise suite's kernel warmup).
     """
     result = build_toffoli(construction, num_controls, decompose=False)
     batched_count = verify_construction(result).inputs
@@ -326,20 +328,24 @@ def bench_verify_speedup(
     looped_seconds, _ = _best_of(
         repeats, lambda: verify_classical_looped(result)
     )
-    return {
-        "workload": (
-            f"{construction}(N={num_controls}) exhaustive verification"
-        ),
-        "construction": construction,
-        "num_controls": num_controls,
-        "width": len(result.all_wires),
-        "inputs": batched_count,
-        "operations": result.circuit.num_operations,
-        "batched_seconds": batched_seconds,
-        "looped_seconds": looped_seconds,
-        "speedup": looped_seconds / batched_seconds,
-        "decisions_agree": batched_count == looped_count,
-    }
+    return _record(
+        {
+            "case": "speedup",
+            "construction": construction,
+            "num_controls": num_controls,
+        },
+        recorded={
+            "batched_seconds": batched_seconds,
+            "looped_seconds": looped_seconds,
+            "speedup": looped_seconds / batched_seconds,
+        },
+        structural={
+            "width": len(result.all_wires),
+            "inputs": batched_count,
+            "operations": result.circuit.num_operations,
+        },
+        invariants={"decisions_agree": batched_count == looped_count},
+    )
 
 
 def bench_verify_width14(
@@ -357,75 +363,40 @@ def bench_verify_width14(
     result = build_toffoli(construction, num_controls, decompose=False)
     checked = verify_construction(result).inputs
     seconds, _ = _best_of(repeats, lambda: verify_construction(result))
-    return {
-        "workload": (
-            f"{construction}(N={num_controls}) width-"
-            f"{len(result.all_wires)} exhaustive check"
-        ),
-        "construction": construction,
-        "num_controls": num_controls,
-        "width": len(result.all_wires),
-        "inputs": checked,
-        "operations": result.circuit.num_operations,
-        "seconds": seconds,
-        "completed": True,
-    }
-
-
-def run_verify_bench(smoke: bool = False) -> dict:
-    """Run the verification suite and return the JSON-ready report.
-
-    ``smoke`` shrinks the workloads (5-control speedup pair, width-10
-    exhaustive check) so CI finishes in well under a second; the full
-    run is the acceptance pair: the N=8 speedup and the paper's
-    width-14 (N=13) exhaustive check.
-    """
-    if smoke:
-        speedup = bench_verify_speedup(num_controls=5, repeats=2)
-        widest = bench_verify_width14(num_controls=9)
-    else:
-        speedup = bench_verify_speedup(num_controls=8, repeats=3)
-        widest = bench_verify_width14(num_controls=13)
-    return {
-        "schema": VERIFY_SCHEMA,
-        "generated_by": "python -m repro bench --suite verify"
-        + (" --smoke" if smoke else ""),
-        "smoke": smoke,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
+    width = len(result.all_wires)
+    return _record(
+        {
+            "case": "exhaustive",
+            "construction": construction,
+            "num_controls": num_controls,
         },
-        "speedup": speedup,
-        "width14": widest,
-    }
-
-
-def render_verify_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_verify_bench` output."""
-    speedup = report["speedup"]
-    widest = report["width14"]
-    return "\n".join(
-        [
-            f"verification bench "
-            f"({'smoke' if report['smoke'] else 'full'})",
-            "",
-            f"speedup    {speedup['workload']} "
-            f"({speedup['inputs']} inputs):",
-            f"  batched    {speedup['batched_seconds'] * 1000:8.2f} ms",
-            f"  looped     {speedup['looped_seconds'] * 1000:8.2f} ms",
-            f"  speedup    {speedup['speedup']:8.1f} x",
-            "",
-            f"exhaustive {widest['workload']}:",
-            f"  {widest['inputs']} inputs x {widest['operations']} ops "
-            f"in {widest['seconds'] * 1000:.1f} ms",
-        ]
+        recorded={"seconds": seconds},
+        structural={
+            "width": width,
+            "inputs": checked,
+            "operations": result.circuit.num_operations,
+        },
+        invariants={"covers_every_input": checked == 2**width},
     )
 
 
+def verify_suite(smoke: bool, seed: int) -> list[dict]:
+    """The N=5 speedup pair and width-10 check, then (full run) the N=8
+    speedup pair and the paper's width-14 (N=13) check."""
+    records = [
+        bench_verify_speedup(num_controls=5, repeats=2),
+        bench_verify_width14(num_controls=9),
+    ]
+    if not smoke:
+        records += [
+            bench_verify_speedup(num_controls=8, repeats=3),
+            bench_verify_width14(num_controls=13),
+        ]
+    return records
+
+
 # ----------------------------------------------------------------------
-# Routing suite (BENCH_route.json)
+# route
 # ----------------------------------------------------------------------
 
 #: Topology zoo kinds swept by the routing suite (sized per circuit).
@@ -441,8 +412,7 @@ ROUTE_TOPOLOGIES: tuple[str, ...] = (
 #: Constructions swept: the paper's qutrit tree vs a qubit baseline.
 ROUTE_CONSTRUCTIONS: tuple[str, ...] = ("qutrit_tree", "qubit_one_dirty")
 
-#: Control counts of the full routing sweep (smoke keeps a prefix, so
-#: smoke records always join against the committed full report).
+#: Control counts of the full routing sweep; smoke keeps a prefix.
 ROUTE_WIDTHS: tuple[int, ...] = (4, 8, 12)
 ROUTE_SMOKE_WIDTHS: tuple[int, ...] = (4, 8)
 
@@ -455,12 +425,7 @@ def bench_route_case(
     model: NoiseModel = SC,
     repeats: int = 1,
 ) -> dict:
-    """Route one construction onto one sized topology; returns the record.
-
-    The structural outputs (swap count, depths, overheads) are
-    deterministic for a given library version — that is what the CI
-    regression gate compares — while ``seconds`` records wall-clock.
-    """
+    """Route one construction onto one sized topology; returns the record."""
     from ..arch.metrics import routing_metrics
     from ..arch.router import resolve_router
     from ..arch.topology import sized_topology
@@ -474,202 +439,56 @@ def bench_route_case(
         lambda: engine.route(circuit, topology, wires=wires),
     )
     metrics = routing_metrics(circuit, routed, model)
-    record = metrics.to_dict()
-    record.update(
+    return _record(
         {
             "construction": construction,
             "num_controls": num_controls,
-            "wires": len(wires),
             "topology_kind": topology_kind,
+            "router": router,
+        },
+        recorded={
             "topology": topology.name,
-            "sites": topology.size,
             "noise_model": model.name,
             "seconds": seconds,
-        }
+            "depth_overhead": metrics.depth_overhead,
+            "swap_overhead": metrics.swap_overhead,
+            "fidelity_proxy": metrics.fidelity_proxy,
+            "logical_fidelity_proxy": metrics.logical_fidelity_proxy,
+        },
+        structural={
+            "wires": len(wires),
+            "sites": topology.size,
+            "swap_count": metrics.swap_count,
+            "logical_depth": metrics.logical_depth,
+            "routed_depth": metrics.routed_depth,
+            "logical_two_qudit": metrics.logical_two_qudit,
+            "routed_two_qudit": metrics.routed_two_qudit,
+        },
     )
-    return record
 
 
-def route_record_key(record: dict) -> tuple:
-    """The join key of one routing record (deterministic identity)."""
-    return (
-        record["construction"],
-        record["num_controls"],
-        record["topology_kind"],
-        record["router"],
-    )
-
-
-def bench_route(
-    constructions: tuple[str, ...] = ROUTE_CONSTRUCTIONS,
-    topologies: tuple[str, ...] = ROUTE_TOPOLOGIES,
-    widths: tuple[int, ...] = ROUTE_WIDTHS,
-    model: NoiseModel = SC,
-) -> list[dict]:
-    """The full construction x topology x width x router sweep."""
+def route_suite(smoke: bool, seed: int) -> list[dict]:
+    """Every construction x width x topology cell, greedy then
+    lookahead; the lookahead record claims it needs no more SWAPs."""
     records = []
-    for construction in constructions:
-        for num_controls in widths:
-            for kind in topologies:
-                for router in ("greedy", "lookahead"):
-                    records.append(
-                        bench_route_case(
-                            construction, num_controls, kind, router,
-                            model=model,
-                        )
-                    )
+    for construction in ROUTE_CONSTRUCTIONS:
+        for num_controls in ROUTE_SMOKE_WIDTHS if smoke else ROUTE_WIDTHS:
+            for kind in ROUTE_TOPOLOGIES:
+                greedy, lookahead = (
+                    bench_route_case(construction, num_controls, kind, router)
+                    for router in ("greedy", "lookahead")
+                )
+                lookahead["invariants"]["not_worse_than_greedy"] = (
+                    lookahead["structural"]["swap_count"]
+                    <= greedy["structural"]["swap_count"]
+                )
+                records += [greedy, lookahead]
     return records
 
 
-def _route_headline(records: list[dict]) -> dict:
-    """The acceptance claims, precomputed from the record list.
-
-    * lookahead beats (or ties) greedy on swaps, per (construction,
-      topology, width) pair — with the N>=8 qutrit-tree line/grid cells
-      called out;
-    * the qutrit tree's swap overhead stays flat across widths while
-      the qubit baseline's grows (the Sec. VII trend).
-    """
-    by_key = {route_record_key(r): r for r in records}
-    lookahead_wins = []
-    for record in records:
-        if record["router"] != "lookahead":
-            continue
-        greedy = by_key.get(
-            (
-                record["construction"],
-                record["num_controls"],
-                record["topology_kind"],
-                "greedy",
-            )
-        )
-        if greedy is None:
-            continue
-        lookahead_wins.append(
-            {
-                "construction": record["construction"],
-                "num_controls": record["num_controls"],
-                "topology_kind": record["topology_kind"],
-                "greedy_swaps": greedy["swap_count"],
-                "lookahead_swaps": record["swap_count"],
-                "beats_greedy": (
-                    record["swap_count"] <= greedy["swap_count"]
-                ),
-            }
-        )
-
-    def overhead_growth(construction: str, kind: str) -> float | None:
-        per_width = sorted(
-            (
-                r["num_controls"], r["swap_overhead"]
-            )
-            for r in records
-            if r["construction"] == construction
-            and r["topology_kind"] == kind
-            and r["router"] == "lookahead"
-        )
-        if len(per_width) < 2:
-            return None
-        first, last = per_width[0][1], per_width[-1][1]
-        return last / first if first else None
-
-    constructions = sorted({r["construction"] for r in records})
-    kinds = sorted({r["topology_kind"] for r in records})
-    return {
-        "lookahead_vs_greedy": lookahead_wins,
-        "swap_overhead_growth": {
-            construction: {
-                kind: overhead_growth(construction, kind) for kind in kinds
-            }
-            for construction in constructions
-        },
-    }
-
-
-def run_route_bench(smoke: bool = False) -> dict:
-    """Run the routing suite and return the JSON-ready report.
-
-    ``smoke`` keeps the width prefix (:data:`ROUTE_SMOKE_WIDTHS`) so CI
-    finishes fast while every smoke record still joins against the
-    committed full report for the regression gate.
-    """
-    widths = ROUTE_SMOKE_WIDTHS if smoke else ROUTE_WIDTHS
-    records = bench_route(widths=widths)
-    return {
-        "schema": ROUTE_SCHEMA,
-        "generated_by": "python -m repro bench --suite route"
-        + (" --smoke" if smoke else ""),
-        "smoke": smoke,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "records": records,
-        "headline": _route_headline(records),
-    }
-
-
-def render_route_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_route_bench` output."""
-    lines = [
-        f"routing bench ({'smoke' if report['smoke'] else 'full'})",
-        "",
-        f"{'construction':>18s} {'N':>3s} {'topology':>16s} "
-        f"{'router':>9s} {'swaps':>6s} {'depth':>6s} {'overhead':>8s} "
-        f"{'fid~':>7s}",
-    ]
-    for record in report["records"]:
-        proxy = record.get("fidelity_proxy")
-        lines.append(
-            f"{record['construction']:>18s} {record['num_controls']:3d} "
-            f"{record['topology']:>16s} {record['router']:>9s} "
-            f"{record['swap_count']:6d} {record['routed_depth']:6d} "
-            f"{record['depth_overhead']:8.2f} "
-            + (f"{proxy:7.3f}" if proxy is not None else "      -")
-        )
-    growth = report["headline"]["swap_overhead_growth"]
-    lines.append("")
-    lines.append("swap-overhead growth (lookahead, widest/narrowest):")
-    for construction, kinds in growth.items():
-        cells = ", ".join(
-            f"{kind}={value:.1f}x" if value is not None else f"{kind}=-"
-            for kind, value in kinds.items()
-        )
-        lines.append(f"  {construction:>18s}: {cells}")
-    return "\n".join(lines)
-
-
-def check_route_regression(
-    committed: dict, fresh: dict, factor: float = 3.0
-) -> list[str]:
-    """Compare a fresh routing report against the committed baseline.
-
-    Joins records on :func:`route_record_key` and flags any case whose
-    deterministic structural metrics (``swap_count``, ``routed_depth``)
-    degraded by more than ``factor`` — the CI bench-regression gate.
-    Records present on only one side are skipped (the smoke sweep is a
-    width-prefix subset of the committed full sweep).  Returns the list
-    of failure messages (empty = pass).
-    """
-    baseline = {route_record_key(r): r for r in committed["records"]}
-    failures = []
-    for record in fresh["records"]:
-        base = baseline.get(route_record_key(record))
-        if base is None:
-            continue
-        for metric in ("swap_count", "routed_depth"):
-            allowed = factor * max(base[metric], 1)
-            if record[metric] > allowed:
-                failures.append(
-                    f"{record['construction']} N={record['num_controls']} "
-                    f"{record['topology_kind']}/{record['router']}: "
-                    f"{metric} {record[metric]} exceeds {factor:g}x "
-                    f"committed {base[metric]}"
-                )
-    return failures
-
+# ----------------------------------------------------------------------
+# opt
+# ----------------------------------------------------------------------
 
 #: Optimizer sweep: the Figure 9/10 constructions with structure the
 #: rewrite passes can act on, plus the paper's tight qutrit circuits
@@ -682,8 +501,7 @@ OPT_CONSTRUCTIONS: tuple[str, ...] = (
     "qubit_ancilla_free",
 )
 
-#: Control counts of the optimizer sweep (smoke keeps a prefix, so
-#: smoke records always join against the committed full report).
+#: Control counts of the full optimizer sweep; smoke keeps a prefix.
 OPT_WIDTHS: tuple[int, ...] = (3, 5, 7)
 OPT_SMOKE_WIDTHS: tuple[int, ...] = (3, 5)
 
@@ -698,12 +516,11 @@ def bench_opt_case(
 ) -> dict:
     """Optimize one construction at one stage; returns the record.
 
-    All structural outputs (gate/depth deltas, per-pass counts, the
-    oracle used) are deterministic for a given library version — that
-    is what the CI regression gate compares — while ``seconds`` records
-    wall-clock.  Verification runs in ``"auto"`` mode: every case whose
-    joint space fits an oracle is checked end to end, larger ones
-    record ``"skipped"``.
+    Structural values are the cost before and after, and each pass's
+    counts (``accepted`` as 0/1).  Verification runs in ``"auto"``
+    mode: a changed circuit within the oracle's dense cap is checked end
+    to end and the record claims ``verified``; a circuit the engine left
+    unchanged, or one past the cap, makes no such claim.
     """
     from ..arch.router import resolve_router
     from ..arch.topology import sized_topology
@@ -723,190 +540,54 @@ def bench_opt_case(
     engine = RewriteEngine(verify="auto")
     seconds, outcome = _best_of(1, lambda: engine.run(circuit))
     _, report = outcome
-    passes = {
-        name: {
-            "applications": stats.applications,
-            "gates_removed": stats.gates_removed,
-            "gates_fused": stats.gates_fused,
-            "accepted": stats.accepted,
-        }
-        for name, stats in report.totals().items()
-    }
-    return {
-        "construction": construction,
-        "num_controls": num_controls,
-        "stage": stage,
-        "gates_before": report.cost_before.total_gates,
-        "gates_after": report.cost_after.total_gates,
-        "two_qudit_before": report.cost_before.two_qudit_gates,
-        "two_qudit_after": report.cost_after.two_qudit_gates,
-        "depth_before": report.cost_before.depth,
-        "depth_after": report.cost_after.depth,
+    before, after = report.cost_before, report.cost_after
+    structural = {
+        "gates_before": before.total_gates,
+        "gates_after": after.total_gates,
+        "two_qudit_before": before.two_qudit_gates,
+        "two_qudit_after": after.two_qudit_gates,
+        "depth_before": before.depth,
+        "depth_after": after.depth,
         "gates_removed": report.gates_removed,
         "depth_removed": report.depth_removed,
         "iterations": report.iterations,
-        "verified": report.verified,
-        "passes": passes,
-        "seconds": seconds,
     }
-
-
-def opt_record_key(record: dict) -> tuple:
-    """The join key of one optimizer record (deterministic identity)."""
-    return (
-        record["construction"], record["num_controls"], record["stage"]
+    for name, stats in report.totals().items():
+        structural.update({
+            f"{name}.applications": stats.applications,
+            f"{name}.gates_removed": stats.gates_removed,
+            f"{name}.gates_fused": stats.gates_fused,
+            f"{name}.accepted": int(stats.accepted),
+        })
+    verified = report.verified in ("classical", "statevector")
+    return _record(
+        {
+            "construction": construction,
+            "num_controls": num_controls,
+            "stage": stage,
+        },
+        recorded={"oracle": report.verified, "seconds": seconds},
+        structural=structural,
+        invariants={"verified": True} if verified else {},
     )
 
 
-def bench_opt(
-    constructions: tuple[str, ...] = OPT_CONSTRUCTIONS,
-    widths: tuple[int, ...] = OPT_WIDTHS,
-    stages: tuple[str, ...] = OPT_STAGES,
-) -> list[dict]:
-    """The full construction x width x stage optimizer sweep."""
+def opt_suite(smoke: bool, seed: int) -> list[dict]:
+    """The construction x width x stage optimizer sweep."""
     return [
         bench_opt_case(construction, num_controls, stage)
-        for construction in constructions
-        for num_controls in widths
-        for stage in stages
+        for construction in OPT_CONSTRUCTIONS
+        for num_controls in (OPT_SMOKE_WIDTHS if smoke else OPT_WIDTHS)
+        for stage in OPT_STAGES
     ]
 
 
-def _opt_headline(records: list[dict]) -> dict:
-    """The acceptance claims, precomputed from the record list.
-
-    For every rewrite pass: the cases where it was accepted (it
-    strictly improved the cost score on that circuit), so the committed
-    JSON proves each pass earns its keep on at least one Figure 9/10
-    construction; plus how many cases the equivalence oracles covered.
-    """
-    pass_wins: dict[str, list[dict]] = {}
-    for record in records:
-        for name, stats in record["passes"].items():
-            if not stats["accepted"]:
-                continue
-            pass_wins.setdefault(name, []).append(
-                {
-                    "construction": record["construction"],
-                    "num_controls": record["num_controls"],
-                    "stage": record["stage"],
-                    "gates_removed": record["gates_removed"],
-                    "depth_removed": record["depth_removed"],
-                }
-            )
-    verified = [r for r in records if r["verified"] in (
-        "classical", "statevector"
-    )]
-    return {
-        "pass_wins": pass_wins,
-        "cases": len(records),
-        "cases_verified": len(verified),
-        "total_gates_removed": sum(r["gates_removed"] for r in records),
-        "total_depth_removed": sum(r["depth_removed"] for r in records),
-    }
-
-
-def run_opt_bench(smoke: bool = False) -> dict:
-    """Run the optimizer suite and return the JSON-ready report.
-
-    ``smoke`` keeps the width prefix (:data:`OPT_SMOKE_WIDTHS`) so CI
-    finishes fast while every smoke record still joins against the
-    committed full report for the regression gate.
-    """
-    widths = OPT_SMOKE_WIDTHS if smoke else OPT_WIDTHS
-    records = bench_opt(widths=widths)
-    return {
-        "schema": OPT_SCHEMA,
-        "generated_by": "python -m repro bench --suite opt"
-        + (" --smoke" if smoke else ""),
-        "smoke": smoke,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "records": records,
-        "headline": _opt_headline(records),
-    }
-
-
-def render_opt_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_opt_bench` output."""
-    lines = [
-        f"optimizer bench ({'smoke' if report['smoke'] else 'full'})",
-        "",
-        f"{'construction':>18s} {'N':>3s} {'stage':>8s} "
-        f"{'gates':>11s} {'2q':>9s} {'depth':>11s} {'oracle':>12s}",
-    ]
-    for record in report["records"]:
-        lines.append(
-            f"{record['construction']:>18s} {record['num_controls']:3d} "
-            f"{record['stage']:>8s} "
-            f"{record['gates_before']:5d}>{record['gates_after']:<5d} "
-            f"{record['two_qudit_before']:4d}>{record['two_qudit_after']:<4d} "
-            f"{record['depth_before']:5d}>{record['depth_after']:<5d} "
-            f"{record['verified'] or '-':>12s}"
-        )
-    headline = report["headline"]
-    lines.append("")
-    lines.append(
-        f"totals: {headline['total_gates_removed']} gates and "
-        f"{headline['total_depth_removed']} depth removed across "
-        f"{headline['cases']} cases "
-        f"({headline['cases_verified']} oracle-verified)"
-    )
-    lines.append("pass wins (cases where the pass improved the score):")
-    for name, wins in headline["pass_wins"].items():
-        cells = ", ".join(
-            f"{w['construction']}/N={w['num_controls']}/{w['stage']}"
-            for w in wins[:4]
-        )
-        more = f" (+{len(wins) - 4} more)" if len(wins) > 4 else ""
-        lines.append(f"  {name:>16s}: {cells}{more}")
-    return "\n".join(lines)
-
-
-def check_opt_regression(committed: dict, fresh: dict) -> list[str]:
-    """Compare a fresh optimizer report against the committed baseline.
-
-    Joins records on :func:`opt_record_key` and flags any case whose
-    deterministic reductions shrank below the committed numbers
-    (``gates_removed`` / ``depth_removed``), or whose equivalence
-    verification regressed from an oracle to skipped/absent — the CI
-    bench-regression gate.  Wall-clock is never compared.  Records
-    present on only one side are skipped (the smoke sweep is a
-    width-prefix subset of the committed full sweep).  Returns the list
-    of failure messages (empty = pass).
-    """
-    baseline = {opt_record_key(r): r for r in committed["records"]}
-    failures = []
-    for record in fresh["records"]:
-        base = baseline.get(opt_record_key(record))
-        if base is None:
-            continue
-        label = (
-            f"{record['construction']} N={record['num_controls']} "
-            f"{record['stage']}"
-        )
-        for metric in ("gates_removed", "depth_removed"):
-            if record[metric] < base[metric]:
-                failures.append(
-                    f"{label}: {metric} {record[metric]} below "
-                    f"committed {base[metric]}"
-                )
-        oracles = ("classical", "statevector")
-        if base["verified"] in oracles and record["verified"] not in oracles:
-            failures.append(
-                f"{label}: equivalence verification regressed from "
-                f"{base['verified']} to {record['verified']}"
-            )
-    return failures
-
-
 # ----------------------------------------------------------------------
-# Statevector suite (BENCH_state.json)
+# state
 # ----------------------------------------------------------------------
+
+#: Seed of the state suite's random initial states and samplers.
+STATE_SEED = 20190608
 
 
 def _ghz_circuit(width: int):
@@ -927,7 +608,7 @@ def bench_state_fastpath(
     num_controls: int = 10,
     repeats: int = 3,
     construction: str = "qutrit_tree",
-    seed: int = 20190608,
+    seed: int = STATE_SEED,
 ) -> dict:
     """Permutation fast path vs the dense-kernel oracle on one circuit.
 
@@ -936,8 +617,7 @@ def bench_state_fastpath(
     permutation — applied to a Haar-random state.  The fast path moves
     amplitudes by one table gather per gate; the oracle pays the full
     tensordot.  Both final states must agree *exactly* (a permutation
-    contraction multiplies by exact ones and zeros), which is the gated
-    invariant; the speedup is recorded, never gated.
+    contraction multiplies by exact ones and zeros).
     """
     result = build_toffoli(construction, num_controls, decompose=False)
     circuit = result.circuit
@@ -955,41 +635,50 @@ def bench_state_fastpath(
     dense_seconds, _ = _best_of(
         repeats, lambda: dense_sim.run(circuit, initial)
     )
-    return {
-        "case": "fastpath",
-        "workload": (
-            f"{construction}(N={num_controls}) state-vector evolution"
-        ),
-        "construction": construction,
-        "num_controls": num_controls,
-        "wires": len(wires),
-        "hilbert_dim": int(np.prod([w.dimension for w in wires])),
-        "operations": circuit.num_operations,
-        "seed": seed,
-        "fast_seconds": fast_seconds,
-        "dense_seconds": dense_seconds,
-        "speedup": dense_seconds / fast_seconds,
-        "parity_max_abs_diff": parity,
-        "invariants": {"fastpath_parity_exact": bool(parity <= 1e-12)},
-    }
+    return _record(
+        {
+            "case": "fastpath",
+            "construction": construction,
+            "num_controls": num_controls,
+            "seed": seed,
+        },
+        recorded={
+            "fast_seconds": fast_seconds,
+            "dense_seconds": dense_seconds,
+            "speedup": dense_seconds / fast_seconds,
+            "parity_max_abs_diff": parity,
+        },
+        structural={
+            "wires": len(wires),
+            "hilbert_dim": int(np.prod([w.dimension for w in wires])),
+            "operations": circuit.num_operations,
+        },
+        invariants={"fastpath_parity_exact": bool(parity <= 1e-12)},
+    )
+
+
+#: chi-square critical values at alpha = 0.01 (no scipy in CI).
+_chi2_critical_001 = {
+    1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086,
+    6: 16.812, 7: 18.475, 8: 20.090, 9: 21.666, 10: 23.209,
+}
 
 
 def bench_state_sampling(
     width: int = 12,
     shots: int = 500_000,
     repeats: int = 3,
-    seed: int = 20190608,
+    seed: int = STATE_SEED,
 ) -> dict:
     """Batched counts sampling vs the per-shot reference on a GHZ state.
 
     One state, two surfaces: :func:`~repro.sim.measurement.sample_counts`
     (chunked draws, unique-merge, no sample array) against
     :func:`~repro.sim.measurement.sample_state` followed by the
-    vectorized histogram.  Gated invariants: the two agree exactly at
-    one seed, counts are batch-size independent and re-run
-    deterministic, and a chi-square GOF against the exact probabilities
-    passes (all deterministic for the fixed seed).  Speedup recorded,
-    never gated.
+    vectorized histogram.  Invariants: the two agree exactly at one
+    seed, counts are batch-size independent and re-run deterministic,
+    and a chi-square GOF against the exact probabilities passes (all
+    deterministic for the fixed seed).
     """
     circuit = _ghz_circuit(width)
     state = StateVectorSimulator().run(circuit)
@@ -1030,49 +719,41 @@ def bench_state_sampling(
     looped_seconds, _ = _best_of(
         repeats, lambda: sample_state(state, shots, rng=seed).counts()
     )
-    return {
-        "case": "sampling",
-        "workload": f"GHZ({width}) x {shots} shots",
-        "width": width,
-        "shots": shots,
-        "seed": seed,
-        "distinct_outcomes": len(counts),
-        "batched_seconds": batched_seconds,
-        "looped_seconds": looped_seconds,
-        "speedup": looped_seconds / batched_seconds,
-        "chi_square_statistic": statistic,
-        "chi_square_dof": dof,
-        "chi_square_critical": critical,
-        "invariants": {
+    return _record(
+        {"case": "sampling", "width": width, "shots": shots, "seed": seed},
+        recorded={
+            "batched_seconds": batched_seconds,
+            "looped_seconds": looped_seconds,
+            "speedup": looped_seconds / batched_seconds,
+            "chi_square_statistic": statistic,
+            "chi_square_critical": critical,
+        },
+        structural={
+            "distinct_outcomes": len(counts),
+            "chi_square_dof": dof,
+        },
+        invariants={
             "batched_equals_looped": bool(agree),
             "batch_size_invariant": bool(batch_invariant),
             "seed_deterministic": bool(deterministic),
             "chi_square_pass": bool(chi_square_pass),
         },
-    }
-
-
-#: chi-square critical values at alpha = 0.01 (no scipy in CI).
-_chi2_critical_001 = {
-    1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086,
-    6: 16.812, 7: 18.475, 8: 20.090, 9: 21.666, 10: 23.209,
-}
+    )
 
 
 def bench_state_dtype(
     num_controls: int = 7,
     repeats: int = 3,
     construction: str = "qubit_ancilla_free",
-    seed: int = 20190608,
+    seed: int = STATE_SEED,
 ) -> dict:
     """complex64 bulk mode vs complex128 on a dense-gate circuit.
 
     The qubit ancilla-free construction decomposes into H/T/CNOT —
     plenty of genuinely dense kernels — so this times the per-precision
     cached contraction, not the (rounding-free) permutation gather.
-    The gated invariant is the documented parity bound of
-    docs/SIMULATORS.md: ``max |psi64 - psi128| <= operations *
-    sqrt(hilbert_dim) * 1e-7``.  Speedup recorded, never gated.
+    The invariant is the documented parity bound of docs/SIMULATORS.md:
+    ``max |psi64 - psi128| <= operations * sqrt(hilbert_dim) * 1e-7``.
     """
     circuit = construction_circuit(construction, num_controls)
     wires = circuit.all_qudits()
@@ -1087,57 +768,264 @@ def bench_state_dtype(
         ).max()
     )
     hilbert_dim = int(np.prod([w.dimension for w in wires]))
-    bound = circuit.num_operations * np.sqrt(hilbert_dim) * 1e-7
+    bound = float(circuit.num_operations * np.sqrt(hilbert_dim) * 1e-7)
     seconds128, _ = _best_of(repeats, lambda: sim128.run(circuit, initial))
     seconds64, _ = _best_of(repeats, lambda: sim64.run(circuit, initial))
-    return {
-        "case": "dtype",
-        "workload": (
-            f"{construction}(N={num_controls}) complex64 vs complex128"
-        ),
-        "construction": construction,
-        "num_controls": num_controls,
-        "wires": len(wires),
-        "hilbert_dim": hilbert_dim,
-        "operations": circuit.num_operations,
-        "seed": seed,
-        "complex128_seconds": seconds128,
-        "complex64_seconds": seconds64,
-        "speedup": seconds128 / seconds64,
-        "max_abs_diff": max_diff,
-        "documented_bound": float(bound),
-        "invariants": {"within_documented_bound": bool(max_diff <= bound)},
-    }
+    return _record(
+        {
+            "case": "dtype",
+            "construction": construction,
+            "num_controls": num_controls,
+            "seed": seed,
+        },
+        recorded={
+            "complex128_seconds": seconds128,
+            "complex64_seconds": seconds64,
+            "speedup": seconds128 / seconds64,
+            "max_abs_diff": max_diff,
+            "documented_bound": bound,
+        },
+        structural={
+            "wires": len(wires),
+            "hilbert_dim": hilbert_dim,
+            "operations": circuit.num_operations,
+        },
+        invariants={"within_documented_bound": bool(max_diff <= bound)},
+    )
 
 
-def state_record_key(record: dict) -> str:
-    """The join key of one statevector record (the case name)."""
-    return record["case"]
+def state_suite(smoke: bool, seed: int) -> list[dict]:
+    """Narrow cases with one timing repeat, then (full run) the
+    acceptance cases: the N=10 fast path, 500k GHZ(12) shots, N=7
+    complex64."""
+    repeats = 1 if smoke else 3
+    records = [
+        bench_state_fastpath(num_controls=6, repeats=repeats),
+        bench_state_sampling(width=8, shots=20_000, repeats=repeats),
+        bench_state_dtype(num_controls=5, repeats=repeats),
+    ]
+    if not smoke:
+        records += [
+            bench_state_fastpath(num_controls=10, repeats=repeats),
+            bench_state_sampling(width=12, shots=500_000, repeats=repeats),
+            bench_state_dtype(num_controls=7, repeats=repeats),
+        ]
+    return records
 
 
-def run_state_bench(smoke: bool = False) -> dict:
-    """Run the statevector suite and return the JSON-ready report.
+# ----------------------------------------------------------------------
+# serve and chaos
+# ----------------------------------------------------------------------
 
-    ``smoke`` shrinks every case (narrower circuits, fewer shots,
-    single timing repeat) so CI finishes in a couple of seconds; the
-    record *cases* are the same, so the smoke run always joins against
-    the committed full report for the invariant gate.
+
+def _prefixed(prefix: str, values: dict) -> dict:
+    """Flatten nested maps into ``prefix.name`` keys."""
+    flat = {}
+    for name, value in values.items():
+        if isinstance(value, dict):
+            flat.update(_prefixed(f"{prefix}{name}.", value))
+        else:
+            flat[f"{prefix}{name}"] = value
+    return flat
+
+
+def serve_suite(smoke: bool, seed: int) -> list[dict]:
+    """Zipfian load on a cold queue and empty store, then a restart.
+
+    Phase ``cold`` serves 400 requests over the full catalog; phase
+    ``restart`` rebuilds the queue with a cold in-memory cache over the
+    same store (a simulated process restart) and replays the workload.
+    Which duplicates coalesce and which hit memory depends on thread
+    timing, so that split is recorded; their sum is claimed.  There is
+    no smoke variant: the full run takes about a second.
     """
-    if smoke:
-        records = [
-            bench_state_fastpath(num_controls=6, repeats=1),
-            bench_state_sampling(width=8, shots=20_000, repeats=1),
-            bench_state_dtype(num_controls=5, repeats=1),
-        ]
-    else:
-        records = [
-            bench_state_fastpath(num_controls=10, repeats=3),
-            bench_state_sampling(width=12, shots=500_000, repeats=3),
-            bench_state_dtype(num_controls=7, repeats=3),
-        ]
+    from ..execution.cache import ResultCache
+    from ..service.loadgen import default_catalog, run_phase, zipf_workload
+    from ..service.queue import JobQueue
+    from ..service.store import ResultStore
+
+    catalog = default_catalog()
+    requests, workers = 400, 4
+    workload = zipf_workload(len(catalog), requests, seed=seed)
+    distinct = len(set(workload))
+
+    def phase(store: ResultStore) -> dict:
+        with JobQueue(
+            workers=workers, cache=ResultCache(backing=store),
+        ) as queue:
+            return run_phase(queue, catalog, workload)
+
+    with tempfile.TemporaryDirectory() as root:
+        cold = phase(ResultStore(root))
+        restart = phase(ResultStore(root))
+
+    recorded = {"workers": workers}
+    structural = {"catalog_size": len(catalog), "distinct_keys": distinct}
+    for name, stats in (("cold", cold), ("restart", restart)):
+        for field, value in stats.items():
+            gated = field in ("executed", "persistent_hits")
+            (structural if gated else recorded)[f"{name}.{field}"] = value
+    return [_record(
+        {"requests": requests, "zipf_s": 1.1, "seed": seed},
+        recorded=recorded,
+        structural=structural,
+        invariants={
+            "exactly_once": cold["executed"] == distinct,
+            "shared_duplicates": (
+                cold["coalesced"] + cold["memory_hits"]
+                == requests - distinct
+            ),
+            "restart_from_store": (
+                restart["executed"] == 0
+                and restart["persistent_hits"] == distinct
+            ),
+        },
+    )]
+
+
+def chaos_suite(smoke: bool, seed: int) -> list[dict]:
+    """Zipfian load under injected faults, then corrupted store entries.
+
+    Every injection site fires with probability 0.2 (seeded); the
+    resilience invariants of :mod:`repro.resilience.chaos` are the
+    claims.  Injection, retry and per-state counts depend on thread
+    interleaving, so they are recorded.  There is no smoke variant: the
+    full run takes about a second.
+    """
+    from ..resilience.chaos import chaos_phase, corruption_phase
+    from ..service.loadgen import default_catalog, zipf_workload
+
+    catalog = default_catalog(smoke=True)
+    requests, workers, rate = 150, 4, 0.2
+    workload = zipf_workload(len(catalog), requests, seed=seed)
+    distinct = len(set(workload))
+
+    with tempfile.TemporaryDirectory() as root:
+        chaos, chaos_invariants = chaos_phase(
+            root, catalog, workload,
+            workers=workers, rate=rate, seed=seed,
+        )
+        corruption, corruption_invariants = corruption_phase(
+            root, catalog, workload, workers=workers, distinct=distinct,
+        )
+    return [_record(
+        {"requests": requests, "rate": rate, "seed": seed},
+        recorded={
+            "workers": workers,
+            **_prefixed("chaos.", chaos),
+            **_prefixed("corruption.", corruption),
+        },
+        structural={"catalog_size": len(catalog), "distinct_keys": distinct},
+        invariants={**chaos_invariants, **corruption_invariants},
+    )]
+
+
+# ----------------------------------------------------------------------
+# interop
+# ----------------------------------------------------------------------
+
+
+def interop_suite(smoke: bool, seed: int) -> list[dict]:
+    """Naive vs ternary compilation of each qubit workload, routed.
+
+    Each (workload, strategy) pair compiles once — verified against the
+    qubit original — then routes once per topology.  A ternary record
+    claims it beats the naive lift on both gate count and depth.
+    """
+    from ..execution.passes import RouteToTopology
+    from ..interop.workloads import build_workload
+    from ..verify import assert_equivalent
+
+    cases = INTEROP_SMOKE_CASES if smoke else INTEROP_CASES
+    topologies = INTEROP_SMOKE_TOPOLOGIES if smoke else INTEROP_TOPOLOGIES
+    records = []
+    for workload, size in cases:
+        original = build_workload(workload, n=size)
+        for strategy in STRATEGIES:
+            start = time.perf_counter()
+            compiled = compile_strategy(original, strategy)
+            compile_seconds = time.perf_counter() - start
+            oracle = assert_equivalent(
+                compiled,
+                original,
+                context=f"{strategy} lift of {workload}(n={size})",
+            ).oracle
+            logical = {
+                "gate_count": compiled.num_operations,
+                "two_qudit_count": sum(
+                    1 for op in compiled.all_operations()
+                    if op.gate.num_qudits >= 2
+                ),
+                "depth": compiled.depth,
+            }
+            for kind in topologies:
+                router = RouteToTopology(kind, router="lookahead")
+                start = time.perf_counter()
+                router.transform(compiled)
+                route_seconds = time.perf_counter() - start
+                meta = router.last_metadata
+                records.append(_record(
+                    {
+                        "workload": workload,
+                        "size": size,
+                        "strategy": strategy,
+                        "topology_kind": kind,
+                    },
+                    recorded={
+                        "oracle": oracle,
+                        "seconds": compile_seconds + route_seconds,
+                    },
+                    structural={
+                        "wires": len(compiled.all_qudits()),
+                        **logical,
+                        "swap_count": meta["swap_count"],
+                        "routed_depth": meta["routed_depth"],
+                    },
+                    invariants={"verified": True},
+                ))
+    naive = {
+        (r["key"]["workload"], r["key"]["size"], r["key"]["topology_kind"]):
+            r["structural"]
+        for r in records
+        if r["key"]["strategy"] == "naive"
+    }
+    for record in records:
+        key = record["key"]
+        if key["strategy"] == "ternary":
+            base = naive[key["workload"], key["size"], key["topology_kind"]]
+            ours = record["structural"]
+            record["invariants"]["beats_naive"] = (
+                ours["gate_count"] < base["gate_count"]
+                and ours["depth"] < base["depth"]
+            )
+    return records
+
+
+# ----------------------------------------------------------------------
+# The registry, the report, the gate and the renderer
+# ----------------------------------------------------------------------
+
+#: Every benchmark suite, in the order ``repro bench --suite all`` runs
+#: them.  Each maps ``(smoke, seed)`` to its records; unseeded suites
+#: ignore the seed.
+BENCH_SUITES: dict[str, Callable[[bool, int], list[dict]]] = {
+    "noise": noise_suite,
+    "verify": verify_suite,
+    "route": route_suite,
+    "opt": opt_suite,
+    "state": state_suite,
+    "serve": serve_suite,
+    "chaos": chaos_suite,
+    "interop": interop_suite,
+}
+
+
+def run_suite(name: str, smoke: bool = False, seed: int = 2019) -> dict:
+    """Run one registered suite and return its JSON-ready report."""
     return {
-        "schema": STATE_SCHEMA,
-        "generated_by": "python -m repro bench --suite state"
+        "schema": SCHEMA,
+        "suite": name,
+        "generated_by": f"python -m repro bench --suite {name}"
         + (" --smoke" if smoke else ""),
         "smoke": smoke,
         "platform": {
@@ -1146,161 +1034,107 @@ def run_state_bench(smoke: bool = False) -> dict:
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        "records": records,
+        "records": BENCH_SUITES[name](smoke, seed),
     }
 
 
-def render_state_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_state_bench` output."""
-    by_case = {state_record_key(r): r for r in report["records"]}
-    fastpath = by_case["fastpath"]
-    sampling = by_case["sampling"]
-    dtype = by_case["dtype"]
-    lines = [
-        f"statevector bench ({'smoke' if report['smoke'] else 'full'})",
-        "",
-        f"fastpath  {fastpath['workload']} "
-        f"({fastpath['operations']} ops, dim {fastpath['hilbert_dim']}):",
-        f"  fast       {fastpath['fast_seconds'] * 1000:8.1f} ms",
-        f"  dense      {fastpath['dense_seconds'] * 1000:8.1f} ms",
-        f"  speedup    {fastpath['speedup']:8.1f} x   "
-        f"(parity {fastpath['parity_max_abs_diff']:.1e})",
-        "",
-        f"sampling  {sampling['workload']}:",
-        f"  batched    {sampling['batched_seconds'] * 1000:8.1f} ms",
-        f"  looped     {sampling['looped_seconds'] * 1000:8.1f} ms",
-        f"  speedup    {sampling['speedup']:8.1f} x   "
-        f"(chi2 {sampling['chi_square_statistic']:.2f} <= "
-        f"{sampling['chi_square_critical']:.2f})",
-        "",
-        f"dtype     {dtype['workload']} "
-        f"({dtype['operations']} ops, dim {dtype['hilbert_dim']}):",
-        f"  complex128 {dtype['complex128_seconds'] * 1000:8.1f} ms",
-        f"  complex64  {dtype['complex64_seconds'] * 1000:8.1f} ms",
-        f"  speedup    {dtype['speedup']:8.1f} x   "
-        f"(diff {dtype['max_abs_diff']:.1e} <= "
-        f"{dtype['documented_bound']:.1e})",
-    ]
-    invariants = {
-        name: value
-        for record in report["records"]
-        for name, value in record["invariants"].items()
-    }
-    failed = [name for name, value in invariants.items() if not value]
-    lines.append("")
-    lines.append(
-        "invariants: "
-        + (
-            "all pass"
-            if not failed
-            else "FAILED " + ", ".join(failed)
-        )
-    )
-    return "\n".join(lines)
+def _label(key: dict) -> str:
+    return " ".join(f"{name}={value}" for name, value in key.items())
 
 
-def check_state_regression(committed: dict, fresh: dict) -> list[str]:
-    """Compare a fresh statevector report against the committed baseline.
+def check_report(committed: dict, fresh: dict) -> list[str]:
+    """Gate a fresh report against a committed baseline.
 
-    Joins records on :func:`state_record_key` and checks every boolean
-    invariant of the fresh run holds — exact fast-path parity, exact
-    batched/looped sampler agreement, batch-size invariance, seeded
-    determinism, the chi-square GOF, and the complex64 parity bound.
-    All are deterministic; wall-clock and speedups are never compared.
-    An invariant the committed report records but the fresh run no
-    longer reports also fails (silent coverage loss).  Returns the list
-    of failure messages (empty = pass).
+    The rules, in order:
+
+    1. both reports carry :data:`SCHEMA` and the same suite (otherwise
+       one failure naming both);
+    2. every fresh record's key is in the committed report;
+    3. every fresh invariant is true, and every invariant of the
+       committed record is present in the fresh one;
+    4. the fresh ``structural`` map equals the committed one exactly;
+    5. ``recorded`` is never compared.
+
+    Returns the failure messages, each naming its record (empty = pass).
     """
-    baseline = {state_record_key(r): r for r in committed["records"]}
+    headers = [
+        (report.get("schema"), report.get("suite"))
+        for report in (fresh, committed)
+    ]
+    if headers[0] != headers[1] or headers[0][0] != SCHEMA:
+        (fresh_schema, fresh_suite), (base_schema, base_suite) = headers
+        return [
+            f"cannot check a fresh {fresh_suite} report ({fresh_schema}) "
+            f"against the {base_suite} baseline ({base_schema})"
+        ]
+    baseline = {
+        json.dumps(r["key"], sort_keys=True): r for r in committed["records"]
+    }
     failures = []
     for record in fresh["records"]:
-        base = baseline.get(state_record_key(record))
+        label = _label(record["key"])
+        base = baseline.get(json.dumps(record["key"], sort_keys=True))
         if base is None:
+            failures.append(f"{label}: no committed record has this key")
             continue
-        for name in base["invariants"]:
-            if name not in record["invariants"]:
-                failures.append(
-                    f"{record['case']}: invariant {name} present in the "
-                    f"committed report but missing from the fresh run"
-                )
-        for name, value in record["invariants"].items():
-            if not value:
-                failures.append(
-                    f"{record['case']}: invariant {name} failed "
-                    f"({record['workload']})"
-                )
+        failures += [
+            f"{label}: invariant {name} failed"
+            for name, holds in record["invariants"].items()
+            if holds is not True
+        ]
+        failures += [
+            f"{label}: invariant {name} is missing from the fresh run"
+            for name in base["invariants"]
+            if name not in record["invariants"]
+        ]
+        fresh_values, base_values = record["structural"], base["structural"]
+        failures += [
+            f"{label}: {name} is {fresh_values.get(name)}, committed "
+            f"{base_values.get(name)}"
+            for name in sorted(fresh_values.keys() | base_values.keys())
+            if fresh_values.get(name) != base_values.get(name)
+        ]
     return failures
 
 
-def run_bench(smoke: bool = False, seed: int = 2019) -> dict:
-    """Run every suite and return the JSON-ready report.
-
-    ``smoke`` shrinks the workloads (4 wires, fewer trials, single
-    timing repeat) so CI finishes in seconds; the full run uses the
-    5-wire acceptance workload.
-    """
-    if smoke:
-        density = bench_density(num_controls=3, repeats=1)
-        trajectory = bench_trajectory(
-            num_controls=3, trials=60, seed=seed, repeats=1
-        )
-        workloads = bench_workloads(
-            num_controls=3, trials=30, seed=seed,
-            pairs=(("qutrit_tree", SC), ("qutrit_tree", DRESSED_QUTRIT)),
-        )
-    else:
-        density = bench_density(num_controls=4, repeats=2)
-        trajectory = bench_trajectory(
-            num_controls=4, trials=300, seed=seed, repeats=1
-        )
-        workloads = bench_workloads(num_controls=4, trials=150, seed=seed)
-    return {
-        "schema": SCHEMA,
-        "generated_by": "python -m repro bench --suite noise"
-        + (" --smoke" if smoke else ""),
-        "smoke": smoke,
-        "seed": seed,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "density": density,
-        "trajectory": trajectory,
-        "workloads": workloads,
-    }
+def _format(value: object) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def render_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_bench` output."""
-    density = report["density"]
-    trajectory = report["trajectory"]
+    """Human-readable summary: one block per record, one line per map."""
+    records = report["records"]
+    failed = sum(
+        not holds for r in records for holds in r["invariants"].values()
+    )
     lines = [
-        f"noise bench ({'smoke' if report['smoke'] else 'full'}, "
-        f"seed {report['seed']})",
-        "",
-        f"density   {density['workload']} under {density['noise_model']}:",
-        f"  axis-local {density['axis_local_seconds'] * 1000:8.1f} ms",
-        f"  dense kron {density['dense_kron_seconds'] * 1000:8.1f} ms",
-        f"  speedup    {density['speedup']:8.1f} x   "
-        f"(parity {density['parity_max_abs_diff']:.1e})",
-        "",
-        f"trajectory {trajectory['workload']} under "
-        f"{trajectory['noise_model']}:",
-        f"  fused      {trajectory['batched_seconds'] * 1000:8.1f} ms",
-        f"  looped     {trajectory['looped_seconds'] * 1000:8.1f} ms",
-        f"  speedup    {trajectory['speedup']:8.1f} x",
-        "",
-        "workloads (fused engine):",
+        f"{report['suite']} bench "
+        f"({'smoke' if report['smoke'] else 'full'}): {len(records)} "
+        "records, "
+        + (f"{failed} invariants FAILED" if failed else "all invariants hold")
     ]
-    for record in report["workloads"]:
-        lines.append(
-            f"  {record['construction']:>14s} x {record['noise_model']:<14s}"
-            f" {record['mean_fidelity'] * 100:6.2f}% "
-            f"(+/- {record['two_sigma'] * 100:.2f}%)"
-            f" in {record['seconds'] * 1000:7.1f} ms"
-        )
+    for record in records:
+        lines += ["", _label(record["key"])]
+        sections = {
+            section: [
+                f"{name}={_format(value)}"
+                for name, value in record[section].items()
+            ]
+            for section in ("structural", "recorded")
+        }
+        sections["invariants"] = [
+            name if holds else f"{name}=FAILED"
+            for name, holds in record["invariants"].items()
+        ]
+        lines += [
+            textwrap.fill(
+                " ".join(cells), width=79,
+                initial_indent=f"  {section:<11s}", subsequent_indent=" " * 13,
+                break_long_words=False, break_on_hyphens=False,
+            )
+            for section, cells in sections.items()
+            if cells
+        ]
     return "\n".join(lines)
 
 
@@ -1309,98 +1143,3 @@ def write_report(report: dict, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(report, indent=2) + "\n")
     return path
-
-
-@dataclass(frozen=True)
-class BenchSuite:
-    """One registered benchmark suite behind ``repro bench --suite``.
-
-    ``run`` takes ``(smoke, seed)`` regardless of whether the underlying
-    runner is seeded — unseeded suites ignore the argument — so the CLI
-    can drive every suite through one code path.  ``check`` is ``None``
-    for timing-only suites that have no committed-baseline gate.
-    """
-
-    name: str
-    run: Callable[[bool, int], dict]
-    render: Callable[[dict], str]
-    default_out: str
-    check: "Callable[[dict, dict], list[str]] | None" = None
-
-
-#: Every benchmark suite, in the order ``repro bench --suite all`` runs
-#: them (interop, the newest, is last).
-#: All callables bind late through this module's globals, so
-#: monkeypatching ``repro.analysis.bench.run_route_bench`` (as the CLI
-#: tests do) also redirects the registry.
-BENCH_SUITES: dict[str, BenchSuite] = {
-    suite.name: suite
-    for suite in (
-        BenchSuite(
-            "noise",
-            lambda smoke, seed: run_bench(smoke=smoke, seed=seed),
-            lambda report: render_report(report),
-            "BENCH_noise.json",
-        ),
-        BenchSuite(
-            "verify",
-            lambda smoke, seed: run_verify_bench(smoke=smoke),
-            lambda report: render_verify_report(report),
-            "BENCH_verify.json",
-        ),
-        BenchSuite(
-            "route",
-            lambda smoke, seed: run_route_bench(smoke=smoke),
-            lambda report: render_route_report(report),
-            "BENCH_route.json",
-            lambda committed, fresh: check_route_regression(
-                committed, fresh
-            ),
-        ),
-        BenchSuite(
-            "opt",
-            lambda smoke, seed: run_opt_bench(smoke=smoke),
-            lambda report: render_opt_report(report),
-            "BENCH_opt.json",
-            lambda committed, fresh: check_opt_regression(
-                committed, fresh
-            ),
-        ),
-        BenchSuite(
-            "state",
-            lambda smoke, seed: run_state_bench(smoke=smoke),
-            lambda report: render_state_report(report),
-            "BENCH_state.json",
-            lambda committed, fresh: check_state_regression(
-                committed, fresh
-            ),
-        ),
-        BenchSuite(
-            "serve",
-            lambda smoke, seed: run_serve_bench(smoke=smoke, seed=seed),
-            lambda report: render_serve_report(report),
-            "BENCH_serve.json",
-            lambda committed, fresh: check_serve_regression(
-                committed, fresh
-            ),
-        ),
-        BenchSuite(
-            "chaos",
-            lambda smoke, seed: run_chaos_bench(smoke=smoke, seed=seed),
-            lambda report: render_chaos_report(report),
-            "BENCH_chaos.json",
-            lambda committed, fresh: check_chaos_regression(
-                committed, fresh
-            ),
-        ),
-        BenchSuite(
-            "interop",
-            lambda smoke, seed: run_interop_bench(smoke=smoke),
-            lambda report: render_interop_table(report),
-            "BENCH_interop.json",
-            lambda committed, fresh: check_interop_regression(
-                committed, fresh
-            ),
-        ),
-    )
-}

@@ -20,8 +20,10 @@ Layer map:
   qubit subspace exactly as its original;
 * qubit-basis compilation — :class:`DecomposeToQubitBasis`, the
   CNOT + single-qubit lowering that defines the *naive lift* baseline;
-* workloads + bench — :mod:`repro.interop.workloads` and
-  :func:`run_interop_bench` (see :mod:`repro.analysis.bench`).
+* workloads + strategies — :mod:`repro.interop.workloads` and
+  :func:`repro.interop.bench.compile_strategy` (naive lift vs temporary
+  ternary), which the ``interop`` suite of :mod:`repro.analysis.bench`
+  compares.
 """
 
 from ..gates.embedded import EmbeddedGate
@@ -47,13 +49,6 @@ from .workloads import (
     random_clifford_t,
     ripple_carry_adder,
 )
-from .bench import (
-    INTEROP_SCHEMA,
-    check_interop_regression,
-    interop_record_key,
-    render_interop_table,
-    run_interop_bench,
-)
 
 __all__ = [
     "EmbeddedGate",
@@ -73,9 +68,4 @@ __all__ = [
     "ripple_carry_adder",
     "random_clifford_t",
     "grover_circuit",
-    "run_interop_bench",
-    "check_interop_regression",
-    "render_interop_table",
-    "interop_record_key",
-    "INTEROP_SCHEMA",
 ]

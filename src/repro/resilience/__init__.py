@@ -15,9 +15,9 @@ layer of the stack can import it:
 * :mod:`~repro.resilience.degradation` — admission control that
   estimates a run's memory and downgrades before it rejects.
 
-The chaos bench (:mod:`repro.resilience.chaos`) is *not* re-exported
-here: it drives the serving stack, so importing it from the package
-root would create a cycle — import it directly.
+The chaos phases (:mod:`repro.resilience.chaos`) are *not* re-exported
+here: they drive the serving stack, so importing them from the package
+root would create a cycle — import the module directly.
 
 See ``docs/RESILIENCE.md`` for the full operating model.
 """

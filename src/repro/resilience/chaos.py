@@ -1,18 +1,16 @@
-"""The chaos bench: zipfian load under injected faults, gated on
-deterministic invariants (``BENCH_chaos.json``).
+"""The chaos phases: zipfian load under injected faults, then
+corrupted store entries (the ``chaos`` bench suite).
 
 The resilience layer's claims — no handle is ever lost, retries are
 capped, coalesced groups see exactly one fan-out, the store never
 serves a corrupt payload — are only worth committing to if they hold
-*under* failure.  This bench drives the full serving stack (queue,
-workers, retry policy, circuit breaker, persistent store) through a
-zipfian workload while a seeded :class:`~repro.resilience.FaultInjector`
-fires at every wired site, then re-runs the workload against a store
-with deliberately corrupted entries.
-
-Like the serve bench, wall-clock numbers are recorded but **never
-gated** — CI checks only invariants that are deterministic regardless
-of thread interleaving:
+*under* failure.  :func:`chaos_phase` drives the full serving stack
+(queue, workers, retry policy, circuit breaker, persistent store)
+through a zipfian workload while a seeded
+:class:`~repro.resilience.FaultInjector` fires at every wired site;
+:func:`corruption_phase` then re-runs the workload against a store with
+deliberately corrupted entries.  Each phase returns its counts and the
+invariants it claims, which hold regardless of thread interleaving:
 
 * **no lost handles** — every submitted job reaches a terminal state;
 * **conservation** — DONE + FAILED + TIMED_OUT + CANCELLED equals the
@@ -26,23 +24,20 @@ of thread interleaving:
 * **corruption containment** — each corrupted store entry is dropped on
   first read (counted once), its job transparently re-executes, and no
   corrupt payload is ever served.
+
+The counts themselves (injections, retries, per-state tallies) depend
+on thread interleaving and are recorded, never gated; see
+:mod:`repro.analysis.bench`.
 """
 
 from __future__ import annotations
 
-import platform
-import tempfile
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .breaker import CircuitBreaker
 from .faults import FaultInjector, injected
 from .retry import RetryPolicy, TransientServiceError
-
-#: Schema tag of the chaos report (``BENCH_chaos.json``).
-CHAOS_SCHEMA = "repro-bench-chaos/v1"
 
 #: Deadline attached to every third submission in the chaos phase —
 #: generous enough never to expire, so the deadline *plumbing* (budget
@@ -99,7 +94,7 @@ def _exactly_once_fanout(jobs) -> bool:
     return True
 
 
-def _chaos_phase(
+def chaos_phase(
     root: str,
     catalog,
     workload,
@@ -178,7 +173,7 @@ def _chaos_phase(
     return phase, invariants
 
 
-def _corruption_phase(
+def corruption_phase(
     root: str, catalog, workload, *, workers: int, distinct: int
 ) -> tuple[dict, dict]:
     """Phase 2: deliberately corrupt store entries, replay fault-free.
@@ -229,139 +224,3 @@ def _corruption_phase(
         "store": store.stats.to_dict(),
     }
     return phase, invariants
-
-
-def run_chaos_bench(
-    smoke: bool = False,
-    seed: int = 2019,
-    workers: int = 4,
-    rate: float = 0.2,
-    store_dir: str | None = None,
-) -> dict:
-    """Run the two-phase chaos bench and return the JSON-ready report.
-
-    Phase 1 pushes a zipfian workload through a queue whose every
-    injection site fires with probability ``rate`` (seeded, so the
-    per-site fault sequences are reproducible); phase 2 corrupts store
-    entries and replays fault-free.  ``smoke`` shrinks the workload so
-    CI finishes in seconds.
-    """
-    from ..service.loadgen import default_catalog, zipf_workload
-
-    catalog = default_catalog(smoke=True)
-    requests = 60 if smoke else 150
-    workload = zipf_workload(len(catalog), requests, seed=seed)
-    distinct = len(set(workload))
-
-    with tempfile.TemporaryDirectory() as scratch:
-        root = store_dir or scratch
-        chaos, chaos_inv = _chaos_phase(
-            root, catalog, workload,
-            workers=workers, rate=rate, seed=seed,
-        )
-        corruption, corrupt_inv = _corruption_phase(
-            root, catalog, workload, workers=workers, distinct=distinct,
-        )
-
-    invariants = {**chaos_inv, **corrupt_inv}
-    invariants["all_pass"] = all(invariants.values())
-    return {
-        "schema": CHAOS_SCHEMA,
-        "generated_by": "python -m repro bench --suite chaos"
-        + (" --smoke" if smoke else ""),
-        "smoke": smoke,
-        "seed": seed,
-        "rate": rate,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "workload": {
-            "requests": requests,
-            "catalog_size": len(catalog),
-            "distinct_keys": distinct,
-            "workers": workers,
-        },
-        "chaos_phase": chaos,
-        "corruption_phase": corruption,
-        "invariants": invariants,
-    }
-
-
-def render_chaos_report(report: dict) -> str:
-    """Human-readable summary of :func:`run_chaos_bench` output."""
-    workload = report["workload"]
-    chaos = report["chaos_phase"]
-    corruption = report["corruption_phase"]
-    invariants = report["invariants"]
-    faults = chaos["faults"]
-    lines = [
-        f"chaos bench ({'smoke' if report['smoke'] else 'full'}, "
-        f"seed {report['seed']}, fault rate {report['rate']})",
-        "",
-        f"workload: {workload['requests']} zipfian requests over "
-        f"{workload['catalog_size']} catalog entries "
-        f"({workload['distinct_keys']} distinct), "
-        f"{workload['workers']} workers",
-        "",
-        "chaos phase:",
-        f"  states {chaos['states']}",
-        f"  executed {chaos['executed']}   retries {chaos['retries']}   "
-        f"max attempts {chaos['max_attempts_observed']}",
-        f"  injections {faults['injections']}",
-        f"  breaker {chaos['breaker']['state']} "
-        f"(opens {chaos['breaker']['opens']}, "
-        f"refusals {chaos['breaker']['refusals']})",
-        "",
-        "corruption phase:",
-        f"  corrupted {corruption['corrupted_entries']}   "
-        f"dropped {corruption['store']['corrupt_dropped']}   "
-        f"re-executed {corruption['executed']}",
-        "",
-        "invariants:",
-    ]
-    lines += [
-        f"  {name}: {'PASS' if value else 'FAIL'}"
-        for name, value in invariants.items()
-        if name != "all_pass"
-    ]
-    lines.append(
-        f"all invariants: {'PASS' if invariants['all_pass'] else 'FAIL'}"
-    )
-    return "\n".join(lines)
-
-
-def check_chaos_regression(committed: dict, fresh: dict) -> list[str]:
-    """The CI gate over a fresh chaos report.
-
-    Every invariant of the fresh run must hold, and when the committed
-    baseline ran the same configuration (seed/rate/requests), the
-    distinct-key count must not have drifted.  Timing and injection
-    counts are never gated.  Returns failure messages (empty = pass).
-    """
-    failures = []
-    if fresh.get("schema") != CHAOS_SCHEMA:
-        failures.append(
-            f"unexpected chaos report schema {fresh.get('schema')!r}"
-        )
-        return failures
-    for name, value in fresh["invariants"].items():
-        if name != "all_pass" and not value:
-            failures.append(f"chaos invariant violated: {name}")
-    same_config = (
-        committed.get("seed") == fresh.get("seed")
-        and committed.get("rate") == fresh.get("rate")
-        and committed.get("workload", {}).get("requests")
-        == fresh["workload"]["requests"]
-    )
-    if same_config:
-        baseline = committed["workload"]["distinct_keys"]
-        distinct = fresh["workload"]["distinct_keys"]
-        if baseline != distinct:
-            failures.append(
-                f"distinct-key count drifted: committed {baseline}, "
-                f"fresh {distinct} (workload no longer reproducible)"
-            )
-    return failures

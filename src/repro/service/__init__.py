@@ -47,14 +47,7 @@ from .jobs import (
     QueueFullError,
     ServiceError,
 )
-from .loadgen import (
-    SERVE_SCHEMA,
-    check_serve_regression,
-    default_catalog,
-    render_serve_report,
-    run_serve_bench,
-    zipf_workload,
-)
+from .loadgen import default_catalog, zipf_workload
 from .protocol import (
     PROTOCOL,
     handle_request,
@@ -104,10 +97,6 @@ __all__ = [
     "serve_lines",
     "serve_stdio",
     "serve_socket",
-    "SERVE_SCHEMA",
-    "run_serve_bench",
-    "render_serve_report",
-    "check_serve_regression",
     "default_catalog",
     "zipf_workload",
 ]

@@ -1,5 +1,6 @@
-"""Bench harness: smoke run, JSON shape, and rendering."""
+"""The bench record format, its one gate, and the committed baselines."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -7,336 +8,411 @@ import pytest
 
 from repro.analysis.bench import (
     BENCH_SUITES,
-    ROUTE_SCHEMA,
     ROUTE_SMOKE_WIDTHS,
     ROUTE_WIDTHS,
     SCHEMA,
-    STATE_SCHEMA,
-    VERIFY_SCHEMA,
     bench_density,
     bench_route_case,
     bench_verify_speedup,
     bench_verify_width14,
-    check_route_regression,
-    check_state_regression,
+    check_report,
     render_report,
-    render_route_report,
-    render_state_report,
-    render_verify_report,
-    route_record_key,
-    run_bench,
-    run_route_bench,
-    run_state_bench,
-    run_verify_bench,
-    state_record_key,
+    run_suite,
     write_report,
 )
 
-
-@pytest.mark.parametrize("name", sorted(BENCH_SUITES))
-def test_default_out_names_a_committed_baseline(name):
-    # `bench --suite NAME` without --out writes here; a name without a
-    # committed file at the repository root would leave a stray report.
-    root = Path(__file__).parents[2]
-    assert (root / BENCH_SUITES[name].default_out).is_file()
+ROOT = Path(__file__).parents[2]
 
 
-@pytest.fixture(scope="module")
-def smoke_report():
-    return run_bench(smoke=True, seed=7)
+def _committed(name: str) -> dict:
+    return json.loads((ROOT / f"BENCH_{name}.json").read_text())
+
+
+def _keys(report: dict) -> list[str]:
+    return [json.dumps(r["key"], sort_keys=True) for r in report["records"]]
+
+
+def _report(**overrides) -> dict:
+    record = {
+        "key": {"construction": "qutrit_tree", "num_controls": 8},
+        "recorded": {"seconds": 0.25, "oracle": "classical"},
+        "structural": {"swap_count": 10, "routed_depth": 40},
+        "invariants": {"verified": True},
+    }
+    return {
+        "schema": SCHEMA,
+        "suite": "route",
+        "generated_by": "python -m repro bench --suite route",
+        "smoke": False,
+        "platform": {},
+        "records": [{**record, **overrides}],
+    }
+
+
+class TestCheckReport:
+    def test_identical_reports_pass(self):
+        assert check_report(_report(), _report()) == []
+
+    def test_changed_recorded_value_passes(self):
+        fresh = _report(recorded={"seconds": 99.0, "oracle": "statevector"})
+        assert check_report(_report(), fresh) == []
+
+    def test_flipped_invariant_fails(self):
+        failures = check_report(
+            _report(), _report(invariants={"verified": False})
+        )
+        assert failures == [
+            "construction=qutrit_tree num_controls=8: "
+            "invariant verified failed"
+        ]
+
+    def test_dropped_invariant_fails(self):
+        failures = check_report(_report(), _report(invariants={}))
+        assert len(failures) == 1
+        assert "num_controls=8" in failures[0]
+        assert "verified is missing" in failures[0]
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_structural_int_moved_fails(self, delta):
+        fresh = _report(structural={"swap_count": 10 + delta,
+                                    "routed_depth": 40})
+        failures = check_report(_report(), fresh)
+        assert failures == [
+            f"construction=qutrit_tree num_controls=8: swap_count is "
+            f"{10 + delta}, committed 10"
+        ]
+
+    def test_structural_value_missing_on_either_side_fails(self):
+        fresh = _report(structural={"swap_count": 10})
+        assert "routed_depth is None" in check_report(_report(), fresh)[0]
+        assert "committed None" in check_report(fresh, _report())[0]
+
+    def test_fresh_record_without_committed_key_fails(self):
+        fresh = _report(key={"construction": "qutrit_tree",
+                             "num_controls": 99})
+        failures = check_report(_report(), fresh)
+        assert len(failures) == 1
+        assert "num_controls=99" in failures[0]
+        assert "no committed record" in failures[0]
+
+    def test_committed_record_absent_from_fresh_run_passes(self):
+        # A smoke run checks a subset of the committed full baseline.
+        committed = _report()
+        committed["records"].append(
+            {**committed["records"][0], "key": {"num_controls": 12}}
+        )
+        assert check_report(committed, _report()) == []
+
+    def test_suite_mismatch_is_one_failure_naming_both(self):
+        fresh = _report()
+        fresh["suite"] = "chaos"
+        fresh["records"][0]["invariants"] = {"verified": False}
+        failures = check_report(_report(), fresh)
+        assert len(failures) == 1
+        assert "chaos report" in failures[0]
+        assert "route baseline" in failures[0]
+
+    def test_schema_mismatch_is_one_failure_naming_both(self):
+        committed = _report()
+        committed["schema"] = "legacy-route/v1"
+        failures = check_report(committed, _report())
+        assert len(failures) == 1
+        assert "legacy-route/v1" in failures[0]
+        assert SCHEMA in failures[0]
+
+
+class TestRenderReport:
+    def test_lists_every_map_and_the_verdict(self):
+        text = render_report(_report())
+        assert text.startswith("route bench (full): 1 records")
+        assert "all invariants hold" in text
+        assert "construction=qutrit_tree num_controls=8" in text
+        assert "swap_count=10" in text and "seconds=0.25" in text
+
+    def test_names_a_failed_invariant(self):
+        text = render_report(_report(invariants={"verified": False}))
+        assert "1 invariants FAILED" in text
+        assert "verified=FAILED" in text
+
+
+def test_write_report_round_trips(tmp_path):
+    path = write_report(_report(), tmp_path / "BENCH_route.json")
+    assert json.loads(path.read_text()) == _report()
+
+
+def test_only_the_suites_have_committed_baselines():
+    committed = {
+        path.name
+        for path in ROOT.glob("BENCH_*.json")
+        if not path.name.endswith(".smoke.json")
+    }
+    assert committed == {f"BENCH_{name}.json" for name in BENCH_SUITES}
+
+
+@pytest.mark.parametrize("name", list(BENCH_SUITES))
+def test_committed_baseline_is_its_full_run(name):
+    committed = _committed(name)
+    assert committed["schema"] == SCHEMA
+    assert committed["smoke"] is False
+    assert committed["suite"] == name
+    assert committed["generated_by"] == f"python -m repro bench --suite {name}"
+
+
+#: Suites whose smoke run takes more than a second or so.
+SLOW_SUITES = ("noise", "route", "opt", "state", "serve")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_SUITES
+    else name
+    for name in BENCH_SUITES
+])
+def test_smoke_run_passes_the_gate_against_the_committed_baseline(
+    name, bench_smoke
+):
+    fresh = bench_smoke(name)
+    committed = _committed(name)
+    assert fresh["generated_by"].endswith(" --smoke")
+    assert len(set(_keys(fresh))) == len(fresh["records"])
+    assert len(set(_keys(committed))) == len(committed["records"])
+    assert set(_keys(fresh)) <= set(_keys(committed))
+    assert check_report(committed, fresh) == []
+
+
+@pytest.mark.parametrize("name", list(BENCH_SUITES))
+def test_structural_values_are_ints_and_invariants_bools(name):
+    for record in _committed(name)["records"]:
+        assert set(record) == {"key", "recorded", "structural", "invariants"}
+        assert all(
+            type(value) is int for value in record["structural"].values()
+        )
+        assert all(value is True for value in record["invariants"].values())
 
 
 @pytest.mark.slow
 class TestRunBench:
+    @pytest.fixture(scope="class")
+    def smoke_report(self, bench_smoke):
+        return bench_smoke("noise")
+
+    @pytest.fixture(scope="class")
+    def records(self, smoke_report):
+        return {r["key"]["case"]: r for r in smoke_report["records"]}
+
     def test_report_shape(self, smoke_report):
-        assert smoke_report["schema"] == SCHEMA
+        assert smoke_report["suite"] == "noise"
         assert smoke_report["smoke"] is True
-        assert smoke_report["seed"] == 7
-        assert {"density", "trajectory", "workloads", "platform"} <= set(
-            smoke_report
-        )
+        assert [r["key"]["case"] for r in smoke_report["records"]] == [
+            "density", "trajectory", "workload", "workload"
+        ]
 
-    def test_density_suite_records_speedup_and_parity(self, smoke_report):
-        density = smoke_report["density"]
-        assert density["axis_local_seconds"] > 0
-        assert density["dense_kron_seconds"] > 0
-        assert density["speedup"] > 1.0
-        assert density["parity_max_abs_diff"] < 1e-12
+    def test_density_suite_records_speedup_and_parity(self, records):
+        density = records["density"]
+        assert density["recorded"]["axis_local_seconds"] > 0
+        assert density["recorded"]["dense_kron_seconds"] > 0
+        assert density["recorded"]["speedup"] > 1.0
+        assert density["recorded"]["parity_max_abs_diff"] < 1e-12
+        assert density["invariants"] == {"parity_below_1e-12": True}
 
-    def test_trajectory_suite_engines_agree(self, smoke_report):
-        trajectory = smoke_report["trajectory"]
-        assert trajectory["batched_seconds"] > 0
-        assert trajectory["looped_seconds"] > 0
-        scale = max(trajectory["combined_two_sigma"] * 2, 0.05)
+    def test_trajectory_suite_engines_agree(self, records):
+        recorded = records["trajectory"]["recorded"]
+        assert recorded["batched_seconds"] > 0
+        assert recorded["looped_seconds"] > 0
+        scale = max(recorded["combined_two_sigma"] * 2, 0.05)
         assert abs(
-            trajectory["batched_mean_fidelity"]
-            - trajectory["looped_mean_fidelity"]
+            recorded["batched_mean_fidelity"]
+            - recorded["looped_mean_fidelity"]
         ) < scale
+        assert records["trajectory"]["invariants"] == {"engines_agree": True}
 
     def test_workloads_are_physical(self, smoke_report):
-        assert smoke_report["workloads"]
-        for record in smoke_report["workloads"]:
-            assert 0.0 <= record["mean_fidelity"] <= 1.0 + 1e-9
-            assert record["seconds"] > 0
+        workloads = [
+            r for r in smoke_report["records"]
+            if r["key"]["case"] == "workload"
+        ]
+        assert workloads
+        for record in workloads:
+            assert 0.0 <= record["recorded"]["mean_fidelity"] <= 1.0 + 1e-9
+            assert record["recorded"]["seconds"] > 0
+            assert record["invariants"] == {
+                "fidelity_in_unit_interval": True
+            }
 
     def test_report_serializes_and_renders(self, smoke_report, tmp_path):
         path = write_report(smoke_report, tmp_path / "BENCH_noise.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
+        assert json.loads(path.read_text()) == smoke_report
         text = render_report(smoke_report)
-        assert "density" in text and "speedup" in text
+        assert text.startswith("noise bench (smoke)")
+        assert "case=density" in text and "speedup=" in text
 
 
 @pytest.mark.slow
 class TestBenchDensity:
     def test_custom_workload_record(self):
         record = bench_density(num_controls=2, repeats=1)
-        assert record["wires"] == 3
-        assert record["hilbert_dim"] == 27
-        assert record["parity_max_abs_diff"] < 1e-12
+        assert record["structural"]["wires"] == 3
+        assert record["structural"]["hilbert_dim"] == 27
+        assert record["invariants"] == {"parity_below_1e-12": True}
 
 
 class TestVerifyBench:
-    def test_smoke_report_shape(self, tmp_path):
-        report = run_verify_bench(smoke=True)
-        assert report["schema"] == VERIFY_SCHEMA
-        assert report["smoke"] is True
-        speedup = report["speedup"]
-        assert speedup["batched_seconds"] > 0
-        assert speedup["looped_seconds"] > 0
-        assert speedup["decisions_agree"] is True
-        widest = report["width14"]
-        assert widest["completed"] is True
-        assert widest["inputs"] == 2 ** widest["width"]
-        path = write_report(report, tmp_path / "BENCH_verify.json")
-        assert json.loads(path.read_text())["schema"] == VERIFY_SCHEMA
-        text = render_verify_report(report)
-        assert "speedup" in text and "exhaustive" in text
+    def test_smoke_report_shape(self, bench_smoke):
+        report = bench_smoke("verify")
+        assert report["suite"] == "verify"
+        speedup, widest = report["records"]
+        assert speedup["recorded"]["batched_seconds"] > 0
+        assert speedup["recorded"]["looped_seconds"] > 0
+        assert speedup["invariants"] == {"decisions_agree": True}
+        assert widest["invariants"] == {"covers_every_input": True}
+        assert widest["structural"]["inputs"] == (
+            2 ** widest["structural"]["width"]
+        )
+        assert "case=exhaustive" in render_report(report)
 
     def test_speedup_record_counts_every_input(self):
         record = bench_verify_speedup(num_controls=3, repeats=1)
-        assert record["inputs"] == 2**4
-        assert record["width"] == 4
-        assert record["speedup"] > 0
+        assert record["structural"]["inputs"] == 2**4
+        assert record["structural"]["width"] == 4
+        assert record["recorded"]["speedup"] > 0
 
     def test_width_record_covers_the_binary_space(self):
         record = bench_verify_width14(num_controls=5)
-        assert record["width"] == 6
-        assert record["inputs"] == 2**6
-        assert record["seconds"] > 0
+        assert record["structural"]["width"] == 6
+        assert record["structural"]["inputs"] == 2**6
+        assert record["recorded"]["seconds"] > 0
 
-
-@pytest.fixture(scope="module")
-def route_report():
-    return run_route_bench(smoke=True)
+    def test_committed_width14_check(self):
+        widest = [
+            r for r in _committed("verify")["records"]
+            if r["key"]["case"] == "exhaustive"
+            and r["key"]["num_controls"] == 13
+        ]
+        assert len(widest) == 1
+        assert widest[0]["structural"]["width"] == 14
+        assert widest[0]["structural"]["inputs"] == 2**14
 
 
 @pytest.mark.slow
 class TestRouteBench:
-    def test_report_shape(self, route_report, tmp_path):
-        assert route_report["schema"] == ROUTE_SCHEMA
+    @pytest.fixture(scope="class")
+    def route_report(self, bench_smoke):
+        return bench_smoke("route")
+
+    def test_report_shape(self, route_report):
+        assert route_report["suite"] == "route"
         assert route_report["smoke"] is True
-        assert {"records", "headline", "platform"} <= set(route_report)
-        path = write_report(route_report, tmp_path / "BENCH_route.json")
-        assert json.loads(path.read_text())["schema"] == ROUTE_SCHEMA
-        text = render_route_report(route_report)
-        assert "lookahead" in text and "greedy" in text
+        text = render_report(route_report)
+        assert "router=lookahead" in text and "router=greedy" in text
 
     def test_smoke_widths_are_a_prefix_of_full(self):
-        # The regression gate joins smoke records against the committed
-        # full report, so every smoke width must exist in the full sweep.
+        # The gate joins smoke records against the committed full
+        # report, so every smoke width must exist in the full sweep.
         assert ROUTE_SMOKE_WIDTHS == ROUTE_WIDTHS[: len(ROUTE_SMOKE_WIDTHS)]
 
     def test_records_are_complete_and_physical(self, route_report):
         for record in route_report["records"]:
-            assert record["routed_depth"] >= record["logical_depth"]
-            assert record["routed_two_qudit"] == (
-                record["logical_two_qudit"] + record["swap_count"]
+            structural = record["structural"]
+            assert structural["routed_depth"] >= structural["logical_depth"]
+            assert structural["routed_two_qudit"] == (
+                structural["logical_two_qudit"] + structural["swap_count"]
             )
-            assert 0.0 < record["fidelity_proxy"] <= 1.0
-            assert record["sites"] >= record["wires"]
-            assert record["seconds"] > 0
+            assert 0.0 < record["recorded"]["fidelity_proxy"] <= 1.0
+            assert structural["sites"] >= structural["wires"]
+            assert record["recorded"]["seconds"] > 0
 
     def test_all_to_all_is_free(self, route_report):
         for record in route_report["records"]:
-            if record["topology_kind"] == "all_to_all":
-                assert record["swap_count"] == 0
-                assert record["depth_overhead"] == 1.0
+            if record["key"]["topology_kind"] == "all_to_all":
+                assert record["structural"]["swap_count"] == 0
+                assert record["recorded"]["depth_overhead"] == 1.0
+
+    def test_every_lookahead_record_claims_greedy_parity(self, route_report):
+        for record in route_report["records"]:
+            claims = set(record["invariants"])
+            if record["key"]["router"] == "lookahead":
+                assert claims == {"not_worse_than_greedy"}
+            else:
+                assert not claims
 
     def test_acceptance_lookahead_beats_greedy_on_n8_tree(self, route_report):
-        # The BENCH_route.json acceptance claim, recomputed fresh.
-        wins = [
-            entry
-            for entry in route_report["headline"]["lookahead_vs_greedy"]
-            if entry["construction"] == "qutrit_tree"
-            and entry["num_controls"] >= 8
-            and entry["topology_kind"] in ("line", "grid_2d")
-        ]
-        assert wins
-        for entry in wins:
-            assert entry["lookahead_swaps"] < entry["greedy_swaps"]
-
-    def test_committed_report_matches_fresh_run(self, route_report):
-        # The repo's committed BENCH_route.json must agree with a fresh
-        # smoke run on the deterministic metrics (the CI gate's premise).
-        from pathlib import Path
-
-        committed_path = Path(__file__).parents[2] / "BENCH_route.json"
-        committed = json.loads(committed_path.read_text())
-        assert committed["schema"] == ROUTE_SCHEMA
-        assert check_route_regression(committed, route_report) == []
-        baseline = {
-            route_record_key(r): r for r in committed["records"]
+        swaps = {
+            tuple(r["key"].values()): r["structural"]["swap_count"]
+            for r in route_report["records"]
         }
-        joined = 0
-        for record in route_report["records"]:
-            base = baseline.get(route_record_key(record))
-            if base is None:
-                continue
-            joined += 1
-            assert record["swap_count"] == base["swap_count"]
-            assert record["routed_depth"] == base["routed_depth"]
-        assert joined == len(route_report["records"])
+        cells = [
+            key for key in swaps
+            if key[0] == "qutrit_tree" and key[1] >= 8
+            and key[2] in ("line", "grid_2d") and key[3] == "lookahead"
+        ]
+        assert cells
+        for key in cells:
+            assert swaps[key] < swaps[(*key[:3], "greedy")]
 
 
 class TestRouteCase:
     def test_single_case_record(self):
         record = bench_route_case("qutrit_tree", 4, "line", "lookahead")
-        assert record["construction"] == "qutrit_tree"
-        assert record["topology_kind"] == "line"
-        assert record["router"] == "lookahead"
-        assert record["wires"] == 5
-        assert route_record_key(record) == (
-            "qutrit_tree", 4, "line", "lookahead"
-        )
-
-
-class TestRouteRegressionCheck:
-    def _report(self, swaps, depth):
-        return {
-            "records": [
-                {
-                    "construction": "qutrit_tree",
-                    "num_controls": 8,
-                    "topology_kind": "line",
-                    "router": "lookahead",
-                    "swap_count": swaps,
-                    "routed_depth": depth,
-                }
-            ]
+        assert record["key"] == {
+            "construction": "qutrit_tree",
+            "num_controls": 4,
+            "topology_kind": "line",
+            "router": "lookahead",
         }
-
-    def test_identical_reports_pass(self):
-        report = self._report(10, 40)
-        assert check_route_regression(report, report) == []
-
-    def test_within_factor_passes(self):
-        assert check_route_regression(
-            self._report(10, 40), self._report(29, 40)
-        ) == []
-
-    def test_degraded_metric_fails(self):
-        failures = check_route_regression(
-            self._report(10, 40), self._report(31, 40)
-        )
-        assert len(failures) == 1
-        assert "swap_count" in failures[0]
-        failures = check_route_regression(
-            self._report(10, 40), self._report(10, 121)
-        )
-        assert "routed_depth" in failures[0]
-
-    def test_zero_baseline_uses_absolute_floor(self):
-        # committed 0 swaps: up to factor * 1 is tolerated.
-        assert check_route_regression(
-            self._report(0, 40), self._report(3, 40)
-        ) == []
-        assert check_route_regression(
-            self._report(0, 40), self._report(4, 40)
-        ) != []
-
-    def test_unmatched_records_are_skipped(self):
-        fresh = self._report(1000, 1000)
-        fresh["records"][0]["num_controls"] = 99
-        assert check_route_regression(self._report(10, 40), fresh) == []
-
-
-@pytest.fixture(scope="module")
-def state_report():
-    return run_state_bench(smoke=True)
+        assert record["structural"]["wires"] == 5
 
 
 @pytest.mark.slow
 class TestStateBench:
-    def test_report_shape(self, state_report, tmp_path):
-        assert state_report["schema"] == STATE_SCHEMA
+    @pytest.fixture(scope="class")
+    def state_report(self, bench_smoke):
+        return bench_smoke("state")
+
+    def test_report_shape(self, state_report):
+        assert state_report["suite"] == "state"
         assert state_report["smoke"] is True
-        cases = [record["case"] for record in state_report["records"]]
-        assert cases == ["fastpath", "sampling", "dtype"]
-        path = write_report(state_report, tmp_path / "BENCH_state.json")
-        assert json.loads(path.read_text())["schema"] == STATE_SCHEMA
-        text = render_state_report(state_report)
-        assert "fastpath" in text and "invariants" in text
+        assert "case=fastpath" in render_report(state_report)
 
     def test_every_invariant_passes(self, state_report):
         for record in state_report["records"]:
+            assert record["invariants"]
             for name, value in record["invariants"].items():
-                assert value is True, f"{record['case']}: {name}"
+                assert value is True, f"{record['key']['case']}: {name}"
 
     def test_fastpath_record_is_exact(self, state_report):
-        record = state_report["records"][0]
-        assert record["parity_max_abs_diff"] == 0.0
-        assert record["fast_seconds"] > 0
-        assert record["dense_seconds"] > 0
+        recorded = state_report["records"][0]["recorded"]
+        assert recorded["parity_max_abs_diff"] == 0.0
+        assert recorded["fast_seconds"] > 0
+        assert recorded["dense_seconds"] > 0
 
     def test_sampling_record_is_deterministic(self, state_report):
         record = state_report["records"][1]
-        assert record["chi_square_statistic"] <= (
-            record["chi_square_critical"]
+        assert record["recorded"]["chi_square_statistic"] <= (
+            record["recorded"]["chi_square_critical"]
         )
-        assert record["distinct_outcomes"] >= 2
+        assert record["structural"]["distinct_outcomes"] >= 2
 
     def test_record_keys_join_smoke_to_full(self, state_report):
-        # The CI gate joins the smoke run against the committed full
-        # report on the case name, so the names must be stable.
-        keys = [state_record_key(r) for r in state_report["records"]]
-        assert keys == ["fastpath", "sampling", "dtype"]
+        assert [r["key"]["case"] for r in state_report["records"]] == [
+            "fastpath", "sampling", "dtype"
+        ]
+
+    def test_committed_fastpath_covers_n10(self):
+        fastpath = [
+            r for r in _committed("state")["records"]
+            if r["key"]["case"] == "fastpath"
+        ]
+        assert [r["key"]["num_controls"] for r in fastpath] == [6, 10]
 
 
-class TestStateRegressionCheck:
-    def _report(self, invariants):
-        return {
-            "records": [
-                {
-                    "case": "fastpath",
-                    "workload": "qutrit_tree(N=6)",
-                    "invariants": invariants,
-                }
-            ]
-        }
+def test_suites_run_through_run_suite(monkeypatch):
+    def suite(smoke, seed):
+        return [{"key": {"smoke": smoke, "seed": seed}, "recorded": {},
+                 "structural": {}, "invariants": {}}]
 
-    def test_identical_reports_pass(self):
-        report = self._report({"fastpath_parity_exact": True})
-        assert check_state_regression(report, report) == []
-
-    def test_failed_invariant_fails(self):
-        failures = check_state_regression(
-            self._report({"fastpath_parity_exact": True}),
-            self._report({"fastpath_parity_exact": False}),
-        )
-        assert len(failures) == 1
-        assert "fastpath_parity_exact" in failures[0]
-
-    def test_dropped_invariant_fails(self):
-        failures = check_state_regression(
-            self._report({"fastpath_parity_exact": True}),
-            self._report({}),
-        )
-        assert len(failures) == 1
-        assert "missing" in failures[0]
-
-    def test_unmatched_records_are_skipped(self):
-        fresh = self._report({"fastpath_parity_exact": False})
-        fresh["records"][0]["case"] = "unknown"
-        committed = self._report({"fastpath_parity_exact": True})
-        assert check_state_regression(committed, fresh) == []
+    monkeypatch.setitem(BENCH_SUITES, "route", suite)
+    report = run_suite("route", smoke=True, seed=5)
+    assert report["schema"] == SCHEMA
+    assert report["suite"] == "route"
+    assert report["generated_by"] == "python -m repro bench --suite route --smoke"
+    assert report["records"][0]["key"] == {"smoke": True, "seed": 5}
+    assert check_report(copy.deepcopy(report), report) == []

@@ -22,3 +22,19 @@ def classical_sim() -> ClassicalSimulator:
 @pytest.fixture
 def state_sim() -> StateVectorSimulator:
     return StateVectorSimulator()
+
+
+@pytest.fixture(scope="session")
+def bench_smoke():
+    """``bench_smoke(name)``: that bench suite's smoke report, run once
+    per test session and shared by every module that reads it."""
+    from repro.analysis.bench import run_suite
+
+    reports: dict[str, dict] = {}
+
+    def report(name: str) -> dict:
+        if name not in reports:
+            reports[name] = run_suite(name, smoke=True)
+        return reports[name]
+
+    return report

@@ -1,162 +1,90 @@
-"""Optimizer bench suite: records, headline, and the CI regression gate."""
+"""Optimizer bench suite: records, and the pass wins derived from them."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.bench import (
-    OPT_SCHEMA,
-    OPT_SMOKE_WIDTHS,
-    OPT_WIDTHS,
-    bench_opt_case,
-    check_opt_regression,
-    opt_record_key,
-    render_opt_report,
-    run_opt_bench,
-    write_report,
-)
+from repro.analysis.bench import OPT_SMOKE_WIDTHS, OPT_WIDTHS, bench_opt_case
+
+PASSES = ("cancel-inverses", "fuse-phases", "pack-commuting")
+
+
+def _pass_wins(records: list[dict]) -> dict[str, int]:
+    """Per pass, the number of cases where it improved the score."""
+    return {
+        name: sum(r["structural"][f"{name}.accepted"] for r in records)
+        for name in PASSES
+    }
 
 
 @pytest.fixture(scope="module")
-def opt_report():
-    return run_opt_bench(smoke=True)
+def records(bench_smoke):
+    return bench_smoke("opt")["records"]
 
 
 @pytest.mark.slow
 class TestOptBench:
-    def test_report_shape(self, opt_report, tmp_path):
-        assert opt_report["schema"] == OPT_SCHEMA
-        assert opt_report["smoke"] is True
-        assert opt_report["records"]
-        path = write_report(opt_report, tmp_path / "opt.json")
-        assert json.loads(path.read_text())["schema"] == OPT_SCHEMA
-        assert "optimizer bench" in render_opt_report(opt_report)
-
     def test_smoke_widths_are_a_prefix_of_full(self):
         assert OPT_WIDTHS[: len(OPT_SMOKE_WIDTHS)] == OPT_SMOKE_WIDTHS
 
-    def test_records_are_complete_and_consistent(self, opt_report):
-        for record in opt_report["records"]:
-            assert record["gates_after"] <= record["gates_before"]
-            assert record["gates_removed"] == (
-                record["gates_before"] - record["gates_after"]
+    def test_records_are_complete_and_consistent(self, records):
+        assert records
+        for record in records:
+            structural = record["structural"]
+            assert structural["gates_after"] <= structural["gates_before"]
+            assert structural["gates_removed"] == (
+                structural["gates_before"] - structural["gates_after"]
             )
-            assert record["depth_removed"] == (
-                record["depth_before"] - record["depth_after"]
+            assert structural["depth_removed"] == (
+                structural["depth_before"] - structural["depth_after"]
             )
-            assert record["verified"] in (
+            assert record["recorded"]["oracle"] in (
                 None, "classical", "statevector", "skipped"
             )
-            assert record["seconds"] > 0
+            assert record["recorded"]["seconds"] > 0
 
-    def test_every_pass_wins_somewhere(self, opt_report):
+    def test_every_pass_wins_somewhere(self, records):
         # The tentpole acceptance claim: each rewrite pass improves at
         # least one Figure 9/10 construction.
-        wins = opt_report["headline"]["pass_wins"]
-        for name in ("cancel-inverses", "fuse-phases", "pack-commuting"):
-            assert wins.get(name), f"{name} never accepted"
+        for name, wins in _pass_wins(records).items():
+            assert wins, f"{name} never accepted"
 
-    def test_changed_circuits_are_oracle_verified(self, opt_report):
+    def test_changed_circuits_are_oracle_verified(self, records):
         # Every record that shrank within oracle reach must have been
         # equivalence-checked (auto mode only skips infeasible widths).
-        for record in opt_report["records"]:
-            if record["gates_removed"] or record["depth_removed"]:
-                assert record["verified"] in (
-                    "classical", "statevector", "skipped"
-                )
-
-    def test_committed_report_matches_fresh_run(self, opt_report):
-        # The repo's committed BENCH_opt.json must agree with a fresh
-        # smoke run on the deterministic metrics (the CI gate's premise).
-        committed_path = Path(__file__).parents[2] / "BENCH_opt.json"
-        committed = json.loads(committed_path.read_text())
-        assert committed["schema"] == OPT_SCHEMA
-        assert check_opt_regression(committed, opt_report) == []
-        baseline = {
-            opt_record_key(r): r for r in committed["records"]
-        }
-        joined = 0
-        for record in opt_report["records"]:
-            base = baseline.get(opt_record_key(record))
-            if base is None:
-                continue
-            joined += 1
-            assert record["gates_removed"] == base["gates_removed"]
-            assert record["depth_removed"] == base["depth_removed"]
-        assert joined == len(opt_report["records"])
+        for record in records:
+            structural = record["structural"]
+            oracle = record["recorded"]["oracle"]
+            if structural["gates_removed"] or structural["depth_removed"]:
+                assert oracle in ("classical", "statevector", "skipped")
+            assert ("verified" in record["invariants"]) == (
+                oracle in ("classical", "statevector")
+            )
 
     def test_committed_full_report_proves_pass_wins(self):
         committed_path = Path(__file__).parents[2] / "BENCH_opt.json"
         committed = json.loads(committed_path.read_text())
-        wins = committed["headline"]["pass_wins"]
-        for name in ("cancel-inverses", "fuse-phases", "pack-commuting"):
-            assert wins.get(name), f"{name} has no committed win"
+        for name, wins in _pass_wins(committed["records"]).items():
+            assert wins, f"{name} has no committed win"
 
 
 class TestOptCase:
     def test_single_case_record(self):
         record = bench_opt_case("he_tree", 3, "logical")
-        assert record["construction"] == "he_tree"
-        assert record["stage"] == "logical"
-        assert record["gates_removed"] > 0
-        assert record["verified"] == "statevector"
-        assert opt_record_key(record) == ("he_tree", 3, "logical")
+        assert record["key"] == {
+            "construction": "he_tree", "num_controls": 3, "stage": "logical"
+        }
+        assert record["structural"]["gates_removed"] > 0
+        assert record["recorded"]["oracle"] == "statevector"
+        assert record["invariants"] == {"verified": True}
+
+    def test_unchanged_circuit_claims_nothing(self):
+        record = bench_opt_case("qutrit_tree", 3, "logical")
+        assert record["structural"]["gates_removed"] == 0
+        assert record["recorded"]["oracle"] is None
+        assert record["invariants"] == {}
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             bench_opt_case("he_tree", 3, "no-such-stage")
-
-
-class TestOptRegressionCheck:
-    def _report(self, gates_removed, depth_removed, verified):
-        return {
-            "records": [
-                {
-                    "construction": "he_tree",
-                    "num_controls": 5,
-                    "stage": "logical",
-                    "gates_removed": gates_removed,
-                    "depth_removed": depth_removed,
-                    "verified": verified,
-                }
-            ]
-        }
-
-    def test_identical_reports_pass(self):
-        report = self._report(40, 1, "statevector")
-        assert check_opt_regression(report, report) == []
-
-    def test_improved_reductions_pass(self):
-        assert check_opt_regression(
-            self._report(40, 1, "statevector"),
-            self._report(44, 2, "statevector"),
-        ) == []
-
-    def test_shrunken_reduction_fails(self):
-        failures = check_opt_regression(
-            self._report(40, 1, "statevector"),
-            self._report(39, 1, "statevector"),
-        )
-        assert len(failures) == 1
-        assert "gates_removed" in failures[0]
-
-    def test_verification_regression_fails(self):
-        failures = check_opt_regression(
-            self._report(40, 1, "statevector"),
-            self._report(40, 1, "skipped"),
-        )
-        assert any("verification regressed" in f for f in failures)
-
-    def test_oracle_swap_is_fine(self):
-        assert check_opt_regression(
-            self._report(40, 1, "statevector"),
-            self._report(40, 1, "classical"),
-        ) == []
-
-    def test_unmatched_records_are_skipped(self):
-        fresh = self._report(0, 0, None)
-        fresh["records"][0]["num_controls"] = 99
-        assert check_opt_regression(
-            self._report(40, 1, "statevector"), fresh
-        ) == []

@@ -1,113 +1,89 @@
-"""The chaos bench: report shape, invariants, and the CI gate."""
+"""The chaos bench record: its claims, and the counts behind them."""
 
-import copy
 import json
 
 import pytest
 
-from repro.resilience.chaos import (
-    CHAOS_SCHEMA,
-    check_chaos_regression,
-    render_chaos_report,
-    run_chaos_bench,
-)
+from repro.analysis.bench import chaos_suite, render_report
+
+INVARIANTS = {
+    "no_lost_handles",
+    "conservation",
+    "retries_capped",
+    "only_injected_failures",
+    "exactly_once_fanout",
+    "corrupt_dropped_exactly_once",
+    "corrupt_never_served",
+    "corrupt_reexecuted",
+}
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_chaos_bench(smoke=True, seed=2019)
+def report(bench_smoke):
+    return bench_smoke("chaos")
+
+
+@pytest.fixture(scope="module")
+def record(report):
+    (record,) = report["records"]
+    return record
 
 
 class TestReport:
-    def test_schema_and_shape(self, report):
-        assert report["schema"] == CHAOS_SCHEMA
-        assert report["smoke"] is True
-        for section in ("workload", "chaos_phase", "corruption_phase",
-                        "invariants", "platform"):
-            assert section in report
+    def test_schema_and_shape(self, report, record):
+        assert report["suite"] == "chaos"
+        assert record["key"] == {"requests": 150, "rate": 0.2, "seed": 2019}
+        assert set(record["invariants"]) == INVARIANTS
 
     def test_json_serializable(self, report):
         json.dumps(report)
 
-    def test_all_invariants_pass(self, report):
-        invariants = report["invariants"]
-        assert invariants["all_pass"], {
-            name: value for name, value in invariants.items() if not value
-        }
+    def test_all_invariants_pass(self, record):
+        failed = [
+            name for name, holds in record["invariants"].items() if not holds
+        ]
+        assert not failed
 
-    def test_faults_were_actually_injected(self, report):
+    def test_faults_were_actually_injected(self, record):
         # A chaos bench with zero injections tests nothing.
-        assert sum(report["chaos_phase"]["faults"]["injections"]
-                   .values()) > 0
+        injections = [
+            value for name, value in record["recorded"].items()
+            if name.startswith("chaos.faults.injections.")
+        ]
+        assert sum(injections) > 0
 
-    def test_retries_happened_and_are_capped(self, report):
-        chaos = report["chaos_phase"]
+    def test_retries_happened_and_are_capped(self, record):
+        recorded = record["recorded"]
         assert (
-            chaos["max_attempts_observed"]
-            <= chaos["retry_policy"]["max_attempts"]
+            recorded["chaos.max_attempts_observed"]
+            <= recorded["chaos.retry_policy.max_attempts"]
         )
 
-    def test_corruption_contained(self, report):
-        corruption = report["corruption_phase"]
-        assert corruption["corrupted_entries"] > 0
-        assert (
-            corruption["store"]["corrupt_dropped"]
-            == corruption["corrupted_entries"]
-        )
-        assert (
-            corruption["executed"]
-            == corruption["corrupted_entries"]
-            + corruption["missing_entries"]
+    def test_corruption_contained(self, record):
+        recorded = record["recorded"]
+        corrupted = recorded["corruption.corrupted_entries"]
+        assert corrupted > 0
+        assert recorded["corruption.store.corrupt_dropped"] == corrupted
+        assert recorded["corruption.executed"] == (
+            corrupted + recorded["corruption.missing_entries"]
         )
 
     def test_render_mentions_the_verdict(self, report):
-        text = render_chaos_report(report)
-        assert "all invariants: PASS" in text
-        assert "chaos phase:" in text
-        assert "corruption phase:" in text
-
-
-class TestRegressionGate:
-    def test_passes_against_itself(self, report):
-        assert check_chaos_regression(report, report) == []
-
-    def test_flags_violated_invariant(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["invariants"]["no_lost_handles"] = False
-        failures = check_chaos_regression(report, fresh)
-        assert any("no_lost_handles" in message for message in failures)
-
-    def test_flags_schema_mismatch(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["schema"] = "something-else/v0"
-        failures = check_chaos_regression(report, fresh)
-        assert failures and "schema" in failures[0]
-
-    def test_flags_distinct_key_drift_same_config(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["workload"]["distinct_keys"] += 1
-        failures = check_chaos_regression(report, fresh)
-        assert any("drifted" in message for message in failures)
-
-    def test_ignores_drift_across_configs(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["seed"] = report["seed"] + 1
-        fresh["workload"]["distinct_keys"] += 1
-        assert check_chaos_regression(report, fresh) == []
+        text = render_report(report)
+        assert "all invariants hold" in text
+        assert "no_lost_handles" in text and "corrupt_reexecuted" in text
 
 
 class TestDeterminism:
-    def test_same_seed_same_fault_schedule(self, report):
-        again = run_chaos_bench(smoke=True, seed=2019)
-        assert again["invariants"]["all_pass"]
+    def test_same_seed_same_fault_schedule(self, record):
+        (again,) = chaos_suite(smoke=True, seed=2019)
+        assert all(again["invariants"].values())
         # Per-site injection *schedules* are seeded; under concurrency
         # the counts can shift only if call counts shift, so the
         # distinct-key workload itself must be identical.
-        assert (
-            again["workload"]["distinct_keys"]
-            == report["workload"]["distinct_keys"]
-        )
+        assert again["structural"] == record["structural"]
 
     def test_other_seed_still_passes(self):
-        other = run_chaos_bench(smoke=True, seed=7)
-        assert other["invariants"]["all_pass"]
+        (other,) = chaos_suite(smoke=True, seed=7)
+        assert set(other["invariants"]) == INVARIANTS
+        assert all(other["invariants"].values())

@@ -1,17 +1,9 @@
-"""Load generator determinism and the serve-bench CI gate."""
-
-import copy
+"""Load generator determinism and the serve bench record."""
 
 import numpy as np
 import pytest
 
-from repro.service import (
-    check_serve_regression,
-    default_catalog,
-    run_serve_bench,
-    zipf_workload,
-)
-from repro.service.loadgen import SERVE_SCHEMA
+from repro.service import default_catalog, zipf_workload
 
 
 class TestZipfWorkload:
@@ -53,80 +45,20 @@ class TestCatalog:
 
 @pytest.mark.slow
 class TestServeBench:
-    def test_smoke_report_invariants(self, tmp_path):
-        report = run_serve_bench(smoke=True, workers=2,
-                                 store_dir=str(tmp_path))
-        assert report["schema"] == SERVE_SCHEMA
-        assert report["headline"]["executed_exactly_once"]
-        assert report["headline"]["restart_executions"] == 0
-        # The gate passes against itself.
-        assert check_serve_regression(report, report) == []
-
-
-class TestRegressionGate:
-    @pytest.fixture()
-    def good(self):
-        distinct = 7
-        requests = 80
-        return {
-            "schema": SERVE_SCHEMA,
-            "seed": 2019,
-            "workload": {
-                "requests": requests,
-                "catalog_size": 7,
-                "distinct_keys": distinct,
-            },
-            "phase1_cold": {
-                "executed": distinct, "coalesced": 3,
-                "memory_hits": requests - distinct - 3,
-                "persistent_hits": 0,
-            },
-            "phase2_restart": {
-                "executed": 0, "coalesced": 0,
-                "memory_hits": requests - distinct,
-                "persistent_hits": distinct,
-            },
+    def test_smoke_report_invariants(self, bench_smoke):
+        (record,) = bench_smoke("serve")["records"]
+        assert record["key"] == {"requests": 400, "zipf_s": 1.1, "seed": 2019}
+        assert set(record["invariants"]) == {
+            "exactly_once", "shared_duplicates", "restart_from_store"
         }
-
-    def test_clean_report_passes(self, good):
-        assert check_serve_regression(good, good) == []
-
-    def test_double_execution_fails(self, good):
-        broken = copy.deepcopy(good)
-        broken["phase1_cold"]["executed"] = 9
-        failures = check_serve_regression(good, broken)
-        assert any("exactly-once" in f for f in failures)
-
-    def test_coalescing_leak_fails(self, good):
-        broken = copy.deepcopy(good)
-        broken["phase1_cold"]["memory_hits"] -= 2
-        failures = check_serve_regression(good, broken)
-        assert any("leak" in f for f in failures)
-
-    def test_restart_reexecution_fails(self, good):
-        broken = copy.deepcopy(good)
-        broken["phase2_restart"]["executed"] = 7
-        broken["phase2_restart"]["persistent_hits"] = 0
-        failures = check_serve_regression(good, broken)
-        assert any("restart" in f for f in failures)
-        assert any("store" in f for f in failures)
-
-    def test_distinct_key_drift_fails(self, good):
-        drifted = copy.deepcopy(good)
-        drifted["workload"]["distinct_keys"] = 6
-        drifted["phase1_cold"]["executed"] = 6
-        drifted["phase1_cold"]["memory_hits"] += 1
-        drifted["phase2_restart"]["persistent_hits"] = 6
-        drifted["phase2_restart"]["memory_hits"] += 1
-        failures = check_serve_regression(good, drifted)
-        assert any("drifted" in f for f in failures)
-
-    def test_different_workload_skips_drift_check(self, good):
-        other = copy.deepcopy(good)
-        other["seed"] = 7
-        other["workload"]["distinct_keys"] = 6
-        other["phase1_cold"]["executed"] = 6
-        other["phase1_cold"]["memory_hits"] += 1
-        other["phase2_restart"]["persistent_hits"] = 6
-        other["phase2_restart"]["memory_hits"] += 1
-        assert check_serve_regression(good, other) == []
+        structural = record["structural"]
+        distinct = structural["distinct_keys"]
+        assert structural["cold.executed"] == distinct
+        assert structural["restart.executed"] == 0
+        assert structural["restart.persistent_hits"] == distinct
+        recorded = record["recorded"]
+        # Which duplicates coalesce and which hit memory depends on
+        # thread timing; only their sum is claimed.
+        assert recorded["cold.coalesced"] + recorded["cold.memory_hits"] == (
+            400 - distinct
+        )

@@ -258,40 +258,61 @@ def _bench(suite, out, *extra):
     return main(["bench", "--suite", suite, "--smoke", "--out", out, *extra])
 
 
+def _stub_suite(monkeypatch, name, swaps=10):
+    """Replace one bench suite with a single instant record."""
+    from repro.analysis.bench import BENCH_SUITES
+
+    def suite(smoke, seed):
+        return [{
+            "key": {"construction": "qutrit_tree", "num_controls": 4},
+            "recorded": {"seconds": 0.1},
+            "structural": {"swap_count": swaps},
+            "invariants": {"verified": True},
+        }]
+
+    monkeypatch.setitem(BENCH_SUITES, name, suite)
+
+
+def _refuse_suite(monkeypatch, name):
+    from repro.analysis.bench import BENCH_SUITES
+
+    def refuse(smoke, seed):
+        raise AssertionError(f"suite {name!r} ran")
+
+    monkeypatch.setitem(BENCH_SUITES, name, refuse)
+
+
 class TestBenchRouteCheck:
-    def _fresh_smoke_report(self):
-        from repro.analysis.bench import run_route_bench
-
-        return run_route_bench(smoke=True)
-
-    def test_check_route_passes_against_identical_baseline(
-        self, tmp_path, capsys
-    ):
+    def _baseline(self, tmp_path, monkeypatch, swaps):
         import json
 
-        report = self._fresh_smoke_report()
+        from repro.analysis.bench import run_suite
+
+        _stub_suite(monkeypatch, "route", swaps=swaps)
         baseline = tmp_path / "BENCH_route.json"
-        baseline.write_text(json.dumps(report))
+        baseline.write_text(json.dumps(run_suite("route")))
+        _stub_suite(monkeypatch, "route")
+        return str(baseline)
+
+    def test_check_route_passes_against_identical_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        baseline = self._baseline(tmp_path, monkeypatch, swaps=10)
         fresh = str(tmp_path / "fresh.json")
-        assert _bench("route", fresh, "--check", str(baseline)) == 0
+        assert _bench("route", fresh, "--check", baseline) == 0
         out = capsys.readouterr().out
         assert "route regression check passed" in out
 
-    def test_check_route_fails_on_degraded_baseline(self, tmp_path, capsys):
-        import json
-
-        report = self._fresh_smoke_report()
-        shrunk = json.loads(json.dumps(report))
-        for record in shrunk["records"]:
-            record["routed_depth"] = max(
-                1, record["routed_depth"] // 10
-            )
-        baseline = tmp_path / "BENCH_route.json"
-        baseline.write_text(json.dumps(shrunk))
-        with pytest.raises(SystemExit):
-            _bench("route", "-", "--check", str(baseline))
+    def test_check_route_fails_on_degraded_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        baseline = self._baseline(tmp_path, monkeypatch, swaps=9)
+        with pytest.raises(SystemExit) as raised:
+            _bench("route", "-", "--check", baseline)
+        assert raised.value.code == 1
         out = capsys.readouterr().out
         assert "route regression check FAILED" in out
+        assert "swap_count is 10, committed 9" in out
 
     def test_check_route_unreadable_baseline(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
@@ -300,10 +321,8 @@ class TestBenchRouteCheck:
 
 class TestBenchOptCheck:
     @pytest.fixture(scope="class")
-    def smoke_report(self):
-        from repro.analysis.bench import run_opt_bench
-
-        return run_opt_bench(smoke=True)
+    def smoke_report(self, bench_smoke):
+        return bench_smoke("opt")
 
     def test_check_opt_passes_against_identical_baseline(
         self, smoke_report, tmp_path, capsys
@@ -327,7 +346,7 @@ class TestBenchOptCheck:
 
         inflated = json.loads(json.dumps(smoke_report))
         for record in inflated["records"]:
-            record["gates_removed"] += 5
+            record["structural"]["gates_removed"] += 5
         baseline = tmp_path / "BENCH_opt.json"
         baseline.write_text(json.dumps(inflated))
         with pytest.raises(SystemExit):
@@ -342,19 +361,20 @@ class TestBenchOptCheck:
 
 class TestBenchSuiteErrors:
     @pytest.mark.parametrize(
-        "suite, runner", [("noise", "run_bench"), ("verify", "run_verify_bench")]
+        "suite, baseline", [("chaos", "opt"), ("state", "route")]
     )
-    def test_check_on_gateless_suite_refused_before_running(
-        self, suite, runner, monkeypatch
+    def test_check_refuses_another_suites_baseline_before_running(
+        self, suite, baseline, monkeypatch
     ):
-        from repro.analysis import bench as bench_module
-
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"suite {suite!r} ran")
-
-        monkeypatch.setattr(bench_module, runner, refuse)
-        with pytest.raises(SystemExit, match="has no regression gate"):
-            _bench(suite, "-", "--check", f"BENCH_{suite}.json")
+        _refuse_suite(monkeypatch, suite)
+        path = Path(__file__).resolve().parents[1] / f"BENCH_{baseline}.json"
+        with pytest.raises(SystemExit) as raised:
+            _bench(suite, "-", "--check", str(path))
+        message = raised.value.code
+        # A string exit code prints on one line and exits with status 1.
+        assert isinstance(message, str) and "\n" not in message
+        assert f"{suite} report" in message
+        assert f"{baseline} baseline" in message
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -370,6 +390,35 @@ class TestBenchSuiteErrors:
             main(["bench", "--smoke"])
         assert raised.value.code == 2
         assert "--suite" in capsys.readouterr().err
+
+
+class TestBenchDefaultOut:
+    def test_smoke_run_never_overwrites_the_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        _stub_suite(monkeypatch, "route")
+        baseline = tmp_path / "BENCH_route.json"
+        baseline.write_text('{"committed": true}\n')
+        before = baseline.read_bytes()
+        assert main(["bench", "--suite", "route", "--smoke"]) == 0
+        assert baseline.read_bytes() == before
+        smoke = json.loads((tmp_path / "BENCH_route.smoke.json").read_text())
+        assert smoke["generated_by"] == (
+            "python -m repro bench --suite route --smoke"
+        )
+
+    def test_full_run_writes_the_baseline(self, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        _stub_suite(monkeypatch, "route")
+        assert main(["bench", "--suite", "route"]) == 0
+        report = json.loads((tmp_path / "BENCH_route.json").read_text())
+        assert report["generated_by"] == "python -m repro bench --suite route"
+        assert not (tmp_path / "BENCH_route.smoke.json").exists()
 
 
 class TestOptimizeCommand:
