@@ -9,6 +9,7 @@ critical path through the gate DAG, which is the paper's time-cost metric
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -378,6 +379,24 @@ class Circuit:
         # Note: circuits are mutable builders; hash only settled circuits
         # (e.g. cache keys computed after construction finishes).
         return hash(self.moments)
+
+    def build_digest(self) -> str:
+        """A SHA-256 digest of the circuit exactly as it was built.
+
+        Covers every moment's operations in append order (each as its
+        cached ``GateOperation.fingerprint_cell()``), the barrier history
+        and the barrier floor.  ``circuit_fingerprint`` sorts operations
+        within a moment and ignores barriers, matching ``__eq__``; both
+        still change what a compile pass produces (operation order steers
+        the router and the optimizer, barriers bound their rewrites), so
+        compiled-circuit caches key on this digest instead.
+        """
+        cells = "|".join(
+            ";".join([op.fingerprint_cell() for op in ops])
+            for ops in self._ops
+        )
+        barriers = f"#{self._barrier_history}@{self._barrier_floor}"
+        return hashlib.sha256((cells + barriers).encode()).hexdigest()
 
     def to_dict(self) -> dict:
         """Plain-data form of the circuit (moments, barriers, version)."""

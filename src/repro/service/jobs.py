@@ -9,7 +9,10 @@ and blocks on :meth:`Job.result` until a worker (or a cache hit, or a
 coalesced leader) completes it.  Jobs are created by
 :meth:`repro.service.JobQueue.submit`; all state transitions go through
 the queue, which owns the locking discipline — the handle itself only
-exposes reads and the completion event.
+exposes reads and blocking waits.  A handle that is terminal before
+anyone waits on it (every cache hit) never allocates an event: one is
+created, under a lock shared by all handles, only when a caller waits on
+a still-pending handle.
 
 Resilience surfaces on the handle (see ``docs/RESILIENCE.md``): a job
 submitted with a deadline carries it here, expiry lands it in the
@@ -89,13 +92,19 @@ class JobState(str, Enum):
 
 _JOB_IDS = itertools.count(1)
 
+#: Orders the lazy creation of a pending handle's wait event against its
+#: terminal transition.  Taken only by waiters of still-pending handles
+#: and by :meth:`Job._finish`, so one lock serves every handle.
+_WAITER_LOCK = threading.Lock()
+
 
 class Job:
     """Handle to one submitted execution.
 
     Handles are cheap and thread-safe: ``state`` reads are lock-free
-    snapshots, ``result()`` blocks on an event the queue sets exactly
-    once, at the terminal transition.  Several handles may share one
+    snapshots, and ``result()`` on a pending handle blocks on an event
+    created by its first waiter and set exactly once, at the terminal
+    transition.  Several handles may share one
     underlying execution (request coalescing) — each keeps its own
     state, so cancelling a coalesced follower never disturbs its
     siblings.
@@ -134,17 +143,26 @@ class Job:
         self._result: "RunResult | None" = None
         self._error: BaseException | None = None
         self._traceback: str | None = None
-        self._done = threading.Event()
+        #: Created by the first wait on a pending handle; None otherwise.
+        self._waiter: threading.Event | None = None
 
     # -- queries -------------------------------------------------------
 
     def done(self) -> bool:
         """True once the job reached a terminal state."""
-        return self._done.is_set()
+        return self.state.terminal
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until terminal (or ``timeout`` seconds); True if done."""
-        return self._done.wait(timeout)
+        if self.state.terminal:
+            return True
+        with _WAITER_LOCK:
+            if self.state.terminal:
+                return True
+            if self._waiter is None:
+                self._waiter = threading.Event()
+            waiter = self._waiter
+        return waiter.wait(timeout)
 
     def result(self, timeout: float | None = None) -> "RunResult":
         """The run's result, blocking until the job completes.
@@ -156,7 +174,7 @@ class Job:
         itself TIMED_OUT (its deadline expired) or when ``timeout``
         seconds pass without a terminal state.
         """
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise JobTimeoutError(
                 f"{self.id} still {self.state.value} after {timeout}s"
             )
@@ -206,17 +224,24 @@ class Job:
         traceback: str | None = None,
         reason: str | None = None,
     ) -> None:
-        """Terminal transition; sets the completion event exactly once."""
-        if self._done.is_set():  # pragma: no cover - defensive
+        """Terminal transition; wakes every waiter exactly once.
+
+        Every field is set before the state turns terminal, so a reader
+        that sees a terminal state sees its result, error and timings.
+        """
+        if self.state.terminal:  # pragma: no cover - defensive
             return
-        self.state = state
         self._result = result
         self._error = error
         self._traceback = traceback
         if reason is not None:
             self.cancel_reason = reason
         self.finished_at = time.perf_counter()
-        self._done.set()
+        with _WAITER_LOCK:
+            self.state = state
+            waiter = self._waiter
+        if waiter is not None:
+            waiter.set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.label}" if self.label else ""

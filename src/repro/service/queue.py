@@ -18,7 +18,11 @@
   touching a worker;
 * **backpressure** — the queue of distinct pending executions is
   bounded; overflow either rejects (:class:`QueueFullError`) or blocks
-  the submitter until space frees, per the configured policy.
+  the submitter until space frees, per the configured policy;
+* a **compiled-circuit memo** — a submission with a
+  :class:`~repro.execution.pipeline_spec.PipelineSpec` whose built
+  input and spec were compiled before reuses that compiled circuit and
+  its fingerprint instead of compiling again (see :class:`_CompileMemo`).
 
 Lifecycle summary (see :class:`~repro.service.jobs.JobState`):
 submissions start QUEUED, move to RUNNING when a worker picks their
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import threading
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -73,6 +78,8 @@ from ..execution.facade import (
     resolve_pipeline,
     result_cache_key,
 )
+from ..execution.pipeline import CompilePipeline
+from ..execution.pipeline_spec import PipelineSpec
 from ..execution.results import RunResult
 from ..noise.model import NoiseModel
 from ..qudits import Qudit
@@ -92,6 +99,10 @@ from ..sim.state import StateVector
 from .jobs import Job, JobState, QueueClosedError, QueueFullError
 from .scheduler import FairScheduler
 from .store import ResultStore
+
+#: Compiled circuits each queue's memo holds (and keys it remembers
+#: having seen once).
+COMPILE_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,13 @@ class ServiceStats:
     #: Submissions refused by admission control (never became jobs,
     #: so they are *not* counted in ``submitted``).
     admission_rejected: int = 0
+    #: ``PipelineSpec`` submissions served a compiled circuit by the
+    #: compiled-circuit memo, and those that compiled (first and second
+    #: sightings included).
+    compile_memo_hits: int = 0
+    compile_memo_misses: int = 0
+    #: Compiled circuits the memo dropped to stay within its size.
+    compile_memo_evictions: int = 0
 
     @property
     def cache_hits(self) -> int:
@@ -202,10 +220,64 @@ class ServiceStats:
             "retries": self.retries,
             "degraded": self.degraded,
             "admission_rejected": self.admission_rejected,
+            "compile_memo_hits": self.compile_memo_hits,
+            "compile_memo_misses": self.compile_memo_misses,
+            "compile_memo_evictions": self.compile_memo_evictions,
             "coalesce_rate": self.coalesce_rate,
             "cache_hit_rate": self.cache_hit_rate,
             "shared_rate": self.shared_rate,
         }
+
+
+class _CompileMemo:
+    """Compiled circuits of repeated (built input, ``PipelineSpec``) pairs.
+
+    Compilation is deterministic, so a compiled circuit is a function of
+    its input circuit exactly as built (:meth:`Circuit.build_digest`)
+    and of the spec's JSON; both form the key.  An entry holds the
+    compiled circuit and its fingerprint.  A key is stored only on its
+    second sighting: the first leaves just the key in ``_seen``, so
+    traffic that never repeats stores no circuit.  Both maps are LRUs of
+    ``capacity`` keys.  Not thread-safe: :class:`JobQueue` calls it under
+    its lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, tuple[Circuit, str]] = \
+            OrderedDict()
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> "tuple[Circuit, str] | None":
+        """The stored (circuit, fingerprint), refreshing its recency."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def sighted(self, key: tuple) -> bool:
+        """Record a sighting of a key with no entry; True if it was
+        seen before (the caller then stores its compile)."""
+        if key in self._seen:
+            del self._seen[key]
+            return True
+        self._seen[key] = None
+        if len(self._seen) > self.capacity:
+            self._seen.popitem(last=False)
+        return False
+
+    def put(self, key: tuple, circuit: Circuit, fingerprint: str) -> int:
+        """Store an entry; returns the number of entries evicted."""
+        self._seen.pop(key, None)  # a racing submit may have re-sighted it
+        self._entries[key] = (circuit, fingerprint)
+        evicted = 0
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            evicted += 1
+        return evicted
 
 
 @dataclass
@@ -251,7 +323,12 @@ class JobQueue:
         :class:`~repro.service.scheduler.FairScheduler`).
     runner:
         Execution callable ``(JobRequest) -> RunResult``; tests inject
-        counting/blocking runners here.  Defaults to the facade.
+        counting/blocking runners here.  Defaults to the facade.  The
+        request's circuit may be shared with other jobs (the
+        compiled-circuit memo), so a runner must not mutate it.
+    job_retention:
+        Handles kept for lookups by id; past it the oldest terminal
+        handles are dropped (a queued or running one never is).
     retry_policy:
         :class:`~repro.resilience.RetryPolicy` re-running transient
         worker failures with deterministic backoff (``None`` = never
@@ -313,7 +390,9 @@ class JobQueue:
         self._idle = threading.Condition(self._lock)
         self._scheduler: FairScheduler[_Group] = FairScheduler(age_weight)
         self._inflight: dict[str, _Group] = {}
-        self._jobs: dict[str, Job] = {}
+        self._memo = _CompileMemo(COMPILE_MEMO_ENTRIES)
+        #: Handles by id, oldest first (see _remember).
+        self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._job_retention = job_retention
         self._shutdown = False
         #: False once drain() was called: no new admissions.
@@ -363,9 +442,13 @@ class JobQueue:
         aging), ``timeout`` (block-mode backpressure wait), and
         ``deadline`` (seconds of total budget, or a
         :class:`~repro.resilience.Deadline`; expiry lands the job in
-        TIMED_OUT).  The circuit is built and compiled here, on the
-        submitting thread, so the handle's coalescing key is final
-        before it is returned.
+        TIMED_OUT).  The circuit is built here, on the submitting
+        thread, and compiled here unless the memo holds it: a
+        :class:`~repro.execution.pipeline_spec.PipelineSpec` whose
+        built input and spec were compiled on this queue before reuses
+        that compiled circuit (a built ``CompilePipeline`` compiles
+        every time).  The handle's coalescing key is final before it is
+        returned.
 
         Raises :class:`~repro.service.QueueClosedError` after shutdown
         or drain, :class:`~repro.resilience.AdmissionError` when the
@@ -378,14 +461,18 @@ class JobQueue:
         job_deadline = resolve_deadline(deadline)
         probe = resolve_backend(backend, noise_model)
         check_run_options(probe, shots=shots, trials=trials)
-        compiled_pipeline = resolve_pipeline(pipeline)
+        if not isinstance(pipeline, PipelineSpec):
+            # Names and other types raise here, before the build.
+            pipeline = resolve_pipeline(pipeline)
         circuit, preferred_wires = materialize_target(
             target,
             build_kwargs,
             prefer_undecomposed=probe.capabilities.classical_circuits_only,
         )
-        if compiled_pipeline is not None:
-            circuit = compiled_pipeline.compile(circuit).circuit
+        if pipeline is None:
+            fingerprint = circuit_fingerprint(circuit)
+        else:
+            circuit, fingerprint = self._compiled(circuit, pipeline)
             if set(circuit.all_qudits()) != set(
                 preferred_wires or circuit.all_qudits()
             ):
@@ -415,7 +502,6 @@ class JobQueue:
         if "batched-to-looped" in decision.downgrades:
             batch_size = 1
 
-        fingerprint = circuit_fingerprint(circuit)
         request = JobRequest(
             circuit=circuit,
             backend=backend,
@@ -525,15 +611,55 @@ class JobQueue:
             self._not_empty.notify()
         return job
 
+    def _compiled(
+        self, circuit: Circuit, pipeline: "PipelineSpec | CompilePipeline"
+    ) -> tuple[Circuit, str]:
+        """``circuit`` compiled through ``pipeline``, and its fingerprint.
+
+        A :class:`PipelineSpec` goes through the memo and is built into a
+        pipeline only on a miss; a built :class:`CompilePipeline` is
+        opaque, so it compiles on every submit.
+        """
+        if isinstance(pipeline, PipelineSpec):
+            key = (circuit.build_digest(), pipeline.to_json())
+            with self._lock:
+                entry = self._memo.get(key)
+                if entry is not None:
+                    self.stats.compile_memo_hits += 1
+                    return entry
+                self.stats.compile_memo_misses += 1
+                store = self._memo.sighted(key)
+            pipeline = resolve_pipeline(pipeline)
+        else:
+            store = False
+        compiled = pipeline.compile(circuit).circuit
+        fingerprint = circuit_fingerprint(compiled)
+        if store:
+            with self._lock:
+                self.stats.compile_memo_evictions += self._memo.put(
+                    key, compiled, fingerprint
+                )
+        return compiled, fingerprint
+
     def _remember(self, job: Job) -> None:
-        """Track the handle for id lookups; trim old terminal jobs."""
-        self._jobs[job.id] = job
-        if len(self._jobs) > self._job_retention:
-            for job_id in list(self._jobs):
-                if len(self._jobs) <= self._job_retention:
-                    break
-                if self._jobs[job_id].done():
-                    del self._jobs[job_id]
+        """Track the handle for id lookups; trim old terminal handles.
+
+        Past ``job_retention`` handles the oldest terminal ones are
+        dropped, O(1) each.  An unfinished handle at the oldest end
+        moves to the newest end instead (in place, so a lock-free
+        lookup by id never misses it), and is met again only after the
+        rest of the table; one pass over the table bounds a trim.
+        """
+        jobs = self._jobs
+        jobs[job.id] = job
+        budget = len(jobs)
+        while len(jobs) > self._job_retention and budget:
+            budget -= 1
+            oldest = next(iter(jobs))
+            if jobs[oldest].done():
+                del jobs[oldest]
+            else:
+                jobs.move_to_end(oldest)
 
     # -- queries -------------------------------------------------------
 
@@ -801,6 +927,7 @@ class JobQueue:
             info["inflight"] = len(self._inflight)
             info["workers"] = len(self._threads)
             info["cache_entries"] = len(self.cache)
+            info["compile_memo_entries"] = len(self._memo)
             if self.store is not None:
                 info["store_entries"] = len(self.store)
                 info["store_bytes"] = self.store.total_bytes()

@@ -53,6 +53,7 @@ Cache keys:
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -276,6 +277,21 @@ class _GatherCache:
         return len(self._entries)
 
 
+#: Registers up to this many amplitudes cache their full-register
+#: gathers (8 bytes per amplitude each).  Wider registers cache none: a
+#: 3^13 gather is 12.8 MB, and a cache of them pins register-sized
+#: arrays nothing may read again.  There the state-vector and trajectory
+#: run loops apply each gate on its own control block or kernel, and a
+#: direct gather call builds its map and returns it without keeping it.
+_GATHER_MAX_ENTRIES = 1 << 18
+
+
+def caches_gathers(shape: Sequence[int]) -> bool:
+    """True if a register of ``shape`` is within
+    :data:`_GATHER_MAX_ENTRIES` amplitudes, so its gathers are cached."""
+    return math.prod(shape) <= _GATHER_MAX_ENTRIES
+
+
 #: (canonical GateSpec, touched axes, register shape) -> full-register
 #: gather indices.  Entries are O(register size) ints, so this cache is
 #: the memory-heaviest of the family; entries only exist for (gate,
@@ -441,13 +457,14 @@ def permutation_gather(
     gather, no moveaxis shuffling, no ``D x D`` contraction — and the
     index map is cached on ``(canonical spec, axes, shape)``, so a gate
     that repeats at one placement (across moments, runs, or sweeps)
-    builds it once.
+    builds it once.  Registers above :data:`_GATHER_MAX_ENTRIES`
+    amplitudes build it on every call and never cache it.
 
     Raises :class:`NotClassicalError` for non-permutation gates.
     """
-    spec = op.gate.canonical_spec()
-    key = (spec, tuple(axes), tuple(shape))
-    gather = _PERM_GATHERS.get(key)
+    cached = caches_gathers(shape)
+    key = (op.gate.canonical_spec(), tuple(axes), tuple(shape))
+    gather = _PERM_GATHERS.get(key) if cached else None
     if gather is None:
         kernel = permutation_kernel(op)
         if kernel.inverse is None:
@@ -456,7 +473,8 @@ def permutation_gather(
             )
         gather = _build_permutation_gather(kernel, axes, shape)
         gather.setflags(write=False)
-        _PERM_GATHERS.put(key, gather)
+        if cached:
+            _PERM_GATHERS.put(key, gather)
     return gather
 
 
@@ -477,18 +495,20 @@ def segment_permutation_gather(
 
     Composition runs over int64 indices (half the traffic of complex
     amplitudes), so even the first run costs no more than applying the
-    gates one by one.
+    gates one by one.  As in :func:`permutation_gather`, registers above
+    :data:`_GATHER_MAX_ENTRIES` amplitudes never cache the composed map.
     """
     if len(steps) == 1:
         op, axes = steps[0]
         return permutation_gather(op, axes, shape)
+    cached = caches_gathers(shape)
     key = (
         tuple(
             (op.gate.canonical_spec(), tuple(axes)) for op, axes in steps
         ),
         tuple(shape),
     )
-    gather = _SEGMENT_GATHERS.get(key)
+    gather = _SEGMENT_GATHERS.get(key) if cached else None
     if gather is None:
         total: np.ndarray | None = None
         for op, axes in steps:
@@ -501,7 +521,8 @@ def segment_permutation_gather(
             total = step if total is None else total[step]
         gather = total
         gather.setflags(write=False)
-        _SEGMENT_GATHERS.put(key, gather)
+        if cached:
+            _SEGMENT_GATHERS.put(key, gather)
     return gather
 
 

@@ -33,6 +33,7 @@ from ..gates.controlled import ControlledGate
 from .kernels import (
     apply_block,
     apply_gate_block,
+    caches_gathers,
     gate_kernel,
     permutation_kernel,
     segment_permutation_gather,
@@ -251,12 +252,14 @@ class StateVector:
         (:func:`repro.sim.kernels.permutation_gather`) and amplitudes
         move in one flat gather over the mixed-radix joint index —
         no dense contraction, no axis shuffling.  Everything else
-        goes through :meth:`apply_gate_block`.  Both the verdict and the
-        index maps are cached process-wide on the gate's canonical spec,
-        so dispatch costs one dict lookup per application.
+        goes through :meth:`apply_gate_block`, and so does every gate on
+        a register too wide for cached gathers
+        (:func:`repro.sim.kernels.caches_gathers`).  Both the verdict and
+        the index maps are cached process-wide on the gate's canonical
+        spec, so dispatch costs one dict lookup per application.
         """
         kernel = permutation_kernel(op)
-        if kernel.is_permutation:
+        if kernel.is_permutation and caches_gathers(self._tensor.shape):
             self.apply_permutation_ops([op])
             return
         self.apply_gate_block(op)

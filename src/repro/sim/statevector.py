@@ -12,7 +12,10 @@ only its control block (:func:`repro.sim.kernels.apply_gate_block`);
 only the remaining gates pay a dense contraction through the
 gate-kernel cache.  Either way a gate that occurs many times in a
 circuit — or across the thousands of basis inputs exhaustive
-verification runs — lowers exactly once per canonical spec.
+verification runs — lowers exactly once per canonical spec.  Registers
+above 2^18 amplitudes (:func:`repro.sim.kernels.caches_gathers`) build
+no gathers: every gate runs on its own control block or kernel, as in
+the trajectory engine, so no register-sized index array is kept.
 
 Two knobs tune bulk sweeps:
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..qudits import Qudit
-from .kernels import permutation_kernel
+from .kernels import caches_gathers, permutation_kernel
 from .measurement import MeasurementResult, sample_counts
 from .state import StateVector
 
@@ -105,10 +108,11 @@ class StateVectorSimulator:
         # Batch consecutive permutation gates into segments: each
         # segment composes to one cached gather, so a permutation-only
         # circuit costs a single pass over the amplitudes per run.
+        gathers = caches_gathers(state.tensor.shape)
         segment: list = []
         for moment in circuit:
             for op in moment:
-                if permutation_kernel(op).is_permutation:
+                if gathers and permutation_kernel(op).is_permutation:
                     segment.append(op)
                     continue
                 state.apply_permutation_ops(segment)

@@ -52,6 +52,7 @@ from ..qudits import Qudit
 from .kernels import (
     apply_block,
     apply_gate_block,
+    caches_gathers,
     permutation_kernel,
     segment_permutation_gather,
 )
@@ -172,14 +173,6 @@ class TrajectorySimulator:
 
 
 # -- fused-moment engine ---------------------------------------------------
-
-#: Registers up to this many amplitudes compose each moment's permutation
-#: gates into one cached full-register gather (8 bytes per amplitude, one
-#: process-wide cache entry per distinct moment).  Wider registers — the
-#: paper-scale 14-qutrit circuit has 3^14 amplitudes — apply every gate
-#: on its own kernel or control block, so no register-sized index array
-#: is built or kept.
-_GATHER_MAX_ENTRIES = 1 << 18
 
 
 def _unsupported(channel: object) -> SimulationError:
@@ -447,7 +440,13 @@ class BatchedTrajectorySimulator:
                 "initial state does not cover all circuit wires"
             )
         shape = tuple(w.dimension for w in wires)
-        gathers = int(np.prod(shape)) <= _GATHER_MAX_ENTRIES
+        # A register whose gathers are cached composes each moment's
+        # permutation gates into one full-register gather (one cache
+        # entry per distinct moment).  Wider ones — the paper-scale
+        # 14-qutrit circuit has 3^14 amplitudes — apply every gate on
+        # its own kernel or control block, so no register-sized index
+        # array is built or kept.
+        gathers = caches_gathers(shape)
         axis = {w: k for k, w in enumerate(wires)}
         idle_steps: dict[float, _IdleStep] = {}
         gate_errors: dict[tuple[int, ...], UnitaryMixtureChannel | None] = {}

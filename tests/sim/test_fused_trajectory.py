@@ -16,7 +16,7 @@ from repro.noise.kraus import KrausChannel
 from repro.noise.model import NoiseModel
 from repro.qudits import Qudit, qutrits
 from repro.sim import fidelity as fidelity_module
-from repro.sim import trajectory as trajectory_module
+from repro.sim import kernels
 from repro.sim.density import DensityMatrixSimulator
 from repro.sim.fidelity import (
     estimate_circuit_fidelity,
@@ -369,7 +369,7 @@ class TestWideRegisters:
             model, np.random.default_rng(4)
         ).run_trials(circuit, circuit.all_qudits(), 40, 8)
         narrow = list(narrow)
-        monkeypatch.setattr(trajectory_module, "_GATHER_MAX_ENTRIES", 26)
+        monkeypatch.setattr(kernels, "_GATHER_MAX_ENTRIES", 26)
         clear_kernel_caches()
         wide = BatchedTrajectorySimulator(
             model, np.random.default_rng(4)

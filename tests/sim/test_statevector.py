@@ -185,3 +185,70 @@ class TestKernelCacheRouting:
         via_kernel.apply_operation(op)
         via_matrix.apply_matrix(op.unitary(), op.qudits)
         assert np.allclose(via_kernel.tensor, via_matrix.tensor)
+
+
+class TestWideRegisters:
+    """Above ``kernels._GATHER_MAX_ENTRIES`` amplitudes no gather is
+    cached: the run loop applies each gate on its own control block or
+    kernel, and a direct gather call builds its map without keeping it."""
+
+    @staticmethod
+    def _tree(num_controls):
+        from repro.execution.pipeline_spec import PipelineSpec
+        from repro.toffoli.registry import build_toffoli
+
+        built = build_toffoli("qutrit_tree", num_controls)
+        lowered = PipelineSpec.from_name("lowering").build().compile(
+            built.circuit
+        ).circuit
+        return lowered, list(built.all_wires)
+
+    @staticmethod
+    def _parity(circuit, wires, values):
+        from repro.sim.kernels import clear_kernel_caches, kernel_cache_stats
+        from repro.sim.statevector import StateVectorSimulator
+
+        clear_kernel_caches()
+        fast = StateVectorSimulator().run_basis(circuit, wires, values)
+        stats = kernel_cache_stats()
+        assert stats["permutation_gathers"] == 0
+        assert stats["segment_gathers"] == 0
+        dense = StateVectorSimulator(permutation_fast_path=False).run_basis(
+            circuit, wires, values
+        )
+        assert np.array_equal(fast.tensor, dense.tensor)
+        return fast
+
+    def test_bound_applies_to_the_run_loop(self, monkeypatch):
+        from repro.sim import kernels
+
+        circuit, wires = self._tree(4)
+        monkeypatch.setattr(kernels, "_GATHER_MAX_ENTRIES", 3 ** 4)
+        state = self._parity(circuit, wires, (1, 1, 1, 1, 0))
+        assert np.isclose(state.probability_of((1, 1, 1, 1, 1)), 1.0)
+        kernels.clear_kernel_caches()
+
+    def test_direct_gathers_are_built_not_cached(self, monkeypatch):
+        from repro.sim import kernels
+
+        a, b = qubits(2)
+        steps = [(CNOT.on(a, b), (0, 1)), (CNOT.on(b, a), (1, 0))]
+        shape = (2, 2, 3)
+        kernels.clear_kernel_caches()
+        cached = [kernels.permutation_gather(*steps[0], shape).copy(),
+                  kernels.segment_permutation_gather(steps, shape).copy()]
+        monkeypatch.setattr(kernels, "_GATHER_MAX_ENTRIES", 11)
+        kernels.clear_kernel_caches()
+        built = [kernels.permutation_gather(*steps[0], shape),
+                 kernels.segment_permutation_gather(steps, shape)]
+        stats = kernels.kernel_cache_stats()
+        assert stats["permutation_gathers"] == stats["segment_gathers"] == 0
+        for fresh, kept in zip(built, cached):
+            assert np.array_equal(fresh, kept)
+
+    @pytest.mark.slow
+    def test_paper_scale_tree_caches_no_gather(self):
+        # 13 qutrits, 3^13 amplitudes: one cached gather would be 12.8 MB.
+        circuit, wires = self._tree(12)
+        state = self._parity(circuit, wires, (1,) * 12 + (0,))
+        assert np.isclose(state.probability_of((1,) * 13), 1.0)
