@@ -21,6 +21,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError, NotClassicalError
 from ..linalg import is_permutation_matrix, is_unitary, permutation_of
+from .intern import exact, intern_gate
 from .spec import GATE_REGISTRY, GateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -82,21 +83,32 @@ class Gate(ABC):
         return product
 
     def inverse(self) -> "Gate":
-        """The inverse gate.
+        """The inverse gate, derived once per gate instance.
 
         A gate carrying a registered semantic spec inverts through the
         registry inverse-rule table (:mod:`repro.gates.inverse`), so
         e.g. ``shift(+1)`` inverts to ``shift(+2)`` and ``T`` to
         ``T_DAG`` — named, serializable gates rather than anonymous
         dagger matrices.  Everything else falls back to the structural
-        inverse of its gate class.
+        inverse of its gate class; a shared gate's structural inverse
+        is itself shared, keyed on ``("__inverse__", key)``.
         """
-        from .inverse import semantic_inverse
+        inverted = self._inverse_cache
+        if inverted is None:
+            from .inverse import semantic_inverse
 
-        inverted = semantic_inverse(self)
-        if inverted is not None:
-            return inverted
-        return self._structural_inverse()
+            inverted = semantic_inverse(self)
+            if inverted is None:
+                key = self._key
+                inverted = (
+                    self._structural_inverse()
+                    if key is None
+                    else intern_gate(
+                        ("__inverse__", key), self._structural_inverse
+                    )
+                )
+            object.__setattr__(self, "_inverse_cache", inverted)
+        return inverted
 
     def _structural_inverse(self) -> "Gate":
         """Class-level inverse fallback: wrap the conjugate transpose."""
@@ -117,16 +129,27 @@ class Gate(ABC):
 
     #: Semantic spec attached by registered factories (None = structural).
     _spec_override: GateSpec | None = None
+    _spec_cache: GateSpec | None = None
     _canonical_cache: GateSpec | None = None
+    _inverse_cache: "Gate | None" = None
+    #: Intern key (:mod:`repro.gates.intern`); a keyed gate is shared
+    #: between circuits and immutable.
+    _key = None
+    #: Process-local int id of the canonical spec (``spec_id``).
+    _gate_id: int | None = None
 
     def spec(self) -> GateSpec:
-        """The serializable spec of this gate.
+        """The serializable spec of this gate (computed once).
 
         Round-trip contract: ``GATE_REGISTRY.build(gate.spec()) == gate``.
         """
-        if self._spec_override is not None:
-            return self._spec_override
-        return self._structural_spec()
+        spec = self._spec_override
+        if spec is None:
+            spec = self._spec_cache
+            if spec is None:
+                spec = self._structural_spec()
+                object.__setattr__(self, "_spec_cache", spec)
+        return spec
 
     def canonical_spec(self) -> GateSpec:
         """The structural (class-level) spec used for equality and hashing.
@@ -162,9 +185,24 @@ class Gate(ABC):
         return GateSpec("__matrix__", (rows,), self.dims)
 
     def _set_spec(self, spec: GateSpec) -> "Gate":
-        """Attach a semantic spec (factory-internal; returns ``self``)."""
+        """Attach a semantic spec (factory-internal; returns ``self``).
+
+        Raises ``TypeError`` on a shared (keyed) gate: what a shared
+        gate serializes as never changes.
+        """
+        if self._key is not None:
+            raise TypeError(
+                f"gate {self.name} is shared (interned) and immutable"
+            )
         object.__setattr__(self, "_spec_override", spec)
+        object.__setattr__(self, "_inverse_cache", None)
         return self
+
+    def __getstate__(self) -> dict:
+        # The int id is process-local: the loading process assigns its own.
+        state = self.__dict__.copy()
+        state.pop("_gate_id", None)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -354,6 +392,19 @@ class PermutationGate(Gate):
         for src, dst in enumerate(self._mapping):
             inverse_map[dst] = src
         return PermutationGate(inverse_map, self._dims, f"{self.name}^-1")
+
+
+def permutation_gate(
+    mapping: Sequence[int], dims: Sequence[int], name: str
+) -> PermutationGate:
+    """A :class:`PermutationGate`, shared per exact (name, mapping, dims)."""
+    mapping, dims = tuple(mapping), tuple(dims)
+    if not exact(name, *mapping, *dims):
+        return PermutationGate(mapping, dims, name)
+    return intern_gate(
+        ("__perm__", (name, mapping), dims),
+        lambda: PermutationGate(mapping, dims, name),
+    )
 
 
 class PhasedGate(Gate):

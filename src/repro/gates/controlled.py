@@ -15,6 +15,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError, NotClassicalError
 from .base import Gate, index_to_values, values_to_index
+from .intern import exact, intern_gate
 from .spec import GATE_REGISTRY, GateSpec
 
 
@@ -108,8 +109,8 @@ class ControlledGate(Gate):
         return matrix
 
     def _structural_inverse(self) -> "ControlledGate":
-        return ControlledGate(
-            self._sub_gate.inverse(), self._control_dims, self._control_values
+        return controlled(
+            self._sub_gate.inverse(), self._control_values, self._control_dims
         )
 
     def diagonal_phases(self) -> "np.ndarray | None":
@@ -188,8 +189,8 @@ def _build_controlled_spec(spec: GateSpec) -> ControlledGate:
     sub_spec, control_values = spec.params
     sub_gate = GATE_REGISTRY.build(sub_spec)
     n_controls = len(spec.dims) - len(sub_gate.dims)
-    return ControlledGate(
-        sub_gate, spec.dims[:n_controls], tuple(control_values)
+    return controlled(
+        sub_gate, tuple(control_values), spec.dims[:n_controls]
     )
 
 
@@ -201,16 +202,34 @@ def controlled(
     control_values: Sequence[int] | None = None,
     control_dims: Sequence[int] | None = None,
 ) -> ControlledGate:
-    """Convenience builder for a controlled gate.
+    """A controlled gate, shared per exact (sub-gate, values, dims).
 
-    If ``control_dims`` is omitted, every control defaults to a qutrit when
-    its activation value is 2 and to the smallest dimension containing the
-    value otherwise — callers in this library always pass dims explicitly
-    except in tests.
+    The builders derive every controlled gate through here, so a
+    shared sub-gate with plain-int controls yields one shared
+    :class:`ControlledGate` per process (see :mod:`repro.gates.intern`);
+    an unshared sub-gate gives a fresh gate.  ``control_values``
+    defaults to all 1.  If ``control_dims`` is omitted, every control
+    defaults to a qutrit when its activation value is 2 and to the
+    smallest dimension containing the value otherwise — callers in this
+    library always pass dims explicitly except in tests.
     """
     if control_values is None and control_dims is None:
         control_values = (1,)
     if control_dims is None:
         assert control_values is not None
         control_dims = tuple(max(2, v + 1) for v in control_values)
-    return ControlledGate(sub_gate, control_dims, control_values)
+    control_dims = tuple(control_dims)
+    if control_values is None:
+        control_values = (1,) * len(control_dims)
+    control_values = tuple(control_values)
+    sub_key = sub_gate._key
+    if sub_key is None or not exact(*control_values, *control_dims):
+        return ControlledGate(sub_gate, control_dims, control_values)
+    return intern_gate(
+        (
+            "__controlled__",
+            (sub_key, control_values),
+            control_dims + sub_gate.dims,
+        ),
+        lambda: ControlledGate(sub_gate, control_dims, control_values),
+    )

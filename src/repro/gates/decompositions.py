@@ -29,7 +29,8 @@ import numpy as np
 from ..exceptions import DecompositionError
 from ..linalg import matrix_root
 from .base import Gate
-from .controlled import ControlledGate
+from .controlled import ControlledGate, controlled
+from .intern import exact, intern_gate
 from .matrix import MatrixGate
 from .qubit import CNOT, H, T, T_DAG, X
 from .qutrit import shift_gate
@@ -46,19 +47,28 @@ def root_power_gate(base: Gate, k: int, d: int, name: str) -> MatrixGate:
     The matrix is ``matrix_root(U, 1/d) ** |k|``, conjugate-transposed
     for negative ``k`` — the exact arithmetic the decompositions below
     perform, captured as a registered spec (``U_root_pow``) so derived
-    gates rebuild bit-identically from serialized circuits.
+    gates rebuild bit-identically from serialized circuits.  A shared
+    ``base`` gives a shared root, so each root is computed once per
+    process.
     """
-    root = matrix_root(base.unitary(), 1.0 / d)
-    matrix = np.linalg.matrix_power(root, abs(k))
-    if k < 0:
-        matrix = matrix.conj().T
-    gate = MatrixGate(matrix, base.dims, name=name)
-    gate._set_spec(
-        GateSpec(
-            "U_root_pow", (base.spec(), int(k), int(d), name), base.dims
+
+    def build() -> MatrixGate:
+        root = matrix_root(base.unitary(), 1.0 / d)
+        matrix = np.linalg.matrix_power(root, abs(k))
+        if k < 0:
+            matrix = matrix.conj().T
+        gate = MatrixGate(matrix, base.dims, name=name)
+        gate._set_spec(
+            GateSpec(
+                "U_root_pow", (base.spec(), int(k), int(d), name), base.dims
+            )
         )
-    )
-    return gate
+        return gate
+
+    base_key = base._key
+    if base_key is None or not exact(k, d, name):
+        return build()
+    return intern_gate(("U_root_pow", (base_key, k, d, name), base.dims), build)
 
 
 GATE_REGISTRY.register(
@@ -107,8 +117,8 @@ def two_controlled_qubit_u(
     """
     v_gate = root_power_gate(sub_gate, 1, 2, f"sqrt({sub_gate.name})")
     v_dag = root_power_gate(sub_gate, -1, 2, f"sqrt({sub_gate.name})^-1")
-    cv1 = ControlledGate(v_gate, (2,))
-    cv1_dag = ControlledGate(v_dag, (2,))
+    cv1 = controlled(v_gate, None, (2,))
+    cv1_dag = controlled(v_dag, None, (2,))
     ops: list["GateOperation"] = []
     flipped = [
         wire
@@ -170,25 +180,20 @@ def decompose_controlled_controlled_u(
         sub_gate, -1, db, f"{sub_gate.name}^(-1/{db})"
     )
 
-    shift = ControlledGate(shift_gate(db, 1), (da,), (a_val,))
-
-    def on_b(gate: Gate) -> ControlledGate:
-        return ControlledGate(gate, (db,), (b_val,))
-
-    def on_a(gate: Gate) -> ControlledGate:
-        return ControlledGate(gate, (da,), (a_val,))
+    shift = controlled(shift_gate(db, 1), (a_val,), (da,))
+    undo = controlled(u_root_dag, (b_val,), (db,))
 
     # Exponent bookkeeping (generalising the d=3 case): with conditional
     # shifts interleaved, the target accrues U^((d-1)/d) when the host
     # started at b and U^(-1/d) at each of the other d-1 starting values;
     # the trailing a-controlled U^(1/d) lifts every active row by 1/d,
     # netting exponent 1 exactly on (a, b) and 0 elsewhere.
-    ops = [on_b(u_top).on(control_b, target)]
+    ops = [controlled(u_top, (b_val,), (db,)).on(control_b, target)]
     for _ in range(db - 1):
         ops.append(shift.on(control_a, control_b))
-        ops.append(on_b(u_root_dag).on(control_b, target))
+        ops.append(undo.on(control_b, target))
     ops.append(shift.on(control_a, control_b))
-    ops.append(on_a(u_root).on(control_a, target))
+    ops.append(controlled(u_root, (a_val,), (da,)).on(control_a, target))
     return ops
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Gate, PermutationGate, PhasedGate
+from .intern import intern_gate
 from .matrix import MatrixGate
 from .spec import GATE_REGISTRY, GateSpec
 
@@ -153,6 +154,7 @@ SWAP = PermutationGate([0, 2, 1, 3], (2, 2), "SWAP")
 
 def _register_constant(name: str, gate: Gate) -> None:
     gate._set_spec(GateSpec(name, (), gate.dims))
+    intern_gate((name, (), gate.dims), lambda: gate)
     GATE_REGISTRY.register(name, lambda spec, gate=gate: gate)
 
 

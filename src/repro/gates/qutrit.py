@@ -13,15 +13,22 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Gate, PermutationGate, PhasedGate
+from .intern import exact, intern_gate
 from .matrix import MatrixGate
 from .spec import GATE_REGISTRY, GateSpec
 
 
 def identity_gate(dim: int) -> PermutationGate:
     """Identity on a single d-level wire."""
-    gate = PermutationGate(list(range(dim)), (dim,), f"I{dim}")
-    gate._set_spec(GateSpec("identity", (), (dim,)))
-    return gate
+
+    def build() -> PermutationGate:
+        gate = PermutationGate(list(range(dim)), (dim,), f"I{dim}")
+        gate._set_spec(GateSpec("identity", (), (dim,)))
+        return gate
+
+    if not exact(dim):
+        return build()
+    return intern_gate(("identity", (), (dim,)), build)
 
 
 def level_swap(dim: int, level_a: int, level_b: int) -> PermutationGate:
@@ -29,15 +36,23 @@ def level_swap(dim: int, level_a: int, level_b: int) -> PermutationGate:
 
     ``level_swap(3, 0, 1)`` is the paper's X01, etc.
     """
-    if level_a == level_b:
-        raise ValueError("levels to swap must differ")
-    if not (0 <= level_a < dim and 0 <= level_b < dim):
-        raise ValueError(f"levels {level_a},{level_b} out of range for d={dim}")
-    mapping = list(range(dim))
-    mapping[level_a], mapping[level_b] = mapping[level_b], mapping[level_a]
-    gate = PermutationGate(mapping, (dim,), f"X{level_a}{level_b}(d{dim})")
-    gate._set_spec(GateSpec("level_swap", (level_a, level_b), (dim,)))
-    return gate
+
+    def build() -> PermutationGate:
+        if level_a == level_b:
+            raise ValueError("levels to swap must differ")
+        if not (0 <= level_a < dim and 0 <= level_b < dim):
+            raise ValueError(
+                f"levels {level_a},{level_b} out of range for d={dim}"
+            )
+        mapping = list(range(dim))
+        mapping[level_a], mapping[level_b] = mapping[level_b], mapping[level_a]
+        gate = PermutationGate(mapping, (dim,), f"X{level_a}{level_b}(d{dim})")
+        gate._set_spec(GateSpec("level_swap", (level_a, level_b), (dim,)))
+        return gate
+
+    if not exact(dim, level_a, level_b):
+        return build()
+    return intern_gate(("level_swap", (level_a, level_b), (dim,)), build)
 
 
 def shift_gate(dim: int, amount: int = 1) -> PermutationGate:
@@ -46,36 +61,54 @@ def shift_gate(dim: int, amount: int = 1) -> PermutationGate:
     Note on convention: the gate maps ``|v> -> |v + amount mod d>``.
     """
     amount %= dim
-    mapping = [0] * dim
-    for value in range(dim):
-        mapping[value] = (value + amount) % dim
-    sign = "+" if amount <= dim // 2 else "-"
-    shown = amount if sign == "+" else dim - amount
-    gate = PermutationGate(mapping, (dim,), f"X{sign}{shown}(d{dim})")
-    gate._set_spec(GateSpec("shift", (amount,), (dim,)))
-    return gate
+
+    def build() -> PermutationGate:
+        mapping = [0] * dim
+        for value in range(dim):
+            mapping[value] = (value + amount) % dim
+        sign = "+" if amount <= dim // 2 else "-"
+        shown = amount if sign == "+" else dim - amount
+        gate = PermutationGate(mapping, (dim,), f"X{sign}{shown}(d{dim})")
+        gate._set_spec(GateSpec("shift", (amount,), (dim,)))
+        return gate
+
+    if not exact(dim, amount):
+        return build()
+    return intern_gate(("shift", (amount,), (dim,)), build)
 
 
 def clock_gate(dim: int, power: int = 1) -> PhasedGate:
     """The generalized Pauli Z: diag(1, w, w^2, ...) with w = e^{2 pi i/d}."""
-    omega = np.exp(2j * np.pi / dim)
-    phases = [omega ** (power * k) for k in range(dim)]
-    gate = PhasedGate(
-        phases, (dim,), f"Z{dim}^{power}" if power != 1 else f"Z{dim}"
-    )
-    gate._set_spec(GateSpec("clock", (int(power),), (dim,)))
-    return gate
+
+    def build() -> PhasedGate:
+        omega = np.exp(2j * np.pi / dim)
+        phases = [omega ** (power * k) for k in range(dim)]
+        gate = PhasedGate(
+            phases, (dim,), f"Z{dim}^{power}" if power != 1 else f"Z{dim}"
+        )
+        gate._set_spec(GateSpec("clock", (int(power),), (dim,)))
+        return gate
+
+    if not exact(dim, power):
+        return build()
+    return intern_gate(("clock", (power,), (dim,)), build)
 
 
 def fourier_gate(dim: int) -> MatrixGate:
     """The d-point discrete Fourier transform (qutrit Hadamard for d=3)."""
-    omega = np.exp(2j * np.pi / dim)
-    matrix = np.array(
-        [[omega ** (j * k) for k in range(dim)] for j in range(dim)]
-    ) / np.sqrt(dim)
-    gate = MatrixGate(matrix, (dim,), name=f"F{dim}")
-    gate._set_spec(GateSpec("fourier", (), (dim,)))
-    return gate
+
+    def build() -> MatrixGate:
+        omega = np.exp(2j * np.pi / dim)
+        matrix = np.array(
+            [[omega ** (j * k) for k in range(dim)] for j in range(dim)]
+        ) / np.sqrt(dim)
+        gate = MatrixGate(matrix, (dim,), name=f"F{dim}")
+        gate._set_spec(GateSpec("fourier", (), (dim,)))
+        return gate
+
+    if not exact(dim):
+        return build()
+    return intern_gate(("fourier", (), (dim,)), build)
 
 
 def phase_gate(dim: int, level: int, phi: float) -> PhasedGate:
@@ -97,22 +130,29 @@ def embedded_qubit_gate(
     may be extended to operate on qutrits" (Sec. 2): e.g. the qubit X
     embedded in levels (0, 1) of a qutrit is exactly X01.
     """
-    if qubit_gate.dims != (2,):
-        raise ValueError("embedded_qubit_gate needs a single-qubit gate")
     a, b = levels
-    small = qubit_gate.unitary()
-    matrix = np.eye(dim, dtype=complex)
-    matrix[a, a] = small[0, 0]
-    matrix[a, b] = small[0, 1]
-    matrix[b, a] = small[1, 0]
-    matrix[b, b] = small[1, 1]
-    gate = MatrixGate(
-        matrix, (dim,), name=f"{qubit_gate.name}[{a}{b}](d{dim})"
-    )
-    gate._set_spec(
-        GateSpec("embedded", (qubit_gate.spec(), int(a), int(b)), (dim,))
-    )
-    return gate
+
+    def build() -> MatrixGate:
+        if qubit_gate.dims != (2,):
+            raise ValueError("embedded_qubit_gate needs a single-qubit gate")
+        small = qubit_gate.unitary()
+        matrix = np.eye(dim, dtype=complex)
+        matrix[a, a] = small[0, 0]
+        matrix[a, b] = small[0, 1]
+        matrix[b, a] = small[1, 0]
+        matrix[b, b] = small[1, 1]
+        gate = MatrixGate(
+            matrix, (dim,), name=f"{qubit_gate.name}[{a}{b}](d{dim})"
+        )
+        gate._set_spec(
+            GateSpec("embedded", (qubit_gate.spec(), int(a), int(b)), (dim,))
+        )
+        return gate
+
+    sub_key = qubit_gate._key
+    if sub_key is None or not exact(dim, a, b):
+        return build()
+    return intern_gate(("embedded", (sub_key, a, b), (dim,)), build)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ order without changing the circuit's unitary?*  Three tiers decide it:
    identity, never simulated basis state by basis state.
 
 Each operation is interned once (:func:`interned`): its wires become
-a bitmask of process-wide wire ids and its canonical gate spec a small
-int id.  Tier 1 is then one AND, and the dense check is memoised on
+a bitmask of process-wide wire ids, and its gate contributes its
+canonical spec id (:func:`repro.gates.intern.spec_id`, cached on the
+gate).  Tier 1 is then one AND, and the dense check is memoised on
 ``(spec id, spec id, overlap pattern)`` — where each of the second
 operation's wires sits in the first's wire tuple — so no walk hashes a
 :class:`~repro.qudits.Qudit` or :class:`~repro.gates.spec.GateSpec`,
@@ -29,11 +30,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ..gates.intern import spec_id
 from ..sim.kernels import apply_block, gate_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuits.operation import GateOperation
-    from ..gates.base import Gate
 
 #: Largest joint dimension the dense commutation check will build
 #: (5 qutrit wires / 8 qubit wires).  Beyond it the answer is a
@@ -44,10 +45,9 @@ MAX_JOINT_DIM = 256
 #: (spec id a, spec id b, overlap pattern) -> bool, process-wide.
 _COMMUTE_CACHE: dict[tuple, bool] = {}
 
-#: Append-only intern tables (Qudit -> wire id, canonical spec -> spec
-#: id).  Ids are cached on operations, so they are never reassigned.
+#: Append-only intern table (Qudit -> wire id).  Ids are cached on
+#: operations, so they are never reassigned.
 _WIRE_IDS: dict = {}
-_SPEC_IDS: dict = {}
 _INTERN_LOCK = threading.Lock()
 
 
@@ -57,11 +57,6 @@ def _intern(table: dict, key) -> int:
         with _INTERN_LOCK:
             found = table.setdefault(key, len(table))
     return found
-
-
-def spec_id(gate: "Gate") -> int:
-    """The process-wide int id of ``gate``'s canonical spec."""
-    return _intern(_SPEC_IDS, gate.canonical_spec())
 
 
 class OpKey(NamedTuple):

@@ -26,7 +26,8 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..gates.base import Gate
 from ..gates.controlled import ControlledGate
-from .commutation import interned, spec_id
+from ..gates.intern import spec_id
+from .commutation import interned
 
 #: Registered semantic names that are Clifford for every parameter value.
 _CLIFFORD_NAMES = frozenset(

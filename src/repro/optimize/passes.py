@@ -31,7 +31,8 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
 from ..gates.base import Gate, PhasedGate, index_to_values, values_to_index
-from .commutation import OpKey, interned, keys_commute, spec_id
+from ..gates.intern import spec_id
+from .commutation import OpKey, interned, keys_commute
 
 #: How many predecessors the commute-back walk examines before giving
 #: up.  Bounds every pass at O(ops * window) commutation queries; the
@@ -136,20 +137,8 @@ class RewritePass(ABC):
 # Shared gate analyses, cached on canonical spec ids
 # ---------------------------------------------------------------------------
 
-#: spec id -> spec id of the gate's inverse.
-_INVERSE_IDS: dict[int, int] = {}
-
 #: spec id -> True iff the gate is the identity.
 _IDENTITY_IDS: dict[int, bool] = {}
-
-
-def _inverse_id(gate: Gate, gate_id: int) -> int:
-    """The spec id of ``gate.inverse()`` (``gate_id`` is ``gate``'s)."""
-    cached = _INVERSE_IDS.get(gate_id)
-    if cached is None:
-        cached = spec_id(gate.inverse())
-        _INVERSE_IDS[gate_id] = cached
-    return cached
 
 
 def _is_identity(gate: Gate, gate_id: int) -> bool:
@@ -178,7 +167,7 @@ def is_inverse_pair(first: Gate, second: Gate) -> bool:
     """
     if first.dims != second.dims:
         return False
-    return spec_id(second) == _inverse_id(first, spec_id(first))
+    return spec_id(second) == spec_id(first.inverse())
 
 
 def is_identity_gate(gate: Gate) -> bool:
@@ -223,8 +212,8 @@ class CancelAdjacentInverses(RewritePass):
                 prev_key = keys[position - 1]
                 if prev_key.mask & mask:
                     prev = out[position - 1]
-                    if prev_key.wires == key.wires and _inverse_id(
-                        prev.gate, prev_key.spec
+                    if prev_key.wires == key.wires and spec_id(
+                        prev.gate.inverse()
                     ) == key.spec:
                         del out[position - 1]
                         del keys[position - 1]

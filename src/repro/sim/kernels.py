@@ -39,11 +39,12 @@ table gather.
 
 Cache keys:
 
-* gate kernels, control sub-blocks and permutation kernels are keyed
-  on the gate's (or sub-gate's) **canonical spec**
-  (:meth:`~repro.gates.base.Gate.spec` lowered to structural form — the
-  content-addressed identity), so two structurally equal gates share
-  one kernel no matter how they were built;
+* gate kernels, control sub-blocks, permutation kernels and gathers
+  are keyed on the gate's (or sub-gate's) **id**
+  (:func:`repro.gates.intern.spec_id`: one process-local int per
+  canonical spec, cached on the gate), so two structurally equal gates
+  share one kernel no matter how they were built, and a lookup hashes
+  an int instead of a spec tree;
 * channel kernels are keyed on the channel *instance*.  The channel
   factories in :mod:`repro.noise` are ``lru_cache``-d singletons, so this
   is equivalent to keying on the channel's parameters; hand-built
@@ -65,7 +66,11 @@ import numpy as np
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
 from ..gates.controlled import ControlledGate
-from ..gates.spec import GateSpec
+from ..gates.intern import (
+    clear_interned_gates,
+    interned_gate_count,
+    spec_id,
+)
 from ..noise.kraus import KrausChannel, UnitaryMixtureChannel
 
 
@@ -219,20 +224,20 @@ def apply_block(
     return np.moveaxis(moved, range(k), axes)
 
 
-#: (canonical GateSpec, dtype char) -> GateKernel.  Process-wide; specs
-#: are immutable values, so entries never go stale.  complex64 variants
-#: (the bulk-sweep mode) get their own entries, cast once from the
+#: (gate id, dtype char) -> GateKernel.  Process-wide; ids are never
+#: reassigned, so entries never go stale.  complex64 variants (the
+#: bulk-sweep mode) get their own entries, cast once from the
 #: complex128 block.
-_GATE_KERNELS: dict[tuple[GateSpec, str], GateKernel] = {}
+_GATE_KERNELS: dict[tuple[int, str], GateKernel] = {}
 
-#: (canonical sub-gate GateSpec, dtype char) -> the sub-gate's unitary
-#: in ``dims + dims`` block form, for the control-block path.
-_CONTROL_BLOCKS: dict[tuple[GateSpec, str], np.ndarray] = {}
+#: (sub-gate id, dtype char) -> the sub-gate's unitary in ``dims +
+#: dims`` block form, for the control-block path.
+_CONTROL_BLOCKS: dict[tuple[int, str], np.ndarray] = {}
 
-#: canonical GateSpec -> PermutationKernel (including negative results:
-#: "not a permutation" is cached too, so classicality checks of circuits
-#: full of non-classical gates stay cheap).
-_PERM_KERNELS: dict[GateSpec, PermutationKernel] = {}
+#: gate id -> PermutationKernel (including negative results: "not a
+#: permutation" is cached too, so classicality checks of circuits full
+#: of non-classical gates stay cheap).
+_PERM_KERNELS: dict[int, PermutationKernel] = {}
 
 #: channel instance -> ChannelKernel.  Weak keys: cached factory channels
 #: live for the process anyway, ad-hoc channels can be collected.
@@ -292,13 +297,13 @@ def caches_gathers(shape: Sequence[int]) -> bool:
     return math.prod(shape) <= _GATHER_MAX_ENTRIES
 
 
-#: (canonical GateSpec, touched axes, register shape) -> full-register
+#: (gate id, touched axes, register shape) -> full-register
 #: gather indices.  Entries are O(register size) ints, so this cache is
 #: the memory-heaviest of the family; entries only exist for (gate,
 #: placement, register) combos the state-vector fast path executed.
 _PERM_GATHERS = _GatherCache(GATHER_CACHE_ENTRIES)
 
-#: (tuple of (canonical spec, axes) steps, register shape) -> composed
+#: (tuple of (gate id, axes) steps, register shape) -> composed
 #: full-register gather indices for a whole run of consecutive
 #: permutation operations.  Only multi-op segments are cached (single
 #: ops live in _PERM_GATHERS).
@@ -323,8 +328,7 @@ def gate_kernel(
     own cache entry, cast once.
     """
     dtype = np.dtype(dtype)
-    spec = op.gate.canonical_spec()
-    key = (spec, dtype.char)
+    key = (spec_id(op.gate), dtype.char)
     kernel = _GATE_KERNELS.get(key)
     if kernel is None:
         dims = tuple(op.gate.dims)
@@ -339,7 +343,7 @@ def gate_kernel(
 def _control_block(gate: ControlledGate, dtype: np.dtype) -> np.ndarray:
     """The cached block of a controlled gate's sub-gate at ``dtype``."""
     sub = gate.sub_gate
-    key = (sub.canonical_spec(), dtype.char)
+    key = (spec_id(sub), dtype.char)
     block = _CONTROL_BLOCKS.get(key)
     if block is None:
         block = _as_block(sub.unitary(), tuple(sub.dims)).astype(
@@ -356,8 +360,8 @@ def apply_gate_block(
 
     A :class:`~repro.gates.controlled.ControlledGate` touches only its
     control block: the slice where every control axis holds its
-    activation value gets the sub-gate's block (cached per canonical
-    sub-gate spec and dtype), written back **in place**, and the rest of
+    activation value gets the sub-gate's block (cached per sub-gate id
+    and dtype), written back **in place**, and the rest of
     the register is never read.  Any other gate contracts its whole
     kernel block (:func:`gate_kernel`) into a new array.  Either way the
     result is returned; callers must own ``tensor`` (other axes, such as
@@ -389,12 +393,12 @@ def permutation_kernel(op: GateOperation) -> PermutationKernel:
     (:meth:`~repro.gates.base.Gate.permutation`): permutation-native
     gates hand over their mapping directly, matrix-backed gates pay one
     permutation-matrix check of their unitary.  Either way the verdict
-    and the table are cached on the canonical spec, so every structurally
+    and the table are cached on the gate id, so every structurally
     identical gate across circuits, constructions, and engines lowers
     exactly once.
     """
-    spec = op.gate.canonical_spec()
-    kernel = _PERM_KERNELS.get(spec)
+    gate_id = spec_id(op.gate)
+    kernel = _PERM_KERNELS.get(gate_id)
     if kernel is None:
         dims = tuple(op.gate.dims)
         weights = mixed_radix_weights(dims)
@@ -410,7 +414,7 @@ def permutation_kernel(op: GateOperation) -> PermutationKernel:
             inverse[table] = np.arange(table.size, dtype=np.int64)
             inverse.setflags(write=False)
         kernel = PermutationKernel(dims, table, weights, inverse)
-        _PERM_KERNELS[spec] = kernel
+        _PERM_KERNELS[gate_id] = kernel
     return kernel
 
 
@@ -455,7 +459,7 @@ def permutation_gather(
     joint index ``j`` of a register of the given ``shape``.  This is the
     state-vector fast path's whole per-application cost — one contiguous
     gather, no moveaxis shuffling, no ``D x D`` contraction — and the
-    index map is cached on ``(canonical spec, axes, shape)``, so a gate
+    index map is cached on ``(gate id, axes, shape)``, so a gate
     that repeats at one placement (across moments, runs, or sweeps)
     builds it once.  Registers above :data:`_GATHER_MAX_ENTRIES`
     amplitudes build it on every call and never cache it.
@@ -463,7 +467,7 @@ def permutation_gather(
     Raises :class:`NotClassicalError` for non-permutation gates.
     """
     cached = caches_gathers(shape)
-    key = (op.gate.canonical_spec(), tuple(axes), tuple(shape))
+    key = (spec_id(op.gate), tuple(axes), tuple(shape))
     gather = _PERM_GATHERS.get(key) if cached else None
     if gather is None:
         kernel = permutation_kernel(op)
@@ -488,7 +492,7 @@ def segment_permutation_gather(
     permutation of the register, so the whole segment collapses to a
     single fancy-indexing pass: applying ``g1`` then ``g2`` to the
     state equals one gather through ``g1[g2]``.  The composed map is
-    cached on the sequence of ``(canonical spec, axes)`` steps plus the
+    cached on the sequence of ``(gate id, axes)`` steps plus the
     register shape — a circuit (or sweep) that repeats the same
     permutation stretch pays the composition once and every subsequent
     run is one pass over the amplitudes, however deep the stretch.
@@ -503,9 +507,7 @@ def segment_permutation_gather(
         return permutation_gather(op, axes, shape)
     cached = caches_gathers(shape)
     key = (
-        tuple(
-            (op.gate.canonical_spec(), tuple(axes)) for op, axes in steps
-        ),
+        tuple((spec_id(op.gate), tuple(axes)) for op, axes in steps),
         tuple(shape),
     )
     gather = _SEGMENT_GATHERS.get(key) if cached else None
@@ -570,7 +572,10 @@ def channel_kernel(
 
 
 def clear_kernel_caches() -> None:
-    """Drop all cached kernels (tests and memory-sensitive callers)."""
+    """Drop all cached kernels and empty the gate intern table (tests
+    and memory-sensitive callers).  Gate ids are kept: they are never
+    reassigned."""
+    clear_interned_gates()
     _GATE_KERNELS.clear()
     _CONTROL_BLOCKS.clear()
     _CHANNEL_KERNELS.clear()
@@ -580,7 +585,8 @@ def clear_kernel_caches() -> None:
 
 
 def kernel_cache_stats() -> dict[str, int]:
-    """Entry counts of the process-wide kernel caches (diagnostics)."""
+    """Entry counts of the process-wide kernel caches and of the gate
+    intern table (diagnostics)."""
     return {
         "gate_kernels": len(_GATE_KERNELS),
         "control_blocks": len(_CONTROL_BLOCKS),
@@ -588,4 +594,5 @@ def kernel_cache_stats() -> dict[str, int]:
         "permutation_kernels": len(_PERM_KERNELS),
         "permutation_gathers": len(_PERM_GATHERS),
         "segment_gathers": len(_SEGMENT_GATHERS),
+        "interned_gates": interned_gate_count(),
     }

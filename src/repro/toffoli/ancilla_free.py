@@ -27,8 +27,9 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import DecompositionError
-from ..gates.controlled import ControlledGate
+from ..gates.controlled import controlled
 from ..gates.decompositions import two_controlled_qubit_u
+from ..gates.intern import exact, intern_gate
 from ..gates.matrix import MatrixGate
 from ..gates.qubit import X
 from ..linalg import matrix_root
@@ -37,8 +38,36 @@ from .dirty_ancilla import mcx_auto
 from .spec import ConstructionResult, GeneralizedToffoli
 
 
-def _controlled_single(matrix: np.ndarray, name: str) -> ControlledGate:
-    return ControlledGate(MatrixGate(matrix, (2,), name=name), (QUBIT_D,))
+def _matrix_gate(matrix: np.ndarray, name: str) -> MatrixGate:
+    """The single-qubit ``MatrixGate(matrix, name)``, shared per exact
+    (name, matrix)."""
+    matrix = np.asarray(matrix, dtype=complex)
+
+    def build() -> MatrixGate:
+        return MatrixGate(matrix, (QUBIT_D,), name=name)
+
+    if not exact(name):
+        return build()
+    return intern_gate(
+        ("__matrix__", (name, matrix.tobytes()), (QUBIT_D,)), build
+    )
+
+
+def _sqrt_gate(gate: MatrixGate, name: str) -> MatrixGate:
+    """``matrix_root(U, 1/2)`` of ``gate`` as a gate named ``name``.
+
+    Keyed on its derivation (the parent's key and the name), which fixes
+    the matrix bit for bit, so each root is computed once per process.
+    """
+
+    def build() -> MatrixGate:
+        return MatrixGate(
+            matrix_root(gate.unitary(), 0.5), gate.dims, name=name
+        )
+
+    if gate._key is None or not exact(name):
+        return build()
+    return intern_gate(("__sqrt__", gate._key, name), build)
 
 
 def multi_controlled_u_cascade(
@@ -56,36 +85,29 @@ def multi_controlled_u_cascade(
     """
     ops: list[GateOperation] = []
 
-    def cascade(
-        ctrls: list[Qudit], u: np.ndarray, name: str, pool: list[Qudit]
-    ) -> None:
+    def cascade(ctrls: list[Qudit], u: MatrixGate, pool: list[Qudit]) -> None:
         k = len(ctrls)
         if k == 0:
-            ops.append(MatrixGate(u, (2,), name=name).on(target))
+            ops.append(u.on(target))
             return
         if k == 1:
-            ops.append(_controlled_single(u, name).on(ctrls[0], target))
+            ops.append(controlled(u, None, (QUBIT_D,)).on(ctrls[0], target))
             return
         if k == 2:
-            ops.extend(
-                two_controlled_qubit_u(
-                    ctrls[0], ctrls[1], target, MatrixGate(u, (2,), name)
-                )
-            )
+            ops.extend(two_controlled_qubit_u(ctrls[0], ctrls[1], target, u))
             return
-        v = matrix_root(u, 0.5)
-        v_name = f"sqrt({name})"
+        v = _sqrt_gate(u, f"sqrt({u.name})")
         last, rest = ctrls[-1], ctrls[:-1]
-        cv = _controlled_single(v, v_name)
-        cv_dag = _controlled_single(v.conj().T, f"{v_name}^-1")
+        cv = controlled(v, None, (QUBIT_D,))
+        cv_dag = controlled(v.inverse(), None, (QUBIT_D,))
         x_dirty = pool + [target]
         ops.append(cv.on(last, target))
         ops.extend(mcx_auto(rest, last, x_dirty, decompose))
         ops.append(cv_dag.on(last, target))
         ops.extend(mcx_auto(rest, last, x_dirty, decompose))
-        cascade(rest, v, v_name, pool + [last])
+        cascade(rest, v, pool + [last])
 
-    cascade(list(controls), np.asarray(u_matrix, dtype=complex), u_name, [])
+    cascade(list(controls), _matrix_gate(u_matrix, u_name), [])
     return ops
 
 

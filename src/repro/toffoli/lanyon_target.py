@@ -15,8 +15,8 @@ from __future__ import annotations
 from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import DecompositionError
-from ..gates.base import Gate, PermutationGate
-from ..gates.controlled import ControlledGate
+from ..gates.base import Gate, PermutationGate, permutation_gate
+from ..gates.controlled import controlled
 from ..qudits import QUBIT_D, Qudit, qubits
 from .spec import ConstructionResult, GeneralizedToffoli
 
@@ -31,7 +31,7 @@ def _shelf_gate(dim: int, shelf_index: int) -> PermutationGate:
     mapping = list(range(dim))
     mapping[0], mapping[lo] = mapping[lo], mapping[0]
     mapping[1], mapping[hi] = mapping[hi], mapping[1]
-    return PermutationGate(mapping, (dim,), f"SHELF{shelf_index}(d{dim})")
+    return permutation_gate(mapping, (dim,), f"SHELF{shelf_index}(d{dim})")
 
 
 def build_lanyon_target(
@@ -51,7 +51,7 @@ def build_lanyon_target(
     if target_gate is None:
         mapping = list(range(target_dim))
         mapping[0], mapping[1] = 1, 0
-        target_gate = PermutationGate(mapping, (target_dim,), "X01")
+        target_gate = permutation_gate(mapping, (target_dim,), "X01")
     if target_gate.dims != (target_dim,):
         raise DecompositionError(
             f"target gate must act on the d={target_dim} target"
@@ -61,8 +61,8 @@ def build_lanyon_target(
     for i, (wire, value) in enumerate(zip(controls, spec.control_values)):
         inactive = 1 - value
         shelve.append(
-            ControlledGate(
-                _shelf_gate(target_dim, i), (QUBIT_D,), (inactive,)
+            controlled(
+                _shelf_gate(target_dim, i), (inactive,), (QUBIT_D,)
             ).on(wire, target)
         )
     flip = target_gate.on(target)

@@ -29,7 +29,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import DecompositionError
 from ..gates.base import Gate
-from ..gates.controlled import ControlledGate
+from ..gates.controlled import controlled
 from ..gates.decompositions import decompose_all
 from ..gates.qutrit import X01, X02, X_PLUS_1, level_swap, shift_gate
 from ..qudits import QUTRIT_D, Qudit, qudit_line
@@ -115,8 +115,8 @@ def _conjunction_tree(
         return nodes[0]
     if len(nodes) == 2:
         (c0, v0), (c1, v1) = nodes
-        gate = ControlledGate(
-            _elevation_gate(v1, c1.dimension), (c0.dimension,), (v0,)
+        gate = controlled(
+            _elevation_gate(v1, c1.dimension), (v0,), (c0.dimension,)
         )
         ops.append(gate.on(c0, c1))
         return (c1, 2)
@@ -124,10 +124,10 @@ def _conjunction_tree(
     left_root = _conjunction_tree(nodes[:split], ops)
     right_root = _conjunction_tree(nodes[split + 1 :], ops)
     host, host_value = nodes[split]
-    gate = ControlledGate(
+    gate = controlled(
         _elevation_gate(host_value, host.dimension),
-        (left_root[0].dimension, right_root[0].dimension),
         (left_root[1], right_root[1]),
+        (left_root[0].dimension, right_root[0].dimension),
     )
     ops.append(gate.on(left_root[0], right_root[0], host))
     return (host, 2)
@@ -164,16 +164,16 @@ def qutrit_multi_controlled_ops(
     if not controls:
         return [target_gate.on(target)]
     if len(controls) == 1:
-        gate = ControlledGate(
-            target_gate, (controls[0].dimension,), (control_values[0],)
+        gate = controlled(
+            target_gate, (control_values[0],), (controls[0].dimension,)
         )
         return [gate.on(controls[0], target)]
 
     nodes = _arrange(list(zip(controls, control_values)))
     compute: list[GateOperation] = []
     root, root_value = _conjunction_tree(nodes, compute)
-    apply_op = ControlledGate(
-        target_gate, (root.dimension,), (root_value,)
+    apply_op = controlled(
+        target_gate, (root_value,), (root.dimension,)
     ).on(root, target)
     uncompute = [op.inverse() for op in reversed(compute)]
     ops = compute + [apply_op] + uncompute

@@ -13,7 +13,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import GateOperation
 from ..exceptions import DecompositionError
 from ..gates.base import Gate
-from ..gates.controlled import ControlledGate
+from ..gates.controlled import controlled
 from ..gates.qutrit import X01, X02, X_PLUS_1
 from ..qudits import QUTRIT_D, Qudit, qutrits
 from .spec import ConstructionResult, GeneralizedToffoli
@@ -53,7 +53,7 @@ def build_wang_chain(
             circuit, controls, target, spec, "wang_chain"
         )
     if n == 1:
-        op = ControlledGate(gate, (QUTRIT_D,), (values[0],)).on(
+        op = controlled(gate, (values[0],), (QUTRIT_D,)).on(
             controls[0], target
         )
         return ConstructionResult(
@@ -63,18 +63,18 @@ def build_wang_chain(
     compute: list[GateOperation] = []
     # First link: elevate control 1 conditioned on control 0's own value.
     compute.append(
-        ControlledGate(
-            _elevation_gate(values[1]), (QUTRIT_D,), (values[0],)
+        controlled(
+            _elevation_gate(values[1]), (values[0],), (QUTRIT_D,)
         ).on(controls[0], controls[1])
     )
     # Ripple: elevate control i conditioned on control i-1 being |2>.
     for i in range(2, n):
         compute.append(
-            ControlledGate(
-                _elevation_gate(values[i]), (QUTRIT_D,), (2,)
+            controlled(
+                _elevation_gate(values[i]), (2,), (QUTRIT_D,)
             ).on(controls[i - 1], controls[i])
         )
-    apply_op = ControlledGate(gate, (QUTRIT_D,), (2,)).on(
+    apply_op = controlled(gate, (2,), (QUTRIT_D,)).on(
         controls[-1], target
     )
     uncompute = [op.inverse() for op in reversed(compute)]

@@ -114,6 +114,7 @@ class TestChannelKernels:
             "permutation_kernels": 0,
             "permutation_gathers": 0,
             "segment_gathers": 0,
+            "interned_gates": 0,
         }
 
 
@@ -210,6 +211,7 @@ class TestGatherCacheBound:
             "permutation_kernels",
             "permutation_gathers",
             "segment_gathers",
+            "interned_gates",
         }
 
 
