@@ -3,9 +3,9 @@ the paper's noise models.
 
 Run:  python examples/noise_model_comparison.py [num_controls] [trials]
 
-Defaults to 6 controls and 30 trials per bar (seconds-scale); the full
-benchmark (13 controls, 1000+ trials) lives in benchmarks/ behind
-REPRO_FULL=1.
+Defaults to 6 controls and 30 trials per bar (seconds-scale).  All 16
+bars at 8 controls, with the paper's orderings as gated invariants, are
+the ``fig11`` record of ``python -m repro bench --suite paper``.
 """
 
 from __future__ import annotations

@@ -173,35 +173,16 @@ def _cmd_figures(args: argparse.Namespace) -> None:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> None:
-    from .analysis.figures import fig11_fidelity_data, render_fidelity_bars
-    from .noise.presets import (
-        BARE_QUTRIT,
-        DRESSED_QUTRIT,
-        SC,
-        SC_GATES,
-        SC_T1,
-        SC_T1_GATES,
-        TI_QUBIT,
+    from .analysis.figures import (
+        FIG11_PAIRS, fig11_fidelity_data, render_fidelity_bars,
     )
 
-    sc_models = (SC, SC_T1, SC_GATES, SC_T1_GATES)
-    pairs = (
-        [("QUBIT", m) for m in sc_models]
-        + [("QUBIT+ANCILLA", m) for m in sc_models]
-        + [("QUTRIT", m) for m in sc_models]
-        + [
-            ("QUBIT", TI_QUBIT),
-            ("QUBIT+ANCILLA", TI_QUBIT),
-            ("QUTRIT", BARE_QUTRIT),
-            ("QUTRIT", DRESSED_QUTRIT),
-        ]
-    )
     print(
         f"Figure 11 reproduction at {args.controls} controls, "
         f"{args.trials} trajectories per bar"
     )
     points = fig11_fidelity_data(
-        pairs, num_controls=args.controls, trials=args.trials,
+        FIG11_PAIRS, num_controls=args.controls, trials=args.trials,
         seed=args.seed,
     )
     print(render_fidelity_bars(points))
@@ -578,6 +559,20 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         )
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for ints of at least ``minimum``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    convert.__name__ = "int"
+    return convert
+
+
 def main(argv: list[str] | None = None) -> int:
     """Dispatch the repro command-line interface."""
     from .analysis.bench import BENCH_SUITES
@@ -632,19 +627,19 @@ def main(argv: list[str] | None = None) -> int:
 
     tables = sub.add_parser("tables", help="render Tables 1-3")
     tables.add_argument(
-        "--sizes", type=int, nargs="+", default=[8, 16, 32, 64]
+        "--sizes", type=_int_at_least(1), nargs="+", default=[8, 16, 32, 64]
     )
     tables.set_defaults(func=_cmd_tables)
 
     figures = sub.add_parser("figures", help="Figures 9 and 10 sweeps")
     figures.add_argument(
-        "--sizes", type=int, nargs="+", default=[8, 16, 32, 64]
+        "--sizes", type=_int_at_least(1), nargs="+", default=[8, 16, 32, 64]
     )
     figures.set_defaults(func=_cmd_figures)
 
     fidelity = sub.add_parser("fidelity", help="Figure 11 fidelity bars")
-    fidelity.add_argument("--controls", type=int, default=6)
-    fidelity.add_argument("--trials", type=int, default=25)
+    fidelity.add_argument("--controls", type=_int_at_least(0), default=6)
+    fidelity.add_argument("--trials", type=_int_at_least(1), default=25)
     fidelity.add_argument("--seed", type=int, default=2019)
     fidelity.set_defaults(func=_cmd_fidelity)
 
@@ -887,6 +882,8 @@ def main(argv: list[str] | None = None) -> int:
     load.set_defaults(func=_cmd_circuit_load)
 
     args = parser.parse_args(argv)
+    if args.command == "tables" and len(set(args.sizes)) < 2:
+        tables.error("argument --sizes: Table 1 fits need two distinct sizes")
     args.func(args)
     return 0
 

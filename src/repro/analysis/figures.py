@@ -16,6 +16,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..noise.model import NoiseModel
+from ..noise.presets import (
+    BARE_QUTRIT, DRESSED_QUTRIT, SUPERCONDUCTING_MODELS, TI_QUBIT,
+)
 from ..sim.fidelity import FidelityEstimate
 from .metrics import construction_metrics
 
@@ -57,6 +60,14 @@ PAPER_FIG11_PERCENT: dict[tuple[str, str], float] = {
     ("QUTRIT", "BARE_QUTRIT"): 94.9,
     ("QUTRIT", "DRESSED_QUTRIT"): 96.1,
 }
+
+#: Figure 11's 16 bars in the paper's order: (circuit label, noise model).
+FIG11_PAIRS: tuple[tuple[str, NoiseModel], ...] = (
+    *((label, model) for label in BENCHMARK_CIRCUITS
+      for model in SUPERCONDUCTING_MODELS),
+    ("QUBIT", TI_QUBIT), ("QUBIT+ANCILLA", TI_QUBIT),
+    ("QUTRIT", BARE_QUTRIT), ("QUTRIT", DRESSED_QUTRIT),
+)
 
 
 def fig9_depth_data(
@@ -102,9 +113,9 @@ def fig11_fidelity_data(
 ) -> list[Fig11Point]:
     """Run the Figure 11 experiment for the given (circuit, model) pairs.
 
-    ``num_controls`` is 13 in the paper (14-input gate); benchmarks default
-    to a smaller width so the suite stays minutes-scale, with the full size
-    behind an environment flag.
+    ``num_controls`` is 13 in the paper (14-input gate); the ``paper``
+    bench suite runs :data:`FIG11_PAIRS` at 8 controls and 40 trials per
+    bar.  Bar ``i`` is seeded ``seed + i``.
     """
     from ..execution.facade import execute
 

@@ -3,7 +3,7 @@
 The paper benchmarks Gidney's ancilla-free construction, characterised by
 linear scaling with *large* constants (633N depth, 397N two-qubit gates)
 and rotation gates with very small angles.  Gidney's exact gate sequence is
-specified only in a blog post; as documented in DESIGN.md we substitute a
+specified only in a blog post, so this module substitutes a
 correct-by-construction zero-ancilla decomposition in the same cost regime
 at the paper's simulated sizes:
 

@@ -51,7 +51,7 @@ CONSTRUCTIONS: dict[str, ConstructionInfo] = {
             depth_scaling="N (paper); N^2 small-constant substitute here",
             ancilla="0",
             qudit_types="qubits",
-            notes="substituted construction, see DESIGN.md; small angles",
+            notes="substituted; see the repro.toffoli.ancilla_free docstring",
         ),
         ConstructionInfo(
             name="qubit_one_dirty",

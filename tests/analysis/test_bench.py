@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -159,7 +160,7 @@ def test_committed_baseline_is_its_full_run(name):
 
 
 #: Suites whose smoke run takes more than a second or so.
-SLOW_SUITES = ("noise", "route", "opt", "state", "serve")
+SLOW_SUITES = ("noise", "route", "opt", "state", "serve", "paper")
 
 
 @pytest.mark.parametrize("name", [
@@ -402,6 +403,36 @@ class TestStateBench:
             if r["key"]["case"] == "fastpath"
         ]
         assert [r["key"]["num_controls"] for r in fastpath] == [6, 10]
+
+
+def test_paper_gate_fails_when_the_qutrit_tree_builds_the_qubit_cascade(
+    monkeypatch,
+):
+    from repro.analysis import figures
+    from repro.analysis.bench import PAPER_SMOKE_SIZES, paper_figures, paper_table1
+    from repro.analysis.metrics import construction_metrics
+    from repro.toffoli.ancilla_free import build_ancilla_free_cascade
+    from repro.toffoli.registry import CONSTRUCTIONS
+
+    cascade = replace(CONSTRUCTIONS["qutrit_tree"],
+                      builder=build_ancilla_free_cascade)
+    monkeypatch.setitem(CONSTRUCTIONS, "qutrit_tree", cascade)
+    monkeypatch.setitem(figures.BENCHMARK_CIRCUITS, "QUTRIT",
+                        "qubit_ancilla_free")
+    construction_metrics.cache_clear()
+    try:
+        sizes = PAPER_SMOKE_SIZES
+        records = [*paper_figures(sizes), *paper_table1(sizes)]
+    finally:
+        construction_metrics.cache_clear()
+    committed = _committed("paper")
+    failures = check_report(committed, {**committed, "records": records})
+    fig9, table1 = (f"claim={c} sizes=[8, 16, 32, 64]" for c in ("fig9", "table1"))
+    assert f"{fig9}: invariant qutrit_depth_polylog failed" in failures
+    assert f"{table1}: invariant qutrit_tree.depth_class failed" in failures
+    assert any(f.startswith(f"{fig9}: QUTRIT.64 is ") for f in failures)
+    assert any(f.startswith(f"{table1}: qutrit_tree.depth.64 is ")
+               for f in failures)
 
 
 def test_suites_run_through_run_suite(monkeypatch):

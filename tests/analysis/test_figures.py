@@ -3,6 +3,7 @@
 
 from repro.analysis.figures import (
     BENCHMARK_CIRCUITS,
+    FIG11_PAIRS,
     PAPER_COUNT_FITS,
     PAPER_DEPTH_FITS,
     PAPER_FIG11_PERCENT,
@@ -70,6 +71,8 @@ class TestFig11:
     def test_paper_reference_complete(self):
         # 16 bars in Figure 11.
         assert len(PAPER_FIG11_PERCENT) == 16
+        labels = [(label, model.name) for label, model in FIG11_PAIRS]
+        assert labels == list(PAPER_FIG11_PERCENT)
 
     def test_benchmark_names_resolve(self):
         from repro.toffoli.registry import CONSTRUCTIONS

@@ -1,5 +1,5 @@
 """End-to-end integration tests reproducing the paper's headline claims
-at reduced scale (full scale runs live in benchmarks/)."""
+at reduced scale (the ``paper`` bench suite gates them at larger N)."""
 
 import pytest
 

@@ -34,16 +34,20 @@ class TestTable2:
         assert np.isclose(3 * model.p1, total_p1)
         assert np.isclose(15 * model.p2, total_p2)
         assert model.t1 == t1
+        assert model.reliability_ratio_two_qudit() < 1.0
 
     def test_gate_times(self):
         for model in SUPERCONDUCTING_MODELS:
             assert model.gate_time_1q == 100e-9
             assert model.gate_time_2q == 300e-9
+        lam1, lam2 = SC.idle_lambdas(3, SC.gate_time_2q)
+        assert np.isclose(lam1, 1 - np.exp(-3e-7 / 1e-3)) and lam2 > lam1
 
     def test_sc_is_ten_x_better_than_ibm(self):
         assert np.isclose(IBM_CURRENT.p1 / SC.p1, 10)
         assert np.isclose(IBM_CURRENT.p2 / SC.p2, 10)
         assert np.isclose(SC.t1 / IBM_CURRENT.t1, 10)
+        assert np.isclose(SC_T1_GATES.p1 * 100, IBM_CURRENT.p1)
 
     def test_order_matches_paper(self):
         assert [m.name for m in SUPERCONDUCTING_MODELS] == [

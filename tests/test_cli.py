@@ -101,6 +101,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["tables", "--sizes", "8"], "--sizes"),
+        (["tables", "--sizes", "0", "8"], "--sizes"),
+        (["figures", "--sizes", "0", "8"], "--sizes"),
+        (["fidelity", "--trials", "0"], "--trials"),
+        (["fidelity", "--controls", "-1"], "--controls"),
+    ])
+    def test_paper_commands_reject_bad_input(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument {flag}: ")
+
 
 class TestRunCommand:
     def test_statevector_shots(self, capsys):
