@@ -621,17 +621,23 @@ def bench_state_fastpath(
     repeats: int = 3,
     construction: str = "qutrit_tree",
     seed: int = STATE_SEED,
+    decompose: bool = False,
 ) -> dict:
-    """Permutation fast path vs the dense-kernel oracle on one circuit.
+    """Statevector fast path vs the dense-kernel oracle on one circuit.
 
     The default (``num_controls=10``) is the acceptance workload: the
     undecomposed qutrit tree — every gate a 27x27 three-wire basis
     permutation — applied to a Haar-random state.  The fast path moves
     amplitudes by one table gather per gate; the oracle pays the full
-    tensordot.  Both final states must agree *exactly* (a permutation
-    contraction multiplies by exact ones and zeros).
+    tensordot.  There both final states agree *exactly* (a permutation
+    contraction multiplies by exact ones and zeros).  With
+    ``decompose=True`` the decomposed ``qubit_ancilla_free`` circuit
+    (N=5: 210 of its 461 gates are T or T^-1) times the diagonal
+    multiply beside the gathers and the dense H kernels; a multiply
+    agrees with the contraction to rounding.  Either way the invariant
+    bounds the largest amplitude difference by 1e-12.
     """
-    result = build_toffoli(construction, num_controls, decompose=False)
+    result = build_toffoli(construction, num_controls, decompose=decompose)
     circuit = result.circuit
     wires = circuit.all_qudits()
     initial = StateVector.random(wires, np.random.default_rng(seed))
@@ -649,7 +655,7 @@ def bench_state_fastpath(
     )
     return _record(
         {
-            "case": "fastpath",
+            "case": "fastpath_decomposed" if decompose else "fastpath",
             "construction": construction,
             "num_controls": num_controls,
             "seed": seed,
@@ -807,14 +813,19 @@ def bench_state_dtype(
 
 
 def state_suite(smoke: bool, seed: int) -> list[dict]:
-    """Narrow cases with one timing repeat, then (full run) the
-    acceptance cases: the N=10 fast path, 500k GHZ(12) shots, N=7
-    complex64."""
+    """Narrow cases with one timing repeat (among them the decomposed
+    N=5 qubit ancilla-free fast path, whose T gates multiply), then
+    (full run) the acceptance cases: the N=10 fast path, 500k GHZ(12)
+    shots, N=7 complex64."""
     repeats = 1 if smoke else 3
     records = [
         bench_state_fastpath(num_controls=6, repeats=repeats),
         bench_state_sampling(width=8, shots=20_000, repeats=repeats),
         bench_state_dtype(num_controls=5, repeats=repeats),
+        bench_state_fastpath(
+            num_controls=5, repeats=repeats,
+            construction="qubit_ancilla_free", decompose=True,
+        ),
     ]
     if not smoke:
         records += [

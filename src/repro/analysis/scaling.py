@@ -32,11 +32,6 @@ class ScalingFit:
     coefficient: float
     relative_rmse: float
 
-    def predict(self, n: float) -> float:
-        """Model prediction at N = n."""
-        basis = MODELS[self.model](np.asarray([n], dtype=float))
-        return float(self.coefficient * basis[0])
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"~{self.coefficient:.3g} {self.model} "
@@ -75,19 +70,3 @@ def best_fit(
     fits = [fit_model(control_counts, costs, m) for m in candidates]
     return min(fits, key=lambda fit: fit.relative_rmse)
 
-
-def crossover_point(
-    fit_a: ScalingFit, fit_b: ScalingFit, n_max: int = 1 << 20
-) -> int | None:
-    """Smallest N >= 2 where ``fit_a`` exceeds ``fit_b`` (None if never).
-
-    Used to locate where one construction starts losing to another, e.g.
-    where the substituted quadratic-cost QUBIT baseline overtakes the
-    paper's reported linear fit.
-    """
-    n = 2
-    while n <= n_max:
-        if fit_a.predict(n) > fit_b.predict(n):
-            return n
-        n *= 2
-    return None

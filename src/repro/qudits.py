@@ -44,6 +44,14 @@ class Qudit:
             )
         if self.index < 0:
             raise ValueError(f"qudit index must be >= 0, got {self.index}")
+        # Wires key every circuit index, wire table and distinctness
+        # check, so the hash the dataclass would rebuild on every use is
+        # computed once (same value; not a field, so equality, ordering
+        # and repr are unchanged).
+        object.__setattr__(self, "_hash", hash((self.index, self.dimension)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kind = {2: "q", 3: "t"}.get(self.dimension, f"d{self.dimension}_")

@@ -28,6 +28,12 @@ slice, in place, instead of contracting the whole ``dims + dims`` kernel
 against the register — the lowered qutrit tree's ``X±1`` roots under a
 control take this path.
 
+A diagonal gate needs no contraction at all: :func:`diagonal_factor`
+turns it into one in-place multiply of its phase tensor, broadcast onto
+its axes (a controlled phase: onto its control block).  The verdict and
+the phases are read off the matrix a gate kernel or control block is
+built from, so they cost no extra ``unitary()``.
+
 The classical engines have their own kernel family: a *permutation
 kernel* is the gate's whole-domain basis permutation lowered to a flat
 ``int64`` lookup table over the mixed-radix index of its wires (plus the
@@ -84,6 +90,9 @@ class GateKernel:
     block: np.ndarray
     #: ``block.conj()`` — contracted against density column legs.
     conj_block: np.ndarray
+    #: The unitary's diagonal as a ``dims``-shaped phase tensor when
+    #: every off-diagonal entry is exactly zero, else None.
+    phases: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -231,8 +240,11 @@ def apply_block(
 _GATE_KERNELS: dict[tuple[int, str], GateKernel] = {}
 
 #: (sub-gate id, dtype char) -> the sub-gate's unitary in ``dims +
-#: dims`` block form, for the control-block path.
-_CONTROL_BLOCKS: dict[tuple[int, str], np.ndarray] = {}
+#: dims`` block form and its phases (as in :attr:`GateKernel.phases`),
+#: for the control-block path.
+_CONTROL_BLOCKS: dict[
+    tuple[int, str], tuple[np.ndarray, np.ndarray | None]
+] = {}
 
 #: gate id -> PermutationKernel (including negative results: "not a
 #: permutation" is cached too, so classicality checks of circuits full
@@ -315,6 +327,20 @@ def _as_block(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return block.reshape(dims + dims)
 
 
+def _phases(
+    matrix: np.ndarray, dims: tuple[int, ...], dtype: np.dtype
+) -> np.ndarray | None:
+    """``matrix``'s diagonal as a read-only ``dims``-shaped tensor at
+    ``dtype``, or None unless every off-diagonal entry is exactly zero
+    (then the multiply and the contraction agree to rounding)."""
+    diagonal = np.diagonal(matrix)
+    if np.count_nonzero(matrix) != np.count_nonzero(diagonal):
+        return None
+    phases = diagonal.astype(dtype).reshape(dims)
+    phases.setflags(write=False)
+    return phases
+
+
 def gate_kernel(
     op: GateOperation, dtype: "np.dtype | type" = np.complex128
 ) -> GateKernel:
@@ -323,7 +349,8 @@ def gate_kernel(
     Building the kernel also pays the gate's ``unitary()`` cost (which,
     for decomposed/controlled gates, multiplies out the construction), so
     repeated applications of a structurally identical gate never
-    recompute the matrix.  ``dtype`` selects the precision of the cached
+    recompute the matrix.  The diagonal verdict and phases are read off
+    that same matrix.  ``dtype`` selects the precision of the cached
     block (``complex64`` for the bulk-sweep mode); each precision is its
     own cache entry, cast once.
     """
@@ -332,25 +359,53 @@ def gate_kernel(
     kernel = _GATE_KERNELS.get(key)
     if kernel is None:
         dims = tuple(op.gate.dims)
-        block = _as_block(op.unitary(), dims)
+        matrix = np.asarray(op.unitary(), dtype=complex)
+        block = _as_block(matrix, dims)
         if dtype != np.dtype(np.complex128):
             block = block.astype(dtype)
-        kernel = GateKernel(dims, block, block.conj())
+        kernel = GateKernel(
+            dims, block, block.conj(), _phases(matrix, dims, dtype)
+        )
         _GATE_KERNELS[key] = kernel
     return kernel
 
 
-def _control_block(gate: ControlledGate, dtype: np.dtype) -> np.ndarray:
-    """The cached block of a controlled gate's sub-gate at ``dtype``."""
+def _control_block(
+    gate: ControlledGate, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cached block and phases of a controlled gate's sub-gate at
+    ``dtype``."""
     sub = gate.sub_gate
     key = (spec_id(sub), dtype.char)
-    block = _CONTROL_BLOCKS.get(key)
-    if block is None:
-        block = _as_block(sub.unitary(), tuple(sub.dims)).astype(
-            dtype, copy=False
+    entry = _CONTROL_BLOCKS.get(key)
+    if entry is None:
+        dims = tuple(sub.dims)
+        matrix = np.asarray(sub.unitary(), dtype=complex)
+        entry = (
+            _as_block(matrix, dims).astype(dtype, copy=False),
+            _phases(matrix, dims, dtype),
         )
-        _CONTROL_BLOCKS[key] = block
-    return block
+        _CONTROL_BLOCKS[key] = entry
+    return entry
+
+
+def _control_slice(
+    gate: ControlledGate, axes: Sequence[int], ndim: int
+) -> tuple[tuple, list[int]]:
+    """The index of ``gate``'s control block in an ``ndim``-axis tensor
+    (every control axis at its activation value) and the target axes
+    within that block."""
+    controls = axes[: gate.num_controls]
+    index = [slice(None)] * ndim
+    for axis, value in zip(controls, gate.control_values):
+        index[axis] = value
+    # Integer indices drop the control axes from the view, so each
+    # target axis shifts down by the controls in front of it.
+    targets = [
+        axis - sum(c < axis for c in controls)
+        for axis in axes[gate.num_controls:]
+    ]
+    return tuple(index), targets
 
 
 def apply_gate_block(
@@ -365,25 +420,65 @@ def apply_gate_block(
     the register is never read.  Any other gate contracts its whole
     kernel block (:func:`gate_kernel`) into a new array.  Either way the
     result is returned; callers must own ``tensor`` (other axes, such as
-    a leading batch axis, pass through untouched).
+    a leading batch axis, pass through untouched).  Diagonal gates take
+    :func:`diagonal_factor` instead.
     """
     gate = op.gate
     if not isinstance(gate, ControlledGate):
         return apply_block(tensor, gate_kernel(op, tensor.dtype).block, axes)
-    block = _control_block(gate, tensor.dtype)
-    controls = axes[: gate.num_controls]
-    index = [slice(None)] * tensor.ndim
-    for axis, value in zip(controls, gate.control_values):
-        index[axis] = value
-    # Integer indices drop the control axes from the view, so each
-    # target axis shifts down by the controls in front of it.
-    targets = [
-        axis - sum(c < axis for c in controls)
-        for axis in axes[gate.num_controls:]
-    ]
-    view = tensor[tuple(index)]
+    block, _ = _control_block(gate, tensor.dtype)
+    index, targets = _control_slice(gate, axes, tensor.ndim)
+    view = tensor[index]
     view[...] = apply_block(view, block, targets)
     return tensor
+
+
+def _broadcast(
+    phases: np.ndarray, axes: Sequence[int], ndim: int
+) -> np.ndarray:
+    """``phases`` (one leg per axis, in ``axes`` order) reshaped to
+    broadcast onto ``axes`` of an ``ndim``-axis tensor."""
+    shape = [1] * ndim
+    for axis, dim in zip(axes, phases.shape):
+        shape[axis] = dim
+    if any(a > b for a, b in zip(axes, axes[1:])):
+        phases = phases.transpose(np.argsort(axes))
+    return phases.reshape(shape)
+
+
+def diagonal_factor(
+    op: GateOperation,
+    axes: Sequence[int],
+    ndim: int,
+    dtype: "np.dtype | type" = np.complex128,
+) -> tuple[tuple, np.ndarray] | None:
+    """``op`` on ``axes`` as one in-place multiply, or None if its gate
+    is not diagonal.
+
+    Returns ``(index, factor)``: ``view = tensor[index]; view *= factor``
+    applies the gate to an ``ndim``-axis tensor of ``dtype``, in place
+    (callers must own the tensor).  A
+    :class:`~repro.gates.controlled.ControlledGate` with a diagonal
+    sub-gate multiplies only its control block by the sub-gate's phases;
+    any other diagonal gate multiplies the whole tensor (``index`` is
+    ``()``) by its phase tensor broadcast onto ``axes``, in any axis
+    order.  The verdict and the phases are read from the gate-kernel
+    caches (:func:`gate_kernel`, or the control-block cache for a
+    controlled gate), so a gate's matrix is formed exactly when the
+    contraction path would form it.
+    """
+    gate = op.gate
+    dtype = np.dtype(dtype)
+    if isinstance(gate, ControlledGate):
+        _, phases = _control_block(gate, dtype)
+        if phases is None:
+            return None
+        index, targets = _control_slice(gate, axes, ndim)
+        return index, _broadcast(phases, targets, ndim - gate.num_controls)
+    phases = gate_kernel(op, dtype).phases
+    if phases is None:
+        return None
+    return (), _broadcast(phases, axes, ndim)
 
 
 def permutation_kernel(op: GateOperation) -> PermutationKernel:

@@ -34,6 +34,7 @@ from .kernels import (
     apply_block,
     apply_gate_block,
     caches_gathers,
+    diagonal_factor,
     gate_kernel,
     permutation_kernel,
     segment_permutation_gather,
@@ -251,18 +252,43 @@ class StateVector:
         cache) is lifted once to full-register gather indices
         (:func:`repro.sim.kernels.permutation_gather`) and amplitudes
         move in one flat gather over the mixed-radix joint index —
-        no dense contraction, no axis shuffling.  Everything else
-        goes through :meth:`apply_gate_block`, and so does every gate on
+        no dense contraction, no axis shuffling.  A diagonal gate is one
+        multiply (:meth:`apply_diagonal_gate`), and everything else
+        goes through :meth:`apply_gate_block`; so does every gate on
         a register too wide for cached gathers
-        (:func:`repro.sim.kernels.caches_gathers`).  Both the verdict and
+        (:func:`repro.sim.kernels.caches_gathers`).  Both the verdicts and
         the index maps are cached process-wide on the gate's canonical
-        spec, so dispatch costs one dict lookup per application.
+        spec, so dispatch costs a few dict lookups per application.
         """
         kernel = permutation_kernel(op)
         if kernel.is_permutation and caches_gathers(self._tensor.shape):
             self.apply_permutation_ops([op])
-            return
-        self.apply_gate_block(op)
+        elif not self.apply_diagonal_gate(op):
+            self.apply_gate_block(op)
+
+    def apply_diagonal_gate(self, op: GateOperation) -> bool:
+        """Apply ``op`` as one in-place multiply if its gate is diagonal.
+
+        The gate's phase tensor is broadcast onto its wires' axes (a
+        controlled phase multiplies only its control block by the
+        sub-gate's phases; :func:`repro.sim.kernels.diagonal_factor`).
+        Returns False, leaving the state untouched, when the gate is not
+        diagonal.  Agrees with :meth:`apply_operation_dense` to rounding
+        (pinned by the property suite).
+        """
+        axes = [self._axis[w] for w in op.qudits]
+        factor = diagonal_factor(
+            op, axes, self._tensor.ndim, self._tensor.dtype
+        )
+        if factor is None:
+            return False
+        if self._shared:
+            self._tensor = self._tensor.copy()
+            self._shared = False
+        index, phases = factor
+        view = self._tensor[index]
+        view *= phases
+        return True
 
     def apply_gate_block(self, op: GateOperation) -> None:
         """Apply a non-permutation gate, on its control block if it has one.

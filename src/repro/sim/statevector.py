@@ -7,6 +7,9 @@ and the run loop composes *consecutive* permutation gates into one
 cached segment gather (:func:`repro.sim.kernels
 .segment_permutation_gather`) — a permutation-only circuit costs a
 single pass over the amplitudes per run, however deep it is.  A
+diagonal gate (T, T^-1, a fused phase gate, a controlled phase) ends
+the segment and is one in-place multiply of its phase tensor broadcast
+onto its axes (:func:`repro.sim.kernels.diagonal_factor`).  Any other
 non-classical :class:`~repro.gates.controlled.ControlledGate` updates
 only its control block (:func:`repro.sim.kernels.apply_gate_block`);
 only the remaining gates pay a dense contraction through the
@@ -14,18 +17,21 @@ gate-kernel cache.  Either way a gate that occurs many times in a
 circuit — or across the thousands of basis inputs exhaustive
 verification runs — lowers exactly once per canonical spec.  Registers
 above 2^18 amplitudes (:func:`repro.sim.kernels.caches_gathers`) build
-no gathers: every gate runs on its own control block or kernel, as in
-the trajectory engine, so no register-sized index array is kept.
+no gathers: every gate is a multiply or runs on its own control block
+or kernel, as in the trajectory engine, so no register-sized index
+array is kept.
 
 Two knobs tune bulk sweeps:
 
 * ``dtype=np.complex64`` halves the memory traffic of wide sweeps; the
-  permutation fast path is rounding-free in both precisions and the
-  dense fallback uses per-precision cached kernels (parity bounds in
-  docs/SIMULATORS.md, enforced by the property suite);
+  permutation fast path is rounding-free in both precisions, and the
+  multiplies and the dense fallback use per-precision cached kernels
+  (parity bounds in docs/SIMULATORS.md, enforced by the property
+  suite);
 * ``permutation_fast_path=False`` forces every gate through the dense
-  contraction (no gathers, no control blocks) — the pre-v2 engine,
-  preserved as the parity oracle for tests and ``BENCH_state.json``.
+  contraction (no gathers, no multiplies, no control blocks) — the
+  pre-v2 engine, preserved as the parity oracle for tests and
+  ``BENCH_state.json``.
 
 Terminal sampling ships here too: :meth:`StateVectorSimulator
 .sample_counts` runs the circuit once and draws any number of shots
@@ -107,7 +113,9 @@ class StateVectorSimulator:
             return state
         # Batch consecutive permutation gates into segments: each
         # segment composes to one cached gather, so a permutation-only
-        # circuit costs a single pass over the amplitudes per run.
+        # circuit costs a single pass over the amplitudes per run.  Any
+        # other gate ends the segment: a multiply if it is diagonal, its
+        # control block or kernel otherwise.
         gathers = caches_gathers(state.tensor.shape)
         segment: list = []
         for moment in circuit:
@@ -117,7 +125,8 @@ class StateVectorSimulator:
                     continue
                 state.apply_permutation_ops(segment)
                 segment.clear()
-                state.apply_gate_block(op)
+                if not state.apply_diagonal_gate(op):
+                    state.apply_gate_block(op)
         state.apply_permutation_ops(segment)
         return state
 

@@ -16,15 +16,19 @@ Two engines share that schedule and sample the same per-trajectory law:
   moment.  ``B`` trajectories are the rows of one flat ``(B, D)`` array,
   with their ``B`` noise-free reference rows stacked underneath, so every
   gate runs once for both.  A moment's permutation gates compose into one
-  cached gather; every other gate applies its kernel block (a
-  :class:`~repro.gates.controlled.ControlledGate` only on its control
-  block).  State-independent noise — gate errors and idle kicks — is
-  drawn for every row at once and applied only to the rows where a
-  branch fired.  Amplitude damping takes one ``|psi|^2`` pass per moment:
-  a row keeps the no-jump branch on every wire with probability
-  ``p . G0`` (``G0`` the full-register product of the wires' no-jump Gram
-  diagonals), and a row that jumps draws its first jumping (wire, branch)
-  by the chain rule, then each later wire from its current populations.
+  cached gather; each diagonal gate is one in-place multiply of its phase
+  tensor broadcast onto its axes; every other gate applies its kernel
+  block (a :class:`~repro.gates.controlled.ControlledGate` only on its
+  control block).  State-independent noise — gate errors and idle kicks
+  — is drawn for every row at once and applied only to the rows where a
+  branch fired.  Amplitude damping takes the no-jump branch in one pass
+  per moment: every row is multiplied by the no-jump product once, and
+  the squared norm of that product is the probability ``p . G0`` that
+  the row keeps the no-jump branch on every wire (``G0`` the
+  full-register product of the wires' no-jump Gram diagonals).  Only a
+  row that jumps forms ``|psi|^2``: it draws its first jumping (wire,
+  branch) by the chain rule, then each later wire from its current
+  populations.
 * :class:`TrajectorySimulator` — the looped oracle, one trajectory at a
   time (one :class:`~repro.sim.state.StateVector` per shot, one channel
   draw at a time).  No batch size selects it: tests and the noise
@@ -53,6 +57,7 @@ from .kernels import (
     apply_block,
     apply_gate_block,
     caches_gathers,
+    diagonal_factor,
     permutation_kernel,
     segment_permutation_gather,
 )
@@ -262,20 +267,20 @@ class _IdleStep:
             self.damping.append(
                 _WireDamping(kraus, k + 1, ndim) if kraus else None
             )
-        self.no_jump_gram = self.no_jump_amplitude = None
-        if any(self.damping):
-            self.no_jump_gram = self._product(
-                [d.gram[0] if d else None for d in self.damping]
-            )
-            if all(d is None or d.diagonals[0] is not None
-                   for d in self.damping):
-                amplitude = self._product([
-                    d.diagonals[0].reshape(-1) if d else None
-                    for d in self.damping
-                ])
-                if not np.any(amplitude.imag):
-                    amplitude = amplitude.real.copy()
-                self.no_jump_amplitude = amplitude
+        #: True if any wire damps in this step.
+        self.damps = any(self.damping)
+        #: Full-register product of the no-jump diagonals, when every
+        #: damping wire's no-jump operator is diagonal (else None).
+        self.no_jump_amplitude = None
+        if self.damps and all(d is None or d.diagonals[0] is not None
+                              for d in self.damping):
+            amplitude = self._product([
+                d.diagonals[0].reshape(-1) if d else None
+                for d in self.damping
+            ])
+            if not np.any(amplitude.imag):
+                amplitude = amplitude.real.copy()
+            self.no_jump_amplitude = amplitude
 
     def _product(self, factors: list) -> np.ndarray:
         """Full-register product of per-wire vectors (None = ones)."""
@@ -291,36 +296,47 @@ class _IdleStep:
         """One damping draw for every row of ``noisy`` (updated in place).
 
         Returns the rows that jumped and their ``(rows, wires)`` branch
-        pattern.  A row keeps the no-jump branch on every wire iff
-        ``u < p . G0``; it is then multiplied by the no-jump product and
-        divided by the square root of that weight, which is also its
-        renormalization.
+        pattern.  Every row is first taken through the no-jump branch on
+        every wire, once; the squared norm of that product is the row's
+        no-jump weight ``p . G0``, since every ``K0^dag K0`` is diagonal.
+        A row keeps the branch iff ``u < p . G0``, and is then the
+        product divided by the square root of that weight, which is also
+        its renormalization.  Only the rows that jump form ``|psi|^2``.
         """
-        probabilities = np.abs(noisy)
-        np.square(probabilities, out=probabilities)
-        weight = probabilities @ self.no_jump_gram
+        kept = self._no_jump(noisy)
+        flat = kept.view(np.float64)
+        weight = np.einsum("ij,ij->i", flat, flat)
         jumped = np.flatnonzero(u >= weight)
         patterns = np.zeros((0, len(self.shape)), dtype=np.intp)
         if jumped.size:
+            rows = noisy[jumped]
+            probabilities = np.abs(rows)
+            np.square(probabilities, out=probabilities)
             rows, patterns, valid = self._jump(
-                noisy[jumped], probabilities[jumped], weight[jumped],
-                u[jumped], rng,
+                rows, probabilities, weight[jumped], u[jumped], rng,
             )
             jumped, rows, patterns = jumped[valid], rows[valid], \
                 patterns[valid]
             weight[jumped] = 1.0
-        if self.no_jump_amplitude is not None:
-            noisy *= self.no_jump_amplitude
-        else:
-            tensor = noisy.reshape((len(noisy),) + self.shape)
-            for wire in self.damping:
-                if wire is not None:
-                    tensor = wire.apply(tensor, 0)
-            noisy[...] = tensor.reshape(noisy.shape)
-        noisy /= np.sqrt(weight)[:, None]
+        # A real multiply of the float view by 1/sqrt(weight) gives the
+        # bits a complex division by sqrt(weight) would, at a third of
+        # the cost.
+        flat *= (1.0 / np.sqrt(weight))[:, None]
+        noisy[...] = kept
         if jumped.size:
             noisy[jumped] = rows
         return jumped, patterns
+
+    def _no_jump(self, noisy: np.ndarray) -> np.ndarray:
+        """A new C-ordered array: ``noisy`` after every wire's no-jump
+        operator (one multiply when they are all diagonal)."""
+        if self.no_jump_amplitude is not None:
+            return np.multiply(noisy, self.no_jump_amplitude, order="C")
+        tensor = noisy.reshape((len(noisy),) + self.shape).copy()
+        for wire in self.damping:
+            if wire is not None:
+                tensor = wire.apply(tensor, 0)
+        return np.ascontiguousarray(tensor).reshape(noisy.shape)
 
     def _jump(
         self,
@@ -391,13 +407,20 @@ class _IdleStep:
         return states.reshape(count, -1), patterns, valid
 
 
-@dataclass(frozen=True)
+@dataclass
 class _MomentPlan:
-    """One moment's gates and state-independent noise, ready to run."""
+    """One moment's gates and state-independent noise, ready to run.
+
+    Not frozen: one is built per moment per estimate, and a frozen
+    dataclass's ``__init__`` costs about 2.5 times as much.
+    """
 
     #: Composed gather of the moment's permutation gates (or None).
     gather: np.ndarray | None
-    #: Non-permutation gates as ``(op, row-tensor axes)``.
+    #: Diagonal gates as ``(index, factor)`` in-place multiplies of the
+    #: row tensor (:func:`~repro.sim.kernels.diagonal_factor`).
+    phases: list
+    #: Every other gate as ``(op, row-tensor axes)``.
     blocks: list
     #: Gate errors, then kicks before damping, then kicks after it, as
     #: ``(UnitaryMixtureChannel, state axes)``.
@@ -448,27 +471,45 @@ class BatchedTrajectorySimulator:
         # array is built or kept.
         gathers = caches_gathers(shape)
         axis = {w: k for k, w in enumerate(wires)}
+        ndim = len(shape) + 1
         idle_steps: dict[float, _IdleStep] = {}
-        gate_errors: dict[tuple[int, ...], UnitaryMixtureChannel | None] = {}
+        # Per gate instance (gates are interned, so a circuit holds few):
+        # is it gathered, and its error channel (None if it never fires).
+        # Per (gate, row axes): its diagonal factor, or None for a block.
+        kinds: dict[int, tuple] = {}
+        factors: dict[tuple, tuple | None] = {}
         plans = []
         for moment in circuit:
-            permutations, blocks, errors = [], [], []
+            permutations, phases, blocks, errors = [], [], [], []
             for op in moment:
+                gate = op.gate
                 axes = [axis[w] for w in op.qudits]
-                if gathers and permutation_kernel(op).is_permutation:
-                    permutations.append((op, axes))
-                else:
-                    blocks.append((op, [a + 1 for a in axes]))
-                dims = op.gate.dims
-                if dims not in gate_errors:
-                    error = self._model.gate_error(dims)
+                kind = kinds.get(id(gate))
+                if kind is None:
+                    error = self._model.gate_error(gate.dims)
                     if not isinstance(error, UnitaryMixtureChannel):
                         raise _unsupported(error)
-                    gate_errors[dims] = (
-                        error if error.error_probability > 0 else None
+                    kind = kinds[id(gate)] = (
+                        gathers and permutation_kernel(op).is_permutation,
+                        error if error.error_probability > 0 else None,
                     )
-                if gate_errors[dims] is not None:
-                    errors.append((gate_errors[dims], axes))
+                gathered, error = kind
+                if gathered:
+                    permutations.append((op, axes))
+                else:
+                    rows = tuple([a + 1 for a in axes])
+                    key = (id(gate), rows)
+                    factor = factors.get(key, False)
+                    if factor is False:
+                        factor = factors[key] = diagonal_factor(
+                            op, rows, ndim
+                        )
+                    if factor is None:
+                        blocks.append((op, list(rows)))
+                    else:
+                        phases.append(factor)
+                if error is not None:
+                    errors.append((error, axes))
             duration = self._model.moment_duration(moment)
             idle = idle_steps.get(duration)
             if idle is None:
@@ -483,6 +524,7 @@ class BatchedTrajectorySimulator:
                         if permutations
                         else None
                     ),
+                    phases=phases,
                     blocks=blocks,
                     mixtures=mixtures,
                     identity=np.array(
@@ -565,14 +607,17 @@ class BatchedTrajectorySimulator:
         for plan in plans:
             if plan.gather is not None:
                 psi = psi[:, plan.gather]
-            if plan.blocks:
+            if plan.phases or plan.blocks:
                 tensor = psi.reshape(row_shape)
+                for index, factor in plan.phases:
+                    view = tensor[index]
+                    view *= factor
                 for op, axes in plan.blocks:
                     tensor = apply_gate_block(tensor, op, axes)
                 psi = tensor.reshape(psi.shape)
             noisy = psi[:count]
             mixtures = plan.mixtures
-            damping = plan.idle.no_jump_gram is not None
+            damping = plan.idle.damps
             if not mixtures and not damping:
                 continue
             draws = rng.random((len(mixtures) + damping, count))

@@ -394,7 +394,7 @@ class TestStateBench:
 
     def test_record_keys_join_smoke_to_full(self, state_report):
         assert [r["key"]["case"] for r in state_report["records"]] == [
-            "fastpath", "sampling", "dtype"
+            "fastpath", "sampling", "dtype", "fastpath_decomposed"
         ]
 
     def test_committed_fastpath_covers_n10(self):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.scaling import (
-    MODELS,
-    ScalingFit,
-    best_fit,
-    crossover_point,
-    fit_model,
-)
+from repro.analysis.scaling import MODELS, best_fit, fit_model
 
 
 class TestFitModel:
@@ -36,10 +30,6 @@ class TestFitModel:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_model([4], [5], "N")
-
-    def test_predict(self):
-        fit = ScalingFit("N", 3.0, 0.0)
-        assert fit.predict(10) == 30.0
 
 
 class TestBestFit:
@@ -68,19 +58,3 @@ class TestBestFit:
         for basis in MODELS.values():
             assert basis(ns).shape == ns.shape
 
-
-class TestCrossover:
-    def test_crossover_found(self):
-        quadratic = ScalingFit("N^2", 1.0, 0.0)
-        linear = ScalingFit("N", 100.0, 0.0)
-        crossing = crossover_point(quadratic, linear)
-        assert crossing is not None
-        assert quadratic.predict(crossing) > linear.predict(crossing)
-        assert quadratic.predict(crossing // 2) <= linear.predict(
-            crossing // 2
-        )
-
-    def test_no_crossover(self):
-        log = ScalingFit("log2(N)", 1.0, 0.0)
-        linear = ScalingFit("N", 100.0, 0.0)
-        assert crossover_point(log, linear, n_max=1 << 16) is None

@@ -1,10 +1,11 @@
 """Property-based tests for the statevector-v2 engine.
 
-The permutation fast path (segment-composed gathers) is pinned against
-the dense contraction oracle — the pre-v2 engine preserved as
-``StateVectorSimulator(permutation_fast_path=False)`` — across random
-circuits, the Toffoli construction catalog, both amplitude precisions,
-and circuits emerging from the optimizer and router pipelines.
+The permutation fast path (segment-composed gathers) and the diagonal
+multiply are pinned against the dense contraction oracle — the pre-v2
+engine preserved as ``StateVectorSimulator(permutation_fast_path=False)``
+— across random circuits, the Toffoli construction catalog, both
+amplitude precisions, and circuits emerging from the optimizer and
+router pipelines.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
 from repro.execution.pipeline_spec import PipelineSpec
+from repro.gates.base import PhasedGate
 from repro.gates.controlled import ControlledGate
 from repro.gates.matrix import MatrixGate
 from repro.gates.qutrit import (
@@ -23,10 +25,11 @@ from repro.gates.qutrit import (
     X12,
     X_MINUS_1,
     X_PLUS_1,
+    level_swap,
 )
 from repro.linalg import random_unitary
 from repro.qudits import Qudit, qutrits
-from repro.sim.kernels import permutation_kernel
+from repro.sim.kernels import diagonal_factor, permutation_kernel
 from repro.sim.state import StateVector
 from repro.sim.statevector import StateVectorSimulator
 from repro.toffoli.registry import build_toffoli
@@ -115,14 +118,27 @@ class TestFastPathParity:
     )
     def test_toffoli_catalog_parity(self, construction, kwargs):
         # The undecomposed catalog is permutation-heavy by design
-        # (the paper's whole point); every construction must agree
-        # exactly with the dense oracle on a random input.
+        # (the paper's whole point); gathers and the dense contractions
+        # both engines share agree exactly with the dense oracle on a
+        # random input.  The T gates of the decomposed qubit
+        # constructions run as a multiply, which agrees to rounding.
         result = build_toffoli(construction, 4, **kwargs)
         wires = result.circuit.all_qudits()
         fast, dense = run_both(
             result.circuit, wires, seed=20190608
         )
-        assert np.array_equal(fast.vector, dense.vector)
+        multiplies = any(
+            diagonal_factor(op, range(op.gate.num_qudits),
+                            op.gate.num_qudits) is not None
+            and not permutation_kernel(op).is_permutation
+            for op in result.circuit.all_operations()
+        )
+        if multiplies:
+            np.testing.assert_allclose(
+                fast.vector, dense.vector, atol=1e-12, rtol=0
+            )
+        else:
+            assert np.array_equal(fast.vector, dense.vector)
 
 
 class TestPrecisionBounds:
@@ -299,3 +315,115 @@ class TestControlBlockParity:
             fast = FAST.run(circuit, initial)
             dense = DENSE.run(circuit, initial)
             assert np.array_equal(fast.vector, dense.vector)
+
+
+@st.composite
+def diagonal_mix_circuits(draw, max_wires=4, max_ops=20):
+    """Random circuits over mixed qubit/qutrit wires in which 1- and
+    2-wire diagonal gates (phase gates, two-wire phase tensors and
+    controlled phases) interleave with permutation and dense gates.
+
+    Two-wire gates take their wires in a drawn order, so a gate's legs
+    often run in descending register order.
+    """
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=2,
+                         max_size=max_wires))
+    wires = [Qudit(index, dim) for index, dim in enumerate(dims)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def phases(size):
+        return np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+
+    ops = []
+    for _ in range(draw(st.integers(1, max_ops))):
+        kind = draw(st.sampled_from(
+            ("phase", "phase2", "cphase", "swap", "cswap", "dense")))
+        pair = draw(st.lists(st.sampled_from(wires), min_size=2,
+                             max_size=2, unique=True))
+        a, b = pair
+        if kind == "phase":
+            gate = PhasedGate(phases(a.dimension), (a.dimension,), "P")
+            ops.append(gate.on(a))
+        elif kind == "phase2":
+            gate = PhasedGate(phases(a.dimension * b.dimension),
+                              (a.dimension, b.dimension), "P2")
+            ops.append(gate.on(a, b))
+        elif kind == "cphase":
+            sub = PhasedGate(phases(b.dimension), (b.dimension,), "P")
+            value = draw(st.integers(0, a.dimension - 1))
+            ops.append(ControlledGate(sub, (a.dimension,), (value,))
+                       .on(a, b))
+        elif kind == "swap":
+            ops.append(level_swap(a.dimension, 0, 1).on(a))
+        elif kind == "cswap":
+            ops.append(ControlledGate(level_swap(b.dimension, 0, 1),
+                                      (a.dimension,), (1,)).on(a, b))
+        else:
+            unitary = random_unitary(a.dimension, rng)
+            ops.append(MatrixGate(unitary, (a.dimension,)).on(a))
+    return Circuit(ops), wires
+
+
+class TestDiagonalParity:
+    """Diagonal gates run as one multiply (``diagonal_factor``) and agree
+    with the dense contraction oracle (``apply_operation_dense``)."""
+
+    @given(diagonal_mix_circuits(), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_complex128_agrees_with_dense(self, circuit_and_wires, seed):
+        circuit, wires = circuit_and_wires
+        fast, dense = run_both(circuit, wires, seed)
+        np.testing.assert_allclose(
+            fast.vector, dense.vector, atol=1e-12, rtol=0
+        )
+
+    @given(diagonal_mix_circuits(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_complex64_within_documented_bound(
+        self, circuit_and_wires, seed
+    ):
+        circuit, wires = circuit_and_wires
+        initial = StateVector.random(wires, np.random.default_rng(seed))
+        exact = DENSE.run(circuit, initial)
+        bulk = StateVectorSimulator(dtype=np.complex64).run(
+            circuit, initial
+        )
+        assert bulk.dtype == np.complex64
+        bound = (
+            circuit.num_operations * np.sqrt(exact.vector.size) * 1e-7
+        )
+        diff = np.abs(bulk.vector.astype(np.complex128) - exact.vector)
+        assert diff.max() <= bound
+
+    @given(diagonal_mix_circuits(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_one_op_at_a_time_agrees_with_dense(
+        self, circuit_and_wires, seed
+    ):
+        # apply_operation takes the same multiply, op by op, and a
+        # diagonal gate never writes through to the caller's array.
+        circuit, wires = circuit_and_wires
+        amplitudes = StateVector.random(
+            wires, np.random.default_rng(seed)
+        ).tensor
+        before = amplitudes.copy()
+        stepped = StateVector(wires, amplitudes)
+        dense = StateVector(wires, before.copy())
+        for op in circuit.all_operations():
+            stepped.apply_operation(op)
+            dense.apply_operation_dense(op)
+        np.testing.assert_allclose(
+            stepped.vector, dense.vector, atol=1e-12, rtol=0
+        )
+        assert np.array_equal(amplitudes, before)
+
+    @given(diagonal_mix_circuits())
+    @settings(max_examples=30, deadline=None)
+    def test_diagonal_verdicts(self, circuit_and_wires):
+        # Exactly the phase gates and controlled phases multiply.
+        circuit, wires = circuit_and_wires
+        for op in circuit.all_operations():
+            axes = [wires.index(w) for w in op.qudits]
+            factor = diagonal_factor(op, axes, len(wires))
+            sub = getattr(op.gate, "sub_gate", op.gate)
+            assert (factor is not None) == isinstance(sub, PhasedGate)

@@ -14,9 +14,12 @@ from repro.gates.qubit import CNOT, H
 from repro.gates.qutrit import X01, X_PLUS_1
 from repro.noise.kraus import KrausChannel
 from repro.noise.model import NoiseModel
+from repro.noise.presets import SC
 from repro.qudits import Qudit, qutrits
 from repro.sim import fidelity as fidelity_module
 from repro.sim import kernels
+from repro.sim import state as state_module
+from repro.sim import trajectory as trajectory_module
 from repro.sim.density import DensityMatrixSimulator
 from repro.sim.fidelity import (
     estimate_circuit_fidelity,
@@ -24,11 +27,13 @@ from repro.sim.fidelity import (
 )
 from repro.sim.kernels import clear_kernel_caches, kernel_cache_stats
 from repro.sim.state import StateVector
+from repro.sim.statevector import StateVectorSimulator
 from repro.sim.trajectory import (
     BatchedTrajectorySimulator,
     TrajectorySimulator,
     _IdleStep,
 )
+from repro.toffoli.registry import build_toffoli
 
 #: One qubit and two qutrits: a mixed-dimension register.
 WIRES = [Qudit(0, 2), Qudit(1, 3), Qudit(2, 3)]
@@ -144,7 +149,7 @@ class TestDampingLaw:
         psi = StateVector.random(WIRES, np.random.default_rng(3)).vector
         psi[0] = 0.0
         psi /= np.linalg.norm(psi)
-        assert float(np.abs(psi) ** 2 @ step.no_jump_gram) == 0.0
+        assert float(np.linalg.norm(step.no_jump_amplitude * psi)) == 0.0
         rows = np.tile(psi, (20_000, 1))
         rng = np.random.default_rng(11)
         jumped, every = observed_patterns(step, rows, rng)
@@ -386,3 +391,54 @@ class TestWideRegisters:
             [r.fidelity for r in wide], [r.fidelity for r in narrow],
             atol=1e-12,
         )
+
+
+class TestDiagonalGates:
+    """Diagonal gates are one multiply in the moment plan, on both the
+    gather and the no-gather path, and never reach ``apply_gate_block``."""
+
+    @staticmethod
+    def _built():
+        return build_toffoli("qubit_ancilla_free", 5)
+
+    @staticmethod
+    def _counts(plans):
+        return (
+            sum(len(plan.phases) for plan in plans),
+            sum(len(plan.blocks) for plan in plans),
+            sum(plan.gather is not None for plan in plans),
+        )
+
+    def test_plan_multiplies_every_diagonal_gate(self, monkeypatch):
+        built = self._built()
+        assert built.circuit.num_operations == 461
+        simulator = BatchedTrajectorySimulator(SC)
+        phases, blocks, gathers = self._counts(
+            simulator._plans(built.circuit, built.all_wires)
+        )
+        # 120 T and 90 T^-1 multiply; 60 H and 9 controlled roots
+        # contract; the 182 CNOTs compose into gathers.
+        assert (phases, blocks) == (210, 69)
+        assert gathers > 0
+        monkeypatch.setattr(kernels, "_GATHER_MAX_ENTRIES", 1)
+        phases, blocks, gathers = self._counts(
+            simulator._plans(built.circuit, built.all_wires)
+        )
+        assert (phases, blocks, gathers) == (210, 251, 0)
+
+    def test_no_diagonal_gate_reaches_apply_gate_block(self, monkeypatch):
+        seen = []
+        for module in (state_module, trajectory_module):
+            original = module.apply_gate_block
+
+            def spy(tensor, op, axes, original=original):
+                seen.append(op.gate.is_diagonal)
+                return original(tensor, op, axes)
+
+            monkeypatch.setattr(module, "apply_gate_block", spy)
+        built = self._built()
+        StateVectorSimulator().run(built.circuit)
+        estimate_circuit_fidelity(
+            built.circuit, SC, trials=4, seed=1, wires=built.all_wires
+        )
+        assert seen and not any(seen)

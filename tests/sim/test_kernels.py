@@ -5,7 +5,7 @@ import pytest
 
 from repro.gates.controlled import ControlledGate
 from repro.gates.matrix import MatrixGate
-from repro.gates.qubit import CNOT, H, X
+from repro.gates.qubit import CNOT, H, T, X
 from repro.gates.qutrit import X_PLUS_1
 from repro.noise.damping import amplitude_damping_channel
 from repro.noise.depolarizing import (
@@ -54,6 +54,23 @@ class TestGateKernels:
         # A genuinely different gate adds one.
         gate_kernel(X_PLUS_1.on(b))
         assert kernel_cache_stats()["gate_kernels"] == count + 1
+
+    def test_diagonal_verdict_read_off_the_kernel_matrix(self):
+        a = qubits(1)[0]
+        kernel = gate_kernel(T.on(a))
+        np.testing.assert_array_equal(
+            kernel.phases, np.diagonal(T.unitary())
+        )
+        assert not kernel.phases.flags.writeable
+        assert gate_kernel(T.on(a), np.complex64).phases.dtype == (
+            np.complex64
+        )
+        assert gate_kernel(H.on(a)).phases is None
+        # A stray entry off the diagonal keeps the contraction.
+        almost = np.diag([1.0, 1j]).astype(complex)
+        almost[0, 1] = 1e-17
+        gate = MatrixGate(almost, (2,), name="almost-s")
+        assert gate_kernel(gate.on(a)).phases is None
 
     def test_cached_block_matches_fresh_computation(self):
         a, b = qutrits(2)
