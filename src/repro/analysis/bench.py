@@ -812,11 +812,106 @@ def bench_state_dtype(
     )
 
 
+#: The hardware pipelines the one-off case compiles through.
+ONEOFF_PIPELINES: tuple[str, ...] = ("hardware-grid-opt", "hardware-line-opt")
+
+
+def _oneoff_circuits(seed: int) -> tuple[list, list]:
+    """(warm-up, measured) compiled circuits of the one-off case.
+
+    Measured: the four Fig. 9/10 constructions (:data:`OPT_CONSTRUCTIONS`)
+    at N 4-5 and random Clifford+T circuits (6-8 qubits, depth 200, two
+    seeds each), each through both hardware pipelines.  Warm-up: the
+    constructions at N 3 and Clifford+T circuits at a seed no measured
+    circuit uses, so the two sets share gates and placements but no
+    circuit.
+    """
+    from ..execution.pipeline_spec import PipelineSpec
+    from ..interop.workloads import random_clifford_t
+
+    def targets(widths, seeds):
+        for name, n in product(OPT_CONSTRUCTIONS, widths):
+            yield construction_circuit(name, n)
+        for qubits, circuit_seed in product((6, 7, 8), seeds):
+            yield random_clifford_t(qubits, 200, seed=circuit_seed)
+
+    compiled: tuple[list, list] = ([], [])
+    for pipeline in ONEOFF_PIPELINES:
+        compiler = PipelineSpec.from_name(pipeline).build()
+        for circuits, widths, seeds in (
+            (compiled[0], (3,), (seed + 2,)),
+            (compiled[1], (4, 5), (seed, seed + 1)),
+        ):
+            circuits += [
+                compiler.compile(target).circuit
+                for target in targets(widths, seeds)
+            ]
+    return compiled
+
+
+def bench_state_oneoff(repeats: int = 3, seed: int = STATE_SEED) -> dict:
+    """The statevector engine on compiled circuits it runs only once.
+
+    A compile-and-run stream never repeats a circuit, so each of its
+    permutation segments misses the composed-segment cache and is
+    composed from its steps' gathers (reused from the per-placement
+    cache where a single-op application left one).  Each repeat clears
+    the kernel caches, runs the warm-up circuits (:func:`_oneoff_circuits`)
+    and then times one run of every measured circuit from a Haar-random
+    state; the best repeat is recorded.  The invariant bounds every
+    circuit's largest amplitude difference from the dense-kernel
+    oracle (``permutation_fast_path=False``) by 1e-12.
+    """
+    from ..sim.kernels import clear_kernel_caches
+
+    warmup, measured = _oneoff_circuits(seed)
+    rng = np.random.default_rng(seed)
+    initial = [
+        StateVector.random(circuit.all_qudits(), rng) for circuit in measured
+    ]
+    simulator = StateVectorSimulator()
+    best = float("inf")
+    finals: list = []
+    for _ in range(max(1, repeats)):
+        clear_kernel_caches()
+        for circuit in warmup:
+            simulator.run(circuit)
+        start = time.perf_counter()
+        finals = [
+            simulator.run(circuit, state)
+            for circuit, state in zip(measured, initial)
+        ]
+        best = min(best, time.perf_counter() - start)
+    dense = StateVectorSimulator(permutation_fast_path=False)
+    parity = max(
+        float(np.abs(final.vector - dense.run(circuit, state).vector).max())
+        for circuit, state, final in zip(measured, initial, finals)
+    )
+    return _record(
+        {
+            "case": "oneoff_compiled",
+            "pipelines": ",".join(ONEOFF_PIPELINES),
+            "seed": seed,
+        },
+        recorded={
+            "engine_seconds": best,
+            "engine_ms_per_circuit": 1e3 * best / len(measured),
+            "parity_max_abs_diff": parity,
+        },
+        structural={
+            "warmup_circuits": len(warmup),
+            "circuits": len(measured),
+            "operations": sum(c.num_operations for c in measured),
+        },
+        invariants={"oneoff_parity_within_1e-12": bool(parity <= 1e-12)},
+    )
+
+
 def state_suite(smoke: bool, seed: int) -> list[dict]:
     """Narrow cases with one timing repeat (among them the decomposed
-    N=5 qubit ancilla-free fast path, whose T gates multiply), then
-    (full run) the acceptance cases: the N=10 fast path, 500k GHZ(12)
-    shots, N=7 complex64."""
+    N=5 qubit ancilla-free fast path, whose T gates multiply, and the
+    one-off compiled circuits), then (full run) the acceptance cases:
+    the N=10 fast path, 500k GHZ(12) shots, N=7 complex64."""
     repeats = 1 if smoke else 3
     records = [
         bench_state_fastpath(num_controls=6, repeats=repeats),
@@ -826,6 +921,7 @@ def state_suite(smoke: bool, seed: int) -> list[dict]:
             num_controls=5, repeats=repeats,
             construction="qubit_ancilla_free", decompose=True,
         ),
+        bench_state_oneoff(repeats=repeats),
     ]
     if not smoke:
         records += [

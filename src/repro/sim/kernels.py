@@ -43,6 +43,19 @@ one input — so kernel-level classicality is exact, and the batched
 classical engine advances thousands of basis states per gate with one
 table gather.
 
+The state-vector engines lift a permutation kernel to a *gather*:
+full-register ``int64`` indices that move every amplitude in one
+fancy-indexing pass.  Two LRU caches keep gathers, for registers of up
+to :data:`_GATHER_MAX_ENTRIES` amplitudes only:
+
+* the per-placement cache holds one gather per (gate, axes, register
+  shape) that a single-op application met (:func:`permutation_gather`);
+* the segment cache holds one composed gather per run of consecutive
+  permutation ops, entered on its first sighting
+  (:func:`segment_permutation_gather`).  A run that misses it is
+  composed from the per-placement gathers its steps already have; a
+  step without one is built for that composition and not kept.
+
 Cache keys:
 
 * gate kernels, control sub-blocks, permutation kernels and gathers
@@ -143,6 +156,12 @@ class PermutationKernel:
     weights: np.ndarray
     #: Inverse permutation (gather form), or None for non-permutations.
     inverse: np.ndarray | None = None
+    #: ``shifts[k, i]``: how much wire ``k``'s value changes when
+    #: ``inverse`` maps joint index ``i`` (a ``(len(dims), size)`` int
+    #: table), or None for non-permutations.  A full-register gather is
+    #: the joint index plus these shifts weighted by the touched axes'
+    #: register weights (:func:`_build_permutation_gather`).
+    shifts: np.ndarray | None = None
 
     @property
     def is_permutation(self) -> bool:
@@ -279,6 +298,11 @@ class _GatherCache:
                 self._entries.move_to_end(key)
             return gather
 
+    def peek(self, key: tuple) -> "np.ndarray | None":
+        """The entry for ``key`` without refreshing its recency."""
+        with self._lock:
+            return self._entries.get(key)
+
     def put(self, key: tuple, gather: np.ndarray) -> None:
         with self._lock:
             self._entries[key] = gather
@@ -312,7 +336,8 @@ def caches_gathers(shape: Sequence[int]) -> bool:
 #: (gate id, touched axes, register shape) -> full-register
 #: gather indices.  Entries are O(register size) ints, so this cache is
 #: the memory-heaviest of the family; entries only exist for (gate,
-#: placement, register) combos the state-vector fast path executed.
+#: placement, register) combos the fast path executed as a single op
+#: (a composed segment reads them but never adds one).
 _PERM_GATHERS = _GatherCache(GATHER_CACHE_ENTRIES)
 
 #: (tuple of (gate id, axes) steps, register shape) -> composed
@@ -503,43 +528,45 @@ def permutation_kernel(op: GateOperation) -> PermutationKernel:
         except NotClassicalError:
             table = None
         weights.setflags(write=False)
-        inverse = None
+        inverse = shifts = None
         if table is not None:
+            index = np.arange(table.size, dtype=np.int64)
             inverse = np.empty_like(table)
-            inverse[table] = np.arange(table.size, dtype=np.int64)
+            inverse[table] = index
             inverse.setflags(write=False)
-        kernel = PermutationKernel(dims, table, weights, inverse)
+            radix = np.asarray(dims, dtype=np.int64)[:, None]
+            shifts = (inverse // weights[:, None]) % radix - (
+                index // weights[:, None]
+            ) % radix
+            shifts.setflags(write=False)
+        kernel = PermutationKernel(dims, table, weights, inverse, shifts)
         _PERM_KERNELS[gate_id] = kernel
     return kernel
 
 
 def _build_permutation_gather(
-    kernel: PermutationKernel,
+    op: GateOperation,
     axes: Sequence[int],
     shape: Sequence[int],
 ) -> np.ndarray:
-    """Lift a gate's inverse table to full-register gather indices.
+    """Lift ``op``'s inverse table to full-register gather indices.
 
-    Decodes the touched-axis digits of every joint index, routes them
-    through the inverse table, and re-encodes — a few vectorized
-    integer passes over the register.  Callers cache the result.
+    Routing a joint index through the inverse table changes only its
+    digits on ``axes``, so the gather is the joint index plus an offset
+    that depends on those digits alone: the kernel's per-wire shifts
+    weighted by the axes' register weights, a table the size of the
+    gate, broadcast onto ``axes``.  One integer add over the register;
+    callers decide whether to cache the result.
+
+    Raises :class:`NotClassicalError` for non-permutation gates.
     """
-    full_weights = mixed_radix_weights(shape)
-    gate_weights = kernel.weights
-    size = 1
-    for d in shape:
-        size *= d
-    index = np.arange(size, dtype=np.int64)
-    digits = [(index // full_weights[a]) % shape[a] for a in axes]
-    gate_index = digits[0] * gate_weights[0]
-    for t in range(1, len(axes)):
-        gate_index += digits[t] * gate_weights[t]
-    mapped = kernel.inverse[gate_index]
-    gather = index
-    for t, a in enumerate(axes):
-        new_digit = (mapped // gate_weights[t]) % kernel.dims[t]
-        gather += (new_digit - digits[t]) * full_weights[a]
-    return gather
+    kernel = permutation_kernel(op)
+    if kernel.inverse is None:
+        raise NotClassicalError(f"gate {op.gate} is not a basis permutation")
+    weights = [math.prod(shape[a + 1:]) for a in axes]
+    offsets = np.dot(weights, kernel.shifts).reshape(kernel.dims)
+    index = np.arange(math.prod(shape), dtype=np.int64).reshape(shape)
+    return (index + _broadcast(offsets, axes, len(shape))).ravel()
 
 
 def permutation_gather(
@@ -565,12 +592,7 @@ def permutation_gather(
     key = (spec_id(op.gate), tuple(axes), tuple(shape))
     gather = _PERM_GATHERS.get(key) if cached else None
     if gather is None:
-        kernel = permutation_kernel(op)
-        if kernel.inverse is None:
-            raise NotClassicalError(
-                f"gate {op.gate} is not a basis permutation"
-            )
-        gather = _build_permutation_gather(kernel, axes, shape)
+        gather = _build_permutation_gather(op, axes, shape)
         gather.setflags(write=False)
         if cached:
             _PERM_GATHERS.put(key, gather)
@@ -592,29 +614,32 @@ def segment_permutation_gather(
     permutation stretch pays the composition once and every subsequent
     run is one pass over the amplitudes, however deep the stretch.
 
-    Composition runs over int64 indices (half the traffic of complex
-    amplitudes), so even the first run costs no more than applying the
-    gates one by one.  As in :func:`permutation_gather`, registers above
-    :data:`_GATHER_MAX_ENTRIES` amplitudes never cache the composed map.
+    A segment that misses that cache is composed from its steps' own
+    gathers: each step whose ``(gate id, axes, shape)`` has an entry in
+    the per-placement cache of :func:`permutation_gather` reuses it,
+    and only a step without one is built, for this composition alone.
+    The lookup does not refresh the entry's recency, so composing never
+    adds, drops or reorders a per-placement entry; the composed map is
+    the one entry a miss adds.  A one-off circuit (a compile-and-run
+    stream never repeats one) thus pays a gather build only for the
+    placements no single-op application has met.  As in
+    :func:`permutation_gather`, registers above
+    :data:`_GATHER_MAX_ENTRIES` amplitudes cache nothing.
     """
     if len(steps) == 1:
         op, axes = steps[0]
         return permutation_gather(op, axes, shape)
     cached = caches_gathers(shape)
-    key = (
-        tuple((spec_id(op.gate), tuple(axes)) for op, axes in steps),
-        tuple(shape),
-    )
+    shape = tuple(shape)
+    placements = tuple((spec_id(op.gate), tuple(axes)) for op, axes in steps)
+    key = (placements, shape)
     gather = _SEGMENT_GATHERS.get(key) if cached else None
     if gather is None:
         total: np.ndarray | None = None
-        for op, axes in steps:
-            kernel = permutation_kernel(op)
-            if kernel.inverse is None:
-                raise NotClassicalError(
-                    f"gate {op.gate} is not a basis permutation"
-                )
-            step = _build_permutation_gather(kernel, axes, shape)
+        for (op, axes), placement in zip(steps, placements):
+            step = _PERM_GATHERS.peek(placement + (shape,)) if cached else None
+            if step is None:
+                step = _build_permutation_gather(op, axes, shape)
             total = step if total is None else total[step]
         gather = total
         gather.setflags(write=False)

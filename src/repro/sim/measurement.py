@@ -192,7 +192,7 @@ class MeasurementResult:
 
 def _flat_probabilities(state: StateVector) -> np.ndarray:
     """Normalised float64 probabilities over the joint basis."""
-    probabilities = np.abs(state.vector.astype(np.complex128)) ** 2
+    probabilities = np.abs(state.vector.astype(np.complex128, copy=False)) ** 2
     return probabilities / probabilities.sum()
 
 

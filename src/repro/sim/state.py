@@ -115,7 +115,9 @@ class StateVector:
             if not 0 <= value < wire.dimension:
                 raise ValueError(f"value {value} invalid for wire {wire}")
         tensor[tuple(values)] = 1.0
-        return cls(wires, tensor)
+        state = cls(wires, tensor)
+        state._shared = False
+        return state
 
     @classmethod
     def zero(
@@ -177,6 +179,11 @@ class StateVector:
         """Flat state vector (first wire most significant)."""
         self._shared = True
         return self._tensor.reshape(-1)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The wires' dimensions (the tensor's shape; hands out no view)."""
+        return self._tensor.shape
 
     @property
     def dtype(self) -> np.dtype:
@@ -303,9 +310,11 @@ class StateVector:
         """
         if isinstance(op.gate, ControlledGate) and self._shared:
             self._tensor = self._tensor.copy()
-            self._shared = False
         axes = [self._axis[w] for w in op.qudits]
+        # In place on the (now private) tensor, or a fresh contraction:
+        # either way the state owns the result.
         self._tensor = apply_gate_block(self._tensor, op, axes)
+        self._shared = False
 
     def apply_permutation_ops(self, ops: Sequence[GateOperation]) -> None:
         """Apply a run of permutation operations as one flat gather.
@@ -325,12 +334,14 @@ class StateVector:
         steps = [
             (op, [self._axis[w] for w in op.qudits]) for op in ops
         ]
-        gather = segment_permutation_gather(steps, self._tensor.shape)
         shape = self._tensor.shape
+        gather = segment_permutation_gather(steps, shape)
         # ravel() copies only if a prior dense op left a view; the
         # gather output is always contiguous, so permutation runs
-        # stay copy-free between dense ops.
+        # stay copy-free between dense ops.  It is a fresh array, so
+        # the state owns it.
         self._tensor = self._tensor.ravel()[gather].reshape(shape)
+        self._shared = False
 
     def apply_operation_dense(self, op: GateOperation) -> None:
         """Apply a gate operation via dense tensor contraction.

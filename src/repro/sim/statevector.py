@@ -116,7 +116,7 @@ class StateVectorSimulator:
         # circuit costs a single pass over the amplitudes per run.  Any
         # other gate ends the segment: a multiply if it is diagonal, its
         # control block or kernel otherwise.
-        gathers = caches_gathers(state.tensor.shape)
+        gathers = caches_gathers(state.shape)
         segment: list = []
         for moment in circuit:
             for op in moment:

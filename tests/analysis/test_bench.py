@@ -394,8 +394,15 @@ class TestStateBench:
 
     def test_record_keys_join_smoke_to_full(self, state_report):
         assert [r["key"]["case"] for r in state_report["records"]] == [
-            "fastpath", "sampling", "dtype", "fastpath_decomposed"
+            "fastpath", "sampling", "dtype", "fastpath_decomposed",
+            "oneoff_compiled",
         ]
+
+    def test_oneoff_record_counts_the_compiled_circuits(self, state_report):
+        record = state_report["records"][-1]
+        assert record["structural"]["circuits"] == 28
+        assert record["structural"]["warmup_circuits"] == 14
+        assert record["recorded"]["engine_seconds"] > 0
 
     def test_committed_fastpath_covers_n10(self):
         fastpath = [

@@ -272,3 +272,207 @@ def test_gather_cache_under_concurrent_workers(monkeypatch):
     assert errors == []
     assert len(kernels._PERM_GATHERS) == 4
     clear_kernel_caches()
+
+
+def _scratch_gather(op, axes, shape):
+    """``op``'s full-register gather from its permutation table alone:
+    decode every joint index's digits, route the touched ones through
+    the inverse of ``op.gate.permutation()``, re-encode."""
+    table = np.asarray(op.gate.permutation())
+    inverse = np.argsort(table)
+    dims = [shape[a] for a in axes]
+    index = np.arange(int(np.prod(shape)))
+    digits = np.stack(np.unravel_index(index, shape))
+    touched = np.ravel_multi_index(digits[list(axes)], dims)
+    digits[list(axes)] = np.stack(np.unravel_index(inverse[touched], dims))
+    return np.ravel_multi_index(digits, shape)
+
+
+def _scratch_composition(steps, shape):
+    """A segment's gather composed step by step from freshly built
+    per-step gathers: the reference no kernel cache can touch."""
+    total = None
+    for op, axes in steps:
+        step = _scratch_gather(op, axes, shape)
+        total = step if total is None else total[step]
+    return total
+
+
+def _permutation_steps(rng, dims, count):
+    """``count`` random permutation ops over a register of ``dims``, on
+    one or two axes in either order, qubit and qutrit gates alike."""
+    from repro.gates.qutrit import level_swap
+    from repro.qudits import Qudit
+
+    wires = [Qudit(k, d) for k, d in enumerate(dims)]
+    singles = {2: [X], 3: [X_PLUS_1, level_swap(3, 0, 2)]}
+    pairs = {
+        (2, 2): CNOT,
+        (3, 2): ControlledGate(X, (3,), (2,)),
+        (2, 3): ControlledGate(X_PLUS_1, (2,), (1,)),
+        (3, 3): ControlledGate(X_PLUS_1, (3,), (2,)),
+    }
+    steps = []
+    for _ in range(count):
+        if rng.random() < 0.4:
+            axis = int(rng.integers(len(dims)))
+            options = singles[dims[axis]]
+            gate = options[int(rng.integers(len(options)))]
+            steps.append((gate.on(wires[axis]), (axis,)))
+        else:
+            axes = tuple(int(a) for a in rng.choice(len(dims), 2, replace=False))
+            gate = pairs[(dims[axes[0]], dims[axes[1]])]
+            steps.append((gate.on(*(wires[a] for a in axes)), axes))
+    return steps
+
+
+class TestSegmentComposition:
+    """A segment that misses the composed cache reuses its steps'
+    per-placement gathers and changes no cache but its own."""
+
+    SHAPE = (2, 3, 2)
+
+    def _steps(self):
+        from repro.qudits import Qudit
+
+        a, t, b = (Qudit(k, d) for k, d in enumerate(self.SHAPE))
+        return [
+            (X.on(a), (0,)),
+            (ControlledGate(X, (3,), (2,)).on(t, b), (1, 2)),
+            (X_PLUS_1.on(t), (1,)),
+            (CNOT.on(b, a), (2, 0)),
+        ]
+
+    def test_cached_steps_compose_without_building(self, monkeypatch):
+        from repro.sim import kernels
+
+        clear_kernel_caches()
+        steps = self._steps()
+        expected = _scratch_composition(steps, self.SHAPE)
+        for op, axes in steps:
+            permutation_gather(op, axes, self.SHAPE)
+        order = list(kernels._PERM_GATHERS._entries)
+
+        def no_build(*args):
+            raise AssertionError("a cached step was rebuilt")
+
+        monkeypatch.setattr(kernels, "_build_permutation_gather", no_build)
+        gather = segment_permutation_gather(steps, self.SHAPE)
+        assert np.array_equal(gather, expected)
+        assert not gather.flags.writeable
+        # Read without a recency refresh: same entries, same order.
+        assert list(kernels._PERM_GATHERS._entries) == order
+        assert kernel_cache_stats()["segment_gathers"] == 1
+        clear_kernel_caches()
+
+    def test_missing_step_is_built_and_not_kept(self, monkeypatch):
+        from repro.sim import kernels
+
+        clear_kernel_caches()
+        steps = self._steps()
+        expected = _scratch_composition(steps, self.SHAPE)
+        for op, axes in steps[:2]:
+            permutation_gather(op, axes, self.SHAPE)
+        before = list(kernels._PERM_GATHERS._entries)
+        built = []
+        original = kernels._build_permutation_gather
+
+        def spy(op, axes, shape):
+            built.append(tuple(axes))
+            return original(op, axes, shape)
+
+        monkeypatch.setattr(kernels, "_build_permutation_gather", spy)
+        gather = segment_permutation_gather(steps, self.SHAPE)
+        assert np.array_equal(gather, expected)
+        assert built == [(1,), (2, 0)]
+        assert list(kernels._PERM_GATHERS._entries) == before
+        # The composed map is cached; a repeat builds nothing.
+        assert segment_permutation_gather(steps, self.SHAPE) is gather
+        assert built == [(1,), (2, 0)]
+        clear_kernel_caches()
+
+    def test_random_segments_match_scratch_composition(self):
+        from repro.qudits import Qudit
+        from repro.sim.state import StateVector
+
+        rng = np.random.default_rng(24)
+        for trial in range(40):
+            clear_kernel_caches()
+            dims = tuple(int(d) for d in rng.choice((2, 3), rng.integers(2, 6)))
+            steps = _permutation_steps(rng, dims, int(rng.integers(2, 9)))
+            # None, some or all of the steps have a cached gather.
+            for op, axes in steps:
+                if rng.random() < trial % 3 / 2:
+                    permutation_gather(op, axes, dims)
+            gather = segment_permutation_gather(steps, dims)
+            assert np.array_equal(gather, _scratch_composition(steps, dims))
+            # ...and it is the circuit: one gather equals the steps'
+            # dense contractions, exactly (permutations are exact).
+            state = StateVector.random(
+                [Qudit(k, d) for k, d in enumerate(dims)], rng
+            )
+            flat = state.vector.copy()
+            for op, _ in steps:
+                state.apply_operation_dense(op)
+            assert np.array_equal(flat[gather], state.vector)
+            for op, axes in steps:
+                assert np.array_equal(
+                    permutation_gather(op, axes, dims),
+                    _scratch_gather(op, axes, dims),
+                )
+        clear_kernel_caches()
+
+    def test_wide_registers_still_cache_nothing(self, monkeypatch):
+        from repro.sim import kernels
+
+        clear_kernel_caches()
+        monkeypatch.setattr(kernels, "_GATHER_MAX_ENTRIES", 8)
+        steps = self._steps()
+        for op, axes in steps:
+            permutation_gather(op, axes, self.SHAPE)
+        gather = segment_permutation_gather(steps, self.SHAPE)
+        assert np.array_equal(
+            gather, _scratch_composition(steps, self.SHAPE)
+        )
+        stats = kernel_cache_stats()
+        assert stats["permutation_gathers"] == stats["segment_gathers"] == 0
+        clear_kernel_caches()
+
+    def test_sim_heavy_like_sequence_keeps_both_caches(self, monkeypatch):
+        """The same requests twice, with and without the per-placement
+        reuse (every missed step built, as before it): both gather caches
+        end with the same keys in the same order, and every result
+        matches."""
+        from repro import execute
+        from repro.execution.pipeline_spec import PipelineSpec
+        from repro.noise import SC
+        from repro.sim import kernels
+
+        lowering = PipelineSpec.from_name("lowering")
+
+        def sequence():
+            results = []
+            for _ in range(2):
+                for inputs in ((1,) * 6 + (0,), (1, 0) * 3 + (1,)):
+                    results.append(execute(
+                        "qutrit_tree", num_controls=6, pipeline=lowering,
+                        initial=inputs, shots=50, seed=3,
+                    ).measurements.counts())
+                for name, trials in (("qutrit_tree", 4),
+                                     ("qubit_ancilla_free", 2)):
+                    results.append(execute(
+                        name, num_controls=4, backend="trajectory",
+                        noise_model=SC, trials=trials, seed=5,
+                    ).mean_fidelity)
+            return results, (
+                list(kernels._PERM_GATHERS._entries),
+                list(kernels._SEGMENT_GATHERS._entries),
+            )
+
+        clear_kernel_caches()
+        results, entries = sequence()
+        assert entries[0] and entries[1]
+        clear_kernel_caches()
+        monkeypatch.setattr(kernels._PERM_GATHERS, "peek", lambda key: None)
+        assert sequence() == (results, entries)
+        clear_kernel_caches()

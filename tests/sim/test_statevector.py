@@ -81,6 +81,59 @@ class TestRun:
         assert state.probability_of((1, 1, 1)) == 1.0
 
 
+class TestRegisterOwnership:
+    """A run copies the caller's register once and writes in place after."""
+
+    @pytest.mark.parametrize("leading_gather", [False, True])
+    @pytest.mark.parametrize("given_initial", [False, True])
+    def test_run_copies_the_register_once(
+        self, monkeypatch, rng, given_initial, leading_gather
+    ):
+        from repro.gates.controlled import ControlledGate
+        from repro.gates.qubit import T, X
+        from repro.sim.statevector import StateVectorSimulator
+
+        a, b = qubits(2)
+        t = qutrits(1, start=2)[0]
+        circuit = Circuit(
+            ([X.on(a), CNOT.on(a, b)] if leading_gather else [])
+            + [
+                ControlledGate(H, (2,)).on(a, b),
+                T.on(b),
+                ControlledGate(QUTRIT_H, (2,)).on(b, t),
+            ]
+        )
+        initial = (
+            StateVector.random([a, b, t], rng) if given_initial else None
+        )
+        expected = StateVectorSimulator(permutation_fast_path=False).run(
+            circuit, initial, wires=[a, b, t]
+        )
+        copies, in_place = [], []
+        private = StateVector._private
+
+        def count_copy(self, tensor):
+            copies.append(tensor)
+            return private(self, tensor)
+
+        monkeypatch.setattr(StateVector, "_private", count_copy)
+        for name in ("apply_gate_block", "apply_diagonal_gate"):
+            def spy(self, op, _apply=getattr(StateVector, name)):
+                before = self._tensor
+                applied = _apply(self, op)
+                in_place.append(self._tensor is before)
+                return applied
+
+            monkeypatch.setattr(StateVector, name, spy)
+        state = StateVectorSimulator().run(circuit, initial, wires=[a, b, t])
+        # One copy of a given initial state (none of a fresh |0...0>);
+        # every control-block write and diagonal multiply lands in the
+        # register the run owns, also right after a gather.
+        assert len(copies) == (1 if given_initial else 0)
+        assert in_place and all(in_place)
+        assert np.allclose(state.vector, expected.vector, atol=1e-12)
+
+
 class TestEngineKnobs:
     """The v2 constructor knobs: dtype and the permutation fast path."""
 
