@@ -81,10 +81,10 @@ from ..sim.fidelity import (
     estimate_circuit_fidelity,
     estimate_circuit_fidelity_looped,
 )
-from ..sim.kernels import mixed_radix_weights
+from ..sim.kernels import GATHER, mixed_radix_weights
 from ..sim.measurement import sample_counts, sample_state
 from ..sim.state import StateVector
-from ..sim.statevector import StateVectorSimulator
+from ..sim.statevector import StateVectorSimulator, circuit_steps
 from ..toffoli.registry import (
     CONSTRUCTIONS, build_toffoli, construction_circuit,
 )
@@ -616,6 +616,13 @@ def _ghz_circuit(width: int):
     return Circuit(operations)
 
 
+def _gather_passes(circuit) -> int:
+    """Gathers a statevector run of ``circuit`` makes over its own wires
+    (its :class:`~repro.sim.kernels.GatePlan` gather steps)."""
+    steps = circuit_steps(circuit, circuit.all_qudits())
+    return sum(step[0] == GATHER for step in steps)
+
+
 def bench_state_fastpath(
     num_controls: int = 10,
     repeats: int = 3,
@@ -635,7 +642,9 @@ def bench_state_fastpath(
     (N=5: 210 of its 461 gates are T or T^-1) times the diagonal
     multiply beside the gathers and the dense H kernels; a multiply
     agrees with the contraction to rounding.  Either way the invariant
-    bounds the largest amplitude difference by 1e-12.
+    bounds the largest amplitude difference by 1e-12.  ``gather_passes``
+    counts the run's gathers, so a change to the segment rule that adds
+    one fails the gate.
     """
     result = build_toffoli(construction, num_controls, decompose=decompose)
     circuit = result.circuit
@@ -670,6 +679,7 @@ def bench_state_fastpath(
             "wires": len(wires),
             "hilbert_dim": int(np.prod([w.dimension for w in wires])),
             "operations": circuit.num_operations,
+            "gather_passes": _gather_passes(circuit),
         },
         invariants={"fastpath_parity_exact": bool(parity <= 1e-12)},
     )
@@ -860,7 +870,8 @@ def bench_state_oneoff(repeats: int = 3, seed: int = STATE_SEED) -> dict:
     and then times one run of every measured circuit from a Haar-random
     state; the best repeat is recorded.  The invariant bounds every
     circuit's largest amplitude difference from the dense-kernel
-    oracle (``permutation_fast_path=False``) by 1e-12.
+    oracle (``permutation_fast_path=False``) by 1e-12, and
+    ``gather_passes`` counts the measured runs' gathers.
     """
     from ..sim.kernels import clear_kernel_caches
 
@@ -902,6 +913,7 @@ def bench_state_oneoff(repeats: int = 3, seed: int = STATE_SEED) -> dict:
             "warmup_circuits": len(warmup),
             "circuits": len(measured),
             "operations": sum(c.num_operations for c in measured),
+            "gather_passes": sum(_gather_passes(c) for c in measured),
         },
         invariants={"oneoff_parity_within_1e-12": bool(parity <= 1e-12)},
     )

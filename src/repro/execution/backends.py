@@ -28,13 +28,12 @@ from ..circuits.circuit import Circuit
 from ..exceptions import SimulationError
 from ..noise.model import NoiseModel
 from ..qudits import Qudit
-from ..sim.classical_batch import BatchedClassicalSimulator
+from ..sim.classical import ClassicalSimulator
 from ..sim.density import DensityMatrixSimulator
 from ..sim.fidelity import estimate_circuit_fidelity
 from ..sim.measurement import sample_counts
 from ..sim.state import StateVector
 from ..sim.statevector import StateVectorSimulator
-from ..sim.trajectory import TrajectorySimulator
 from .results import FidelityResult, RunResult
 
 
@@ -132,7 +131,7 @@ def _initial_state(
     if initial is None:
         return StateVector.zero(list(wires))
     if isinstance(initial, StateVector):
-        return initial.copy()
+        return initial
     return StateVector.computational_basis(list(wires), list(initial))
 
 
@@ -151,7 +150,7 @@ class ClassicalBackend:
     )
 
     def __init__(self) -> None:
-        self._simulator = BatchedClassicalSimulator()
+        self._simulator = ClassicalSimulator()
 
     def run(
         self,
@@ -216,9 +215,12 @@ class StateVectorBackend:
         seed: int | None = None,
     ) -> RunResult:
         wires = _resolve_wires(circuit, wires)
-        state = self._simulator.run(
-            circuit, _initial_state(wires, initial), wires=wires
-        )
+        if initial is None:
+            state = self._simulator.run(circuit, wires=wires)
+        elif isinstance(initial, StateVector):
+            state = self._simulator.run(circuit, initial)
+        else:
+            state = self._simulator.run_basis(circuit, wires, list(initial))
         measurements = None
         if shots:
             rng = np.random.default_rng(seed)
@@ -263,7 +265,7 @@ class DensityMatrixBackend:
         wires = _resolve_wires(circuit, wires)
         start = _initial_state(wires, initial)
         rho = self._simulator.run(circuit, start)
-        ideal = TrajectorySimulator.ideal_final_state(circuit, start)
+        ideal = StateVectorSimulator().run(circuit, start)
         return RunResult(
             backend=self.name,
             wires=tuple(rho.wires),

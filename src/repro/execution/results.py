@@ -3,7 +3,7 @@
 The four simulators each used to return a different shape (a wire-value
 dict, a :class:`~repro.sim.state.StateVector`, a
 :class:`~repro.sim.fidelity.FidelityEstimate`, a
-:class:`~repro.sim.density.DensityMatrix`).  The execution layer funnels
+:class:`~repro.sim.density.DensityTensor`).  The execution layer funnels
 them all into :class:`RunResult` — one record carrying whichever payloads
 the backend produced — so sweeps, caching and parallel merging can treat
 every backend uniformly.  Noisy trajectory runs return the
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..qudits import Qudit
-from ..sim.density import DensityMatrix
+from ..sim.density import DensityTensor
 from ..sim.fidelity import FidelityEstimate
 from ..sim.measurement import MeasurementResult
 from ..sim.state import StateVector
@@ -48,7 +48,7 @@ class RunResult:
     seed: int | None = None
     values: tuple[int, ...] | None = None
     state: StateVector | None = None
-    density: DensityMatrix | None = None
+    density: DensityTensor | None = None
     measurements: MeasurementResult | None = None
     metadata: Mapping = field(default_factory=dict)
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import SerializationError
 from ..execution.results import FidelityResult, RunResult
 from ..qudits import Qudit
-from ..sim.density import DensityMatrix
+from ..sim.density import DensityTensor
 from ..sim.fidelity import FidelityEstimate
 from ..sim.measurement import MeasurementResult
 from ..sim.state import StateVector
@@ -141,7 +141,7 @@ def result_from_dict(data: Mapping) -> RunResult:
     if data.get("density") is not None:
         density_wires = _wires_from_data(data["density"]["wires"])
         dim = int(np.prod([w.dimension for w in density_wires]))
-        density = DensityMatrix(
+        density = DensityTensor(
             density_wires,
             _complex_from_data(data["density"]["matrix"], (dim, dim)),
         )

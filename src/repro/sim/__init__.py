@@ -1,5 +1,5 @@
-"""Simulators: classical verification (looped and batched permutation
-engines), state vector, noisy trajectories (looped and batched), exact
+"""Simulators: classical verification (the batched permutation engine),
+state vector, noisy trajectories (looped and batched), exact
 density-matrix reference, measurement sampling, and the shared
 contraction- and permutation-kernel caches.
 
@@ -8,11 +8,7 @@ pick each.
 """
 
 from .state import StateVector
-from .classical import ClassicalSimulator
-from .classical_batch import (
-    BatchedClassicalSimulator,
-    resolve_classical_batch_size,
-)
+from .classical import ClassicalSimulator, resolve_classical_batch_size
 from .statevector import StateVectorSimulator
 from .trajectory import (
     BatchedTrajectorySimulator,
@@ -25,7 +21,7 @@ from .fidelity import (
     estimate_circuit_fidelity_looped,
     resolve_batch_size,
 )
-from .density import DensityMatrix, DensityMatrixSimulator, DensityTensor
+from .density import DensityMatrixSimulator, DensityTensor
 from .dense_reference import DenseDensityMatrix, DenseDensityMatrixSimulator
 from .kernels import (
     apply_block,
@@ -41,7 +37,6 @@ from .measurement import MeasurementResult, sample_counts, sample_state
 __all__ = [
     "StateVector",
     "ClassicalSimulator",
-    "BatchedClassicalSimulator",
     "resolve_classical_batch_size",
     "StateVectorSimulator",
     "TrajectorySimulator",
@@ -51,7 +46,6 @@ __all__ = [
     "estimate_circuit_fidelity",
     "estimate_circuit_fidelity_looped",
     "resolve_batch_size",
-    "DensityMatrix",
     "DensityTensor",
     "DensityMatrixSimulator",
     "DenseDensityMatrix",

@@ -28,6 +28,7 @@ from ..noise.model import NoiseModel
 from ..qudits import Qudit, total_dimension
 from .kernels import kraus_operators
 from .state import StateVector
+from .statevector import StateVectorSimulator
 
 #: Same default width cap as the axis-local engine, so the two can be
 #: benchmarked on identical workloads.
@@ -165,8 +166,6 @@ class DenseDensityMatrixSimulator:
         self, circuit: Circuit, initial_state: StateVector
     ) -> float:
         """<psi_ideal| rho |psi_ideal> under the dense embedding."""
-        from .trajectory import TrajectorySimulator
-
-        ideal = TrajectorySimulator.ideal_final_state(circuit, initial_state)
+        ideal = StateVectorSimulator().run(circuit, initial_state)
         rho = self.run(circuit, initial_state)
         return rho.fidelity_with_pure(ideal)

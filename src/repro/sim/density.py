@@ -46,6 +46,7 @@ from ..noise.model import NoiseModel
 from ..qudits import Qudit, total_dimension
 from .kernels import ChannelKernel, GateKernel, channel_kernel, gate_kernel
 from .state import StateVector
+from .statevector import StateVectorSimulator
 
 #: Default Hilbert-space cap: 5 qutrits (243) — rho has 3^10 entries.
 #: Wide enough for the benchmark workloads, small enough that an
@@ -250,11 +251,6 @@ class DensityTensor:
         )
 
 
-#: Backwards-compatible name: the axis-local tensor *is* the library's
-#: density matrix.
-DensityMatrix = DensityTensor
-
-
 class DensityMatrixSimulator:
     """Exact noisy evolution under a :class:`NoiseModel`.
 
@@ -317,8 +313,6 @@ class DensityMatrixSimulator:
         self, circuit: Circuit, initial_state: StateVector
     ) -> float:
         """<psi_ideal| rho |psi_ideal> — what trajectories converge to."""
-        from .trajectory import TrajectorySimulator
-
-        ideal = TrajectorySimulator.ideal_final_state(circuit, initial_state)
+        ideal = StateVectorSimulator().run(circuit, initial_state)
         rho = self.run(circuit, initial_state)
         return rho.fidelity_with_pure(ideal)

@@ -20,19 +20,28 @@ and :class:`~repro.sim.density.DensityTensor`):
   and leaves the output legs at the front, which callers move back into
   place with ``np.moveaxis``.
 
-A dense :class:`~repro.gates.controlled.ControlledGate` (one whose
-sub-gate is not a permutation) is the identity except on one control
-block: the slice where every control wire holds its activation value.
-:func:`apply_gate_block` applies only the sub-gate's block to that
-slice, in place, instead of contracting the whole ``dims + dims`` kernel
-against the register — the lowered qutrit tree's ``X±1`` roots under a
-control take this path.
+Both state-vector engines apply gates through one planner,
+:class:`GatePlan`, which turns each gate into one of four steps that
+:func:`apply_steps` runs:
 
-A diagonal gate needs no contraction at all: :func:`diagonal_factor`
-turns it into one in-place multiply of its phase tensor, broadcast onto
-its axes (a controlled phase: onto its control block).  The verdict and
-the phases are read off the matrix a gate kernel or control block is
-built from, so they cost no extra ``unitary()``.
+* a run of permutation gates composes into one full-register *gather*
+  (below);
+* a diagonal gate needs no contraction at all: :func:`diagonal_factor`
+  turns it into one in-place *multiply* of its phase tensor, broadcast
+  onto its axes (a controlled phase: onto its control block).  The
+  verdict and the phases are read off the matrix a gate kernel or
+  control block is built from, so they cost no extra ``unitary()``;
+* a dense :class:`~repro.gates.controlled.ControlledGate` (one whose
+  sub-gate is not a permutation) is the identity except on one *control
+  block*: the slice where every control wire holds its activation
+  value.  Only the sub-gate's block is applied to that slice, in place,
+  instead of contracting the whole ``dims + dims`` kernel against the
+  register — the lowered qutrit tree's ``X±1`` roots under a control
+  take this path;
+* every other gate contracts its *dense* kernel block.
+
+The plan also owns the segment rule that decides where gathers end; see
+:class:`GatePlan`.
 
 The classical engines have their own kernel family: a *permutation
 kernel* is the gate's whole-domain basis permutation lowered to a flat
@@ -78,7 +87,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,9 +330,9 @@ class _GatherCache:
 #: Registers up to this many amplitudes cache their full-register
 #: gathers (8 bytes per amplitude each).  Wider registers cache none: a
 #: 3^13 gather is 12.8 MB, and a cache of them pins register-sized
-#: arrays nothing may read again.  There the state-vector and trajectory
-#: run loops apply each gate on its own control block or kernel, and a
-#: direct gather call builds its map and returns it without keeping it.
+#: arrays nothing may read again.  There a :class:`GatePlan` applies
+#: each gate on its own control block or kernel, and a direct gather
+#: call builds its map and returns it without keeping it.
 _GATHER_MAX_ENTRIES = 1 << 18
 
 
@@ -431,31 +440,6 @@ def _control_slice(
         for axis in axes[gate.num_controls:]
     ]
     return tuple(index), targets
-
-
-def apply_gate_block(
-    tensor: np.ndarray, op: GateOperation, axes: Sequence[int]
-) -> np.ndarray:
-    """Apply a non-permutation gate's unitary to ``axes`` of ``tensor``.
-
-    A :class:`~repro.gates.controlled.ControlledGate` touches only its
-    control block: the slice where every control axis holds its
-    activation value gets the sub-gate's block (cached per sub-gate id
-    and dtype), written back **in place**, and the rest of
-    the register is never read.  Any other gate contracts its whole
-    kernel block (:func:`gate_kernel`) into a new array.  Either way the
-    result is returned; callers must own ``tensor`` (other axes, such as
-    a leading batch axis, pass through untouched).  Diagonal gates take
-    :func:`diagonal_factor` instead.
-    """
-    gate = op.gate
-    if not isinstance(gate, ControlledGate):
-        return apply_block(tensor, gate_kernel(op, tensor.dtype).block, axes)
-    block, _ = _control_block(gate, tensor.dtype)
-    index, targets = _control_slice(gate, axes, tensor.ndim)
-    view = tensor[index]
-    view[...] = apply_block(view, block, targets)
-    return tensor
 
 
 def _broadcast(
@@ -646,6 +630,153 @@ def segment_permutation_gather(
         if cached:
             _SEGMENT_GATHERS.put(key, gather)
     return gather
+
+
+#: The kinds of :class:`GatePlan` step (the first field of each step).
+GATHER = "gather"
+MULTIPLY = "multiply"
+CONTROL = "control"
+DENSE = "dense"
+
+#: Step kinds that write into the tensor they are given.
+IN_PLACE = (MULTIPLY, CONTROL)
+
+
+class GatePlan:
+    """The steps that apply a circuit's gates to a register.
+
+    Gates arrive a moment at a time (:meth:`moment`), as ``(operation,
+    register axes)`` pairs, and leave as steps for :func:`apply_steps`:
+
+    * ``(GATHER, gather, None)``: a segment of permutation gates, composed
+      into one full-register gather (:func:`segment_permutation_gather`);
+    * ``(MULTIPLY, index, factor)``: a diagonal gate, one in-place
+      multiply (:func:`diagonal_factor`);
+    * ``(CONTROL, (index, targets), block)``: any other
+      :class:`~repro.gates.controlled.ControlledGate`, its sub-gate's
+      block contracted into its control block, in place;
+    * ``(DENSE, axes, block)``: any other gate, its kernel block
+      contracted into a new array.
+
+    Permutation gates gather only on a register whose gathers are cached
+    (:func:`caches_gathers`); on a wider one they take a control-block or
+    dense step like any other gate, so no register-sized index array is
+    built.
+
+    The segment rule decides where a gather runs:
+
+    * a moment of permutation gates only extends the open segment;
+    * in a moment with other gates, an open segment takes the moment's
+      permutation gates and ends as one gather before those gates;
+    * with no segment open, the other gates go first and the moment's
+      permutation gates open the next segment;
+    * within a moment, multiplies precede blocks.
+
+    Gates in one moment touch disjoint wires, so this order changes
+    results only by rounding, and it never runs more gathers than
+    program order, where every other gate ends the segment.
+    :meth:`close` ends the open segment: a state-vector run closes it
+    after its last moment, the trajectory engine after every moment (so
+    it gathers at most once per moment).
+
+    ``lead`` is the number of leading axes that pass through every step:
+    0 for one register, 1 for the trajectory engine's row stack.
+    ``dtype`` is the tensor's, for the factors and blocks.
+    """
+
+    def __init__(
+        self,
+        shape: Sequence[int],
+        lead: int = 0,
+        dtype: "np.dtype | type" = np.complex128,
+    ) -> None:
+        self.shape = tuple(shape)
+        self.lead = lead
+        self.dtype = np.dtype(dtype)
+        self._gathers = caches_gathers(self.shape)
+        #: (gate id, axes) -> the gate's step there, or None when it
+        #: joins a segment.
+        self._placed: dict[tuple, tuple | None] = {}
+        #: The open segment's ``(operation, axes)`` permutation gates.
+        self._segment: list = []
+
+    def _step(self, op: GateOperation, axes: Sequence[int]) -> tuple | None:
+        if self._gathers and permutation_kernel(op).is_permutation:
+            return None
+        gate = op.gate
+        ndim = self.lead + len(self.shape)
+        axes = [a + self.lead for a in axes]
+        factor = diagonal_factor(op, axes, ndim, self.dtype)
+        if factor is not None:
+            return (MULTIPLY,) + factor
+        if isinstance(gate, ControlledGate):
+            block, _ = _control_block(gate, self.dtype)
+            return CONTROL, _control_slice(gate, axes, ndim), block
+        return DENSE, axes, gate_kernel(op, self.dtype).block
+
+    def moment(
+        self, placed: "Sequence[tuple[GateOperation, Sequence[int]]]"
+    ) -> list[tuple]:
+        """The steps of one moment's gates, given as ``(operation,
+        register axes)`` pairs (the segment rule above)."""
+        permutations, multiplies, blocks = [], [], []
+        for op, axes in placed:
+            key = (spec_id(op.gate), tuple(axes))
+            step = self._placed.get(key, False)
+            if step is False:
+                step = self._placed[key] = self._step(op, axes)
+            if step is None:
+                permutations.append((op, axes))
+            elif step[0] == MULTIPLY:
+                multiplies.append(step)
+            else:
+                blocks.append(step)
+        steps = multiplies + blocks
+        if not steps:
+            self._segment += permutations
+        elif self._segment:
+            self._segment += permutations
+            steps = self.close() + steps
+        else:
+            self._segment = permutations
+        return steps
+
+    def close(self) -> list[tuple]:
+        """End the open segment: its gather step, or no step."""
+        if not self._segment:
+            return []
+        gather = segment_permutation_gather(self._segment, self.shape)
+        self._segment = []
+        return [(GATHER, gather, None)]
+
+
+def apply_steps(
+    tensor: np.ndarray, steps: "Iterable[tuple]", lead: int = 0
+) -> np.ndarray:
+    """``tensor`` after :class:`GatePlan` steps planned with ``lead``.
+
+    Multiplies and control blocks write into ``tensor``; gathers and
+    dense steps replace it.  So the caller must own ``tensor`` and
+    should hand over its only reference: a reference kept outside keeps
+    the original array alive until the last step.
+    """
+    shape = tensor.shape
+    for kind, target, operand in steps:
+        if kind == MULTIPLY:
+            tensor[target] *= operand
+        elif kind == GATHER:
+            # reshape copies only after a dense step left a view.
+            if lead:
+                tensor = tensor.reshape(shape[0], -1)[:, target]
+            else:
+                tensor = tensor.reshape(-1)[target]
+            tensor = tensor.reshape(shape)
+        elif kind == CONTROL:
+            index, axes = target
+            tensor[index] = apply_block(tensor[index], operand, axes)
+        else:
+            tensor = apply_block(tensor, operand, target)
+    return tensor
 
 
 def kraus_operators(

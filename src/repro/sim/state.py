@@ -29,15 +29,12 @@ from ..exceptions import DimensionMismatchError, SimulationError
 from ..linalg import random_state_vector
 from ..qudits import Qudit
 from ..circuits.operation import GateOperation
-from ..gates.controlled import ControlledGate
 from .kernels import (
+    IN_PLACE,
+    GatePlan,
     apply_block,
-    apply_gate_block,
-    caches_gathers,
-    diagonal_factor,
+    apply_steps,
     gate_kernel,
-    permutation_kernel,
-    segment_permutation_gather,
 )
 
 
@@ -253,95 +250,33 @@ class StateVector:
     def apply_operation(self, op: GateOperation) -> None:
         """Apply a gate operation in place, structure permitting.
 
-        Permutation gates — the bulk of the Toffoli catalog — are
-        dispatched to the fancy-indexing fast path: the cached lookup
-        table (:func:`repro.sim.kernels.permutation_kernel`, the PR 4
-        cache) is lifted once to full-register gather indices
-        (:func:`repro.sim.kernels.permutation_gather`) and amplitudes
-        move in one flat gather over the mixed-radix joint index —
-        no dense contraction, no axis shuffling.  A diagonal gate is one
-        multiply (:meth:`apply_diagonal_gate`), and everything else
-        goes through :meth:`apply_gate_block`; so does every gate on
-        a register too wide for cached gathers
-        (:func:`repro.sim.kernels.caches_gathers`).  Both the verdicts and
-        the index maps are cached process-wide on the gate's canonical
-        spec, so dispatch costs a few dict lookups per application.
+        The gate takes its :class:`~repro.sim.kernels.GatePlan` step: a
+        permutation gate moves amplitudes in one flat gather over the
+        mixed-radix joint index (:func:`repro.sim.kernels
+        .permutation_gather`, cached per placement), a diagonal gate is
+        one multiply, a dense controlled gate updates only its control
+        block, and any other gate contracts its kernel.  A register too
+        wide for cached gathers applies a permutation gate on its
+        control block or kernel instead.  The verdicts, kernels and
+        index maps are cached process-wide on the gate's canonical
+        spec, so a step costs a few dict lookups to plan.
         """
-        kernel = permutation_kernel(op)
-        if kernel.is_permutation and caches_gathers(self._tensor.shape):
-            self.apply_permutation_ops([op])
-        elif not self.apply_diagonal_gate(op):
-            self.apply_gate_block(op)
-
-    def apply_diagonal_gate(self, op: GateOperation) -> bool:
-        """Apply ``op`` as one in-place multiply if its gate is diagonal.
-
-        The gate's phase tensor is broadcast onto its wires' axes (a
-        controlled phase multiplies only its control block by the
-        sub-gate's phases; :func:`repro.sim.kernels.diagonal_factor`).
-        Returns False, leaving the state untouched, when the gate is not
-        diagonal.  Agrees with :meth:`apply_operation_dense` to rounding
-        (pinned by the property suite).
-        """
-        axes = [self._axis[w] for w in op.qudits]
-        factor = diagonal_factor(
-            op, axes, self._tensor.ndim, self._tensor.dtype
-        )
-        if factor is None:
-            return False
-        if self._shared:
+        plan = GatePlan(self._tensor.shape, dtype=self._tensor.dtype)
+        steps = plan.moment([(op, [self._axis[w] for w in op.qudits])])
+        steps += plan.close()
+        if self._shared and steps[0][0] in IN_PLACE:
             self._tensor = self._tensor.copy()
-            self._shared = False
-        index, phases = factor
-        view = self._tensor[index]
-        view *= phases
-        return True
-
-    def apply_gate_block(self, op: GateOperation) -> None:
-        """Apply a non-permutation gate, on its control block if it has one.
-
-        A :class:`~repro.gates.controlled.ControlledGate` updates only
-        the slice where every control holds its activation value, in
-        place (:func:`repro.sim.kernels.apply_gate_block`); any other
-        gate takes the dense contraction.  Agrees with
-        :meth:`apply_operation_dense` to rounding, and exactly on the
-        lowered qutrit tree from basis inputs (both pinned by the
-        property suite).
-        """
-        if isinstance(op.gate, ControlledGate) and self._shared:
-            self._tensor = self._tensor.copy()
-        axes = [self._axis[w] for w in op.qudits]
-        # In place on the (now private) tensor, or a fresh contraction:
-        # either way the state owns the result.
-        self._tensor = apply_gate_block(self._tensor, op, axes)
+        # In place on the (now private) tensor, or a fresh array: either
+        # way the state owns the result.
+        self._tensor = apply_steps(self._tensor, steps)
         self._shared = False
 
-    def apply_permutation_ops(self, ops: Sequence[GateOperation]) -> None:
-        """Apply a run of permutation operations as one flat gather.
-
-        The whole segment composes to a single basis permutation of the
-        register (:func:`repro.sim.kernels.segment_permutation_gather`),
-        so however deep the stretch, the amplitudes move in exactly one
-        fancy-indexing pass — this is what makes permutation-heavy
-        circuits (the undecomposed Toffoli constructions) asymptotically
-        cheaper than the dense contraction per gate.  The simulator's
-        run loop batches consecutive permutation gates into these calls;
-        every op must be a basis permutation
-        (:class:`~repro.exceptions.NotClassicalError` otherwise).
-        """
-        if not ops:
-            return
-        steps = [
-            (op, [self._axis[w] for w in op.qudits]) for op in ops
-        ]
-        shape = self._tensor.shape
-        gather = segment_permutation_gather(steps, shape)
-        # ravel() copies only if a prior dense op left a view; the
-        # gather output is always contiguous, so permutation runs
-        # stay copy-free between dense ops.  It is a fresh array, so
-        # the state owns it.
-        self._tensor = self._tensor.ravel()[gather].reshape(shape)
-        self._shared = False
+    def _evolve(self, steps) -> None:
+        """Run :class:`~repro.sim.kernels.GatePlan` steps on this
+        state's register, which it must own."""
+        # Pop the register so that apply_steps holds its only reference:
+        # a step that replaces the array then frees the one before it.
+        self._tensor = apply_steps(self.__dict__.pop("_tensor"), steps)
 
     def apply_operation_dense(self, op: GateOperation) -> None:
         """Apply a gate operation via dense tensor contraction.

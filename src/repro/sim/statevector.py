@@ -1,25 +1,29 @@
 """Noise-free state-vector simulation.
 
-The v2 hot path exploits structure: permutation gates (the bulk of the
-Toffoli catalog) move amplitudes by fancy indexing through cached
-full-register gather maps (:func:`repro.sim.kernels.permutation_gather`),
-and the run loop composes *consecutive* permutation gates into one
-cached segment gather (:func:`repro.sim.kernels
-.segment_permutation_gather`) — a permutation-only circuit costs a
-single pass over the amplitudes per run, however deep it is.  A
-diagonal gate (T, T^-1, a fused phase gate, a controlled phase) ends
-the segment and is one in-place multiply of its phase tensor broadcast
-onto its axes (:func:`repro.sim.kernels.diagonal_factor`).  Any other
-non-classical :class:`~repro.gates.controlled.ControlledGate` updates
-only its control block (:func:`repro.sim.kernels.apply_gate_block`);
-only the remaining gates pay a dense contraction through the
-gate-kernel cache.  Either way a gate that occurs many times in a
-circuit — or across the thousands of basis inputs exhaustive
-verification runs — lowers exactly once per canonical spec.  Registers
-above 2^18 amplitudes (:func:`repro.sim.kernels.caches_gathers`) build
-no gathers: every gate is a multiply or runs on its own control block
-or kernel, as in the trajectory engine, so no register-sized index
-array is kept.
+The v2 hot path exploits structure.  A run plans its gates a moment at
+a time with :class:`repro.sim.kernels.GatePlan`, the planner the
+trajectory engine shares, and runs the plan's steps on the one register
+it owns (:func:`repro.sim.kernels.apply_steps`):
+
+* permutation gates (the bulk of the Toffoli catalog) compose into
+  segments, each one cached full-register gather, so a
+  permutation-only circuit costs a single pass over the amplitudes per
+  run, however deep it is.  A moment of permutation gates extends the
+  open segment; a moment with other gates ends it, and its own
+  permutation gates join the segment if one is open or open the next
+  one if not (the segment rule of :class:`~repro.sim.kernels.GatePlan`);
+* a diagonal gate (T, T^-1, a fused phase gate, a controlled phase) is
+  one in-place multiply of its phase tensor broadcast onto its axes;
+* any other :class:`~repro.gates.controlled.ControlledGate` updates
+  only its control block, and the remaining gates pay a dense
+  contraction through the gate-kernel cache.
+
+Either way a gate that occurs many times in a circuit — or across the
+thousands of basis inputs exhaustive verification runs — lowers exactly
+once per canonical spec.  Registers above 2^18 amplitudes build no
+gathers: every gate is a multiply or runs on its own control block or
+kernel, as in the trajectory engine, so no register-sized index array
+is kept.
 
 Two knobs tune bulk sweeps:
 
@@ -41,15 +45,32 @@ work) — see :func:`repro.sim.measurement.sample_counts`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..qudits import Qudit
-from .kernels import caches_gathers, permutation_kernel
+from .kernels import GatePlan
 from .measurement import MeasurementResult, sample_counts
 from .state import StateVector
+
+
+def circuit_steps(
+    circuit: Circuit,
+    wires: Sequence[Qudit],
+    dtype: "np.dtype | type" = np.complex128,
+) -> Iterator[tuple]:
+    """``circuit``'s :class:`~repro.sim.kernels.GatePlan` steps on a
+    register over ``wires``, planned moment by moment as they are
+    consumed; the open segment closes after the last moment."""
+    axis = {wire: k for k, wire in enumerate(wires)}
+    plan = GatePlan([wire.dimension for wire in wires], dtype=dtype)
+    for moment in circuit:
+        yield from plan.moment(
+            [(op, [axis[w] for w in op.qudits]) for op in moment]
+        )
+    yield from plan.close()
 
 
 class StateVectorSimulator:
@@ -84,51 +105,17 @@ class StateVectorSimulator:
         If ``initial_state`` is omitted, starts from |0...0> over
         ``wires`` (default: the circuit's wires) at the simulator's
         dtype (default ``complex128``).  A given ``initial_state`` is
-        never mutated; its dtype is preserved unless the simulator was
-        constructed with an explicit ``dtype``.
+        copied once and never mutated; its dtype is preserved unless
+        the simulator was constructed with an explicit ``dtype``.
         """
         if initial_state is None:
             wires = list(wires) if wires else circuit.all_qudits()
-            state = StateVector.zero(
-                wires, self._dtype if self._dtype is not None else complex
-            )
+            state = StateVector.zero(wires, self._register_dtype())
+        elif self._dtype is not None and initial_state.dtype != self._dtype:
+            state = initial_state.astype(self._dtype)
         else:
-            if (
-                self._dtype is not None
-                and initial_state.dtype != self._dtype
-            ):
-                state = initial_state.astype(self._dtype)
-            else:
-                state = initial_state.copy()
-            covered = set(state.wires)
-            missing = [w for w in circuit.all_qudits() if w not in covered]
-            if missing:
-                raise ValueError(
-                    f"initial state does not cover circuit wires {missing}"
-                )
-        if not self._fast_path:
-            for moment in circuit:
-                for op in moment:
-                    state.apply_operation_dense(op)
-            return state
-        # Batch consecutive permutation gates into segments: each
-        # segment composes to one cached gather, so a permutation-only
-        # circuit costs a single pass over the amplitudes per run.  Any
-        # other gate ends the segment: a multiply if it is diagonal, its
-        # control block or kernel otherwise.
-        gathers = caches_gathers(state.shape)
-        segment: list = []
-        for moment in circuit:
-            for op in moment:
-                if gathers and permutation_kernel(op).is_permutation:
-                    segment.append(op)
-                    continue
-                state.apply_permutation_ops(segment)
-                segment.clear()
-                if not state.apply_diagonal_gate(op):
-                    state.apply_gate_block(op)
-        state.apply_permutation_ops(segment)
-        return state
+            state = initial_state.copy()
+        return self._evolve(circuit, state)
 
     def run_basis(
         self,
@@ -136,10 +123,33 @@ class StateVectorSimulator:
         wires: Sequence[Qudit],
         values: Sequence[int],
     ) -> StateVector:
-        """Run from the computational basis state |values>."""
-        return self.run(
-            circuit, StateVector.computational_basis(list(wires), values)
+        """Run from the computational basis state |values>, evolving the
+        one register this builds."""
+        return self._evolve(
+            circuit,
+            StateVector.computational_basis(
+                list(wires), values, self._register_dtype()
+            ),
         )
+
+    def _register_dtype(self) -> np.dtype:
+        return self._dtype if self._dtype is not None else np.dtype(complex)
+
+    def _evolve(self, circuit: Circuit, state: StateVector) -> StateVector:
+        """``state``, a register this run owns, after ``circuit``."""
+        covered = set(state.wires)
+        missing = [w for w in circuit.all_qudits() if w not in covered]
+        if missing:
+            raise ValueError(
+                f"initial state does not cover circuit wires {missing}"
+            )
+        if self._fast_path:
+            state._evolve(circuit_steps(circuit, state.wires, state.dtype))
+        else:
+            for moment in circuit:
+                for op in moment:
+                    state.apply_operation_dense(op)
+        return state
 
     def sample_counts(
         self,

@@ -15,11 +15,14 @@ Two engines share that schedule and sample the same per-trajectory law:
 * :class:`BatchedTrajectorySimulator` — the production engine, fused per
   moment.  ``B`` trajectories are the rows of one flat ``(B, D)`` array,
   with their ``B`` noise-free reference rows stacked underneath, so every
-  gate runs once for both.  A moment's permutation gates compose into one
-  cached gather; each diagonal gate is one in-place multiply of its phase
-  tensor broadcast onto its axes; every other gate applies its kernel
-  block (a :class:`~repro.gates.controlled.ControlledGate` only on its
-  control block).  State-independent noise — gate errors and idle kicks
+  gate runs once for both.  The gates are planned by
+  :class:`~repro.sim.kernels.GatePlan`, as in the state-vector engine,
+  with the segment closed after every moment: each diagonal gate is one
+  in-place multiply of its phase tensor broadcast onto its axes, every
+  other non-permutation gate applies its kernel block (a
+  :class:`~repro.gates.controlled.ControlledGate` only on its control
+  block), and then the moment's permutation gates run as one cached
+  gather.  State-independent noise — gate errors and idle kicks
   — is drawn for every row at once and applied only to the rows where a
   branch fired.  Amplitude damping takes the no-jump branch in one pass
   per moment: every row is multiplied by the no-jump product once, and
@@ -53,15 +56,9 @@ from ..exceptions import SimulationError
 from ..noise.kraus import KrausChannel, UnitaryMixtureChannel
 from ..noise.model import NoiseModel
 from ..qudits import Qudit
-from .kernels import (
-    apply_block,
-    apply_gate_block,
-    caches_gathers,
-    diagonal_factor,
-    permutation_kernel,
-    segment_permutation_gather,
-)
+from .kernels import GatePlan, apply_block, apply_steps
 from .state import StateVector
+from .statevector import StateVectorSimulator
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class TrajectorySimulator:
                 "initial state does not cover all circuit wires"
             )
         if ideal_final is None:
-            ideal_final = self.ideal_final_state(circuit, initial_state)
+            ideal_final = StateVectorSimulator().run(circuit, initial_state)
 
         gate_errors = 0
         idle_jumps = 0
@@ -151,16 +148,6 @@ class TrajectorySimulator:
         )
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def ideal_final_state(
-        circuit: Circuit, initial_state: StateVector
-    ) -> StateVector:
-        """Noise-free evolution of ``initial_state`` through ``circuit``."""
-        state = initial_state.copy()
-        for op in circuit.all_operations():
-            state.apply_operation(op)
-        return state
 
     def random_binary_input(
         self, wires: Sequence[Qudit]
@@ -415,13 +402,9 @@ class _MomentPlan:
     dataclass's ``__init__`` costs about 2.5 times as much.
     """
 
-    #: Composed gather of the moment's permutation gates (or None).
-    gather: np.ndarray | None
-    #: Diagonal gates as ``(index, factor)`` in-place multiplies of the
-    #: row tensor (:func:`~repro.sim.kernels.diagonal_factor`).
-    phases: list
-    #: Every other gate as ``(op, row-tensor axes)``.
-    blocks: list
+    #: The moment's gates as :class:`~repro.sim.kernels.GatePlan` steps
+    #: on the row tensor.
+    steps: list
     #: Gate errors, then kicks before damping, then kicks after it, as
     #: ``(UnitaryMixtureChannel, state axes)``.
     mixtures: list
@@ -463,51 +446,27 @@ class BatchedTrajectorySimulator:
                 "initial state does not cover all circuit wires"
             )
         shape = tuple(w.dimension for w in wires)
-        # A register whose gathers are cached composes each moment's
-        # permutation gates into one full-register gather (one cache
-        # entry per distinct moment).  Wider ones — the paper-scale
-        # 14-qutrit circuit has 3^14 amplitudes — apply every gate on
-        # its own kernel or control block, so no register-sized index
-        # array is built or kept.
-        gathers = caches_gathers(shape)
+        gates = GatePlan(shape, lead=1)
         axis = {w: k for k, w in enumerate(wires)}
-        ndim = len(shape) + 1
         idle_steps: dict[float, _IdleStep] = {}
         # Per gate instance (gates are interned, so a circuit holds few):
-        # is it gathered, and its error channel (None if it never fires).
-        # Per (gate, row axes): its diagonal factor, or None for a block.
-        kinds: dict[int, tuple] = {}
-        factors: dict[tuple, tuple | None] = {}
+        # its error channel, or None if it never fires.
+        gate_errors: dict[int, UnitaryMixtureChannel | None] = {}
         plans = []
         for moment in circuit:
-            permutations, phases, blocks, errors = [], [], [], []
+            placed, errors = [], []
             for op in moment:
                 gate = op.gate
                 axes = [axis[w] for w in op.qudits]
-                kind = kinds.get(id(gate))
-                if kind is None:
+                placed.append((op, axes))
+                error = gate_errors.get(id(gate), False)
+                if error is False:
                     error = self._model.gate_error(gate.dims)
                     if not isinstance(error, UnitaryMixtureChannel):
                         raise _unsupported(error)
-                    kind = kinds[id(gate)] = (
-                        gathers and permutation_kernel(op).is_permutation,
-                        error if error.error_probability > 0 else None,
-                    )
-                gathered, error = kind
-                if gathered:
-                    permutations.append((op, axes))
-                else:
-                    rows = tuple([a + 1 for a in axes])
-                    key = (id(gate), rows)
-                    factor = factors.get(key, False)
-                    if factor is False:
-                        factor = factors[key] = diagonal_factor(
-                            op, rows, ndim
-                        )
-                    if factor is None:
-                        blocks.append((op, list(rows)))
-                    else:
-                        phases.append(factor)
+                    if error.error_probability <= 0:
+                        error = None
+                    gate_errors[id(gate)] = error
                 if error is not None:
                     errors.append((error, axes))
             duration = self._model.moment_duration(moment)
@@ -519,13 +478,7 @@ class BatchedTrajectorySimulator:
             mixtures = errors + idle.before + idle.after
             plans.append(
                 _MomentPlan(
-                    gather=(
-                        segment_permutation_gather(permutations, shape)
-                        if permutations
-                        else None
-                    ),
-                    phases=phases,
-                    blocks=blocks,
+                    steps=gates.moment(placed) + gates.close(),
                     mixtures=mixtures,
                     identity=np.array(
                         [[1.0 - c.error_probability] for c, _ in mixtures]
@@ -605,16 +558,10 @@ class BatchedTrajectorySimulator:
         rng = self._rng
 
         for plan in plans:
-            if plan.gather is not None:
-                psi = psi[:, plan.gather]
-            if plan.phases or plan.blocks:
-                tensor = psi.reshape(row_shape)
-                for index, factor in plan.phases:
-                    view = tensor[index]
-                    view *= factor
-                for op, axes in plan.blocks:
-                    tensor = apply_gate_block(tensor, op, axes)
-                psi = tensor.reshape(psi.shape)
+            if plan.steps:
+                psi = apply_steps(
+                    psi.reshape(row_shape), plan.steps, 1
+                ).reshape(psi.shape)
             noisy = psi[:count]
             mixtures = plan.mixtures
             damping = plan.idle.damps

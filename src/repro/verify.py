@@ -36,7 +36,7 @@ import numpy as np
 from .circuits.circuit import Circuit
 from .exceptions import VerificationError
 from .qudits import Qudit
-from .sim.classical_batch import BatchedClassicalSimulator
+from .sim.classical import ClassicalSimulator
 from .sim.fidelity import resolve_batch_size
 from .sim.kernels import apply_block, gate_kernel
 
@@ -123,7 +123,7 @@ def _num_inputs(
 def _is_classical(side: Reference) -> bool:
     return not isinstance(
         side, Circuit
-    ) or BatchedClassicalSimulator().is_classical_circuit(side)
+    ) or ClassicalSimulator().is_classical_circuit(side)
 
 
 def _select(
@@ -156,7 +156,7 @@ def _classical_outputs(
     side: Reference, wires: Sequence[Qudit], inputs: np.ndarray
 ) -> np.ndarray:
     if isinstance(side, Circuit):
-        return BatchedClassicalSimulator().run_array(side, wires, inputs)
+        return ClassicalSimulator().run_array(side, wires, inputs)
     return side(inputs)
 
 
@@ -266,7 +266,7 @@ def assert_equivalent(
             f"{prod(w.dimension for w in candidate)} states exceed the "
             f"dense cap of {DENSE_WORK_CAP} (6561^2)"
         )
-    inputs = BatchedClassicalSimulator.input_space(space, levels)
+    inputs = ClassicalSimulator.input_space(space, levels)
     if oracle == "classical":
         _table_check(circuit, reference, space, candidate, inputs, context)
     else:

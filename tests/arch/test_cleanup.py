@@ -5,7 +5,7 @@ import numpy as np
 from repro.arch import cleanup_routed, count_swaps, resolve_router
 from repro.arch.topology import sized_topology
 from repro.optimize import RewriteEngine
-from repro.sim.classical_batch import BatchedClassicalSimulator
+from repro.sim.classical import ClassicalSimulator
 from repro.toffoli.registry import construction_circuit
 from repro.verify import assert_equivalent
 
@@ -85,7 +85,7 @@ class TestCleanupRouted:
             circuit, topology, wires=wires
         )
         cleaned, _ = cleanup_routed(routed, engine=RewriteEngine())
-        sim = BatchedClassicalSimulator()
+        sim = ClassicalSimulator()
         assert np.array_equal(
             sim.permutation_vector(routed.circuit, routed.sites),
             sim.permutation_vector(cleaned.circuit, cleaned.sites),

@@ -23,7 +23,7 @@ from repro.gates.qutrit import shift_gate
 from repro.interop import lift_circuit, lower_circuit
 from repro.noise.model import NoiseModel
 from repro.qudits import Qudit
-from repro.sim.classical_batch import BatchedClassicalSimulator
+from repro.sim.classical import ClassicalSimulator
 from repro.verify import assert_equivalent
 
 NOISELESS = NoiseModel("clean", 0.0, 0.0, 1e-7, 3e-7, t1=None)
@@ -87,7 +87,7 @@ class TestPermutationVectorEquality:
         lifted = lift_circuit(circuit)
         wires = circuit.all_qudits()
         lifted_wires = lifted.all_qudits()
-        simulator = BatchedClassicalSimulator()
+        simulator = ClassicalSimulator()
         inputs = simulator.input_space(wires)
         original = simulator.run_array(circuit, wires, inputs)
         promoted = simulator.run_array(lifted, lifted_wires, inputs)

@@ -38,7 +38,7 @@ from repro.optimize import (
     RewriteEngine,
 )
 from repro.qudits import qutrits
-from repro.sim.classical_batch import BatchedClassicalSimulator
+from repro.sim.classical import ClassicalSimulator
 from repro.sim.kernels import mixed_radix_weights
 from repro.verify import assert_equivalent
 
@@ -126,7 +126,7 @@ class TestPassesPreserveAction:
             passes=stack() if stack is not None else None
         )
         optimized, _ = engine.run(circuit)
-        sim = BatchedClassicalSimulator()
+        sim = ClassicalSimulator()
         assert np.array_equal(
             sim.permutation_vector(circuit, wires),
             sim.permutation_vector(optimized, wires),
@@ -149,7 +149,7 @@ class TestPassesPreserveAction:
             circuit.barrier_segments()
         )
 
-        sim = BatchedClassicalSimulator()
+        sim = ClassicalSimulator()
         identity = np.arange(3 ** len(wires))
 
         def segment_actions(source):
@@ -200,7 +200,7 @@ class TestOptimizerComposesWithRouters:
     def _assert_conjugated_equality(
         circuit, wires, routed, cleaned_circuit=None
     ):
-        sim = BatchedClassicalSimulator()
+        sim = ClassicalSimulator()
         v_orig = sim.permutation_vector(circuit, wires)
         v_routed = sim.permutation_vector(
             cleaned_circuit

@@ -29,7 +29,6 @@ from repro.gates.controlled import ControlledGate
 from repro.gates.qutrit import X01, X02, X_PLUS_1
 from repro.qudits import qutrits
 from repro.sim.classical import ClassicalSimulator
-from repro.sim.classical_batch import BatchedClassicalSimulator
 from repro.sim.kernels import mixed_radix_weights
 
 GATES = [X01, X02, X_PLUS_1]
@@ -109,7 +108,7 @@ class TestRoutingProperties:
         # permutation_vector for EVERY topology/router configuration.
         circuit, wires, topology, router = setup
         routed = _route(circuit, wires, topology, router)
-        sim = BatchedClassicalSimulator()
+        sim = ClassicalSimulator()
         v_orig = sim.permutation_vector(circuit, wires)
         v_routed = sim.permutation_vector(routed.circuit, routed.sites)
         wire_dims = [w.dimension for w in wires]

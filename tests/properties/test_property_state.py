@@ -29,7 +29,12 @@ from repro.gates.qutrit import (
 )
 from repro.linalg import random_unitary
 from repro.qudits import Qudit, qutrits
-from repro.sim.kernels import diagonal_factor, permutation_kernel
+from repro.sim.kernels import (
+    CONTROL,
+    GatePlan,
+    diagonal_factor,
+    permutation_kernel,
+)
 from repro.sim.state import StateVector
 from repro.sim.statevector import StateVectorSimulator
 from repro.toffoli.registry import build_toffoli
@@ -259,6 +264,13 @@ def controlled_gates(draw):
     return gate.on(*wires[: gate.num_qudits]), register
 
 
+def _control_step(op, register):
+    """Assert ``op`` plans as one control-block step on ``register``."""
+    axes = [register.index(w) for w in op.qudits]
+    plan = GatePlan([w.dimension for w in register])
+    assert [step[0] for step in plan.moment([(op, axes)])] == [CONTROL]
+
+
 class TestControlBlockParity:
     """A dense ControlledGate applied on its control block agrees with
     the dense contraction oracle (``apply_operation_dense``)."""
@@ -267,6 +279,7 @@ class TestControlBlockParity:
     @settings(max_examples=80, deadline=None)
     def test_complex128_agrees_with_dense(self, op_and_register, seed):
         op, register = op_and_register
+        _control_step(op, register)
         amplitudes = StateVector.random(
             register, np.random.default_rng(seed)
         ).tensor
@@ -275,7 +288,7 @@ class TestControlBlockParity:
         # block must copy it first, never write through.
         blocked = StateVector(register, amplitudes)
         dense = StateVector(register, before.copy())
-        blocked.apply_gate_block(op)
+        blocked.apply_operation(op)
         dense.apply_operation_dense(op)
         np.testing.assert_allclose(
             blocked.vector, dense.vector, atol=1e-12, rtol=0
@@ -287,9 +300,10 @@ class TestControlBlockParity:
     def test_complex64_within_documented_bound(self, op_and_register,
                                                seed):
         op, register = op_and_register
+        _control_step(op, register)
         initial = StateVector.random(register, np.random.default_rng(seed))
         bulk = initial.astype(np.complex64)
-        bulk.apply_gate_block(op)
+        bulk.apply_operation(op)
         exact = initial.copy()
         exact.apply_operation_dense(op)
         assert bulk.dtype == np.complex64

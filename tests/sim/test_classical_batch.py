@@ -10,8 +10,8 @@ from repro.gates.controlled import ControlledGate
 from repro.gates.qubit import CNOT, H, X
 from repro.gates.qutrit import X01, X_PLUS_1
 from repro.qudits import qubits, qutrits
-from repro.sim.classical_batch import (
-    BatchedClassicalSimulator,
+from repro.sim.classical import (
+    ClassicalSimulator,
     resolve_classical_batch_size,
 )
 from repro.toffoli.registry import build_toffoli
@@ -26,8 +26,8 @@ PERMUTATION_CONSTRUCTIONS = [
 
 
 @pytest.fixture
-def batched() -> BatchedClassicalSimulator:
-    return BatchedClassicalSimulator()
+def batched() -> ClassicalSimulator:
+    return ClassicalSimulator()
 
 
 def _looped_truth_table(circuit, wires, input_levels=None):
@@ -117,7 +117,7 @@ class TestRunValuesScalarPath:
             ) == tuple(row_out)
 
     def test_repeated_calls_hit_the_lowering_cache(self, batched):
-        from repro.sim.classical_batch import _lowered_operations
+        from repro.sim.classical import _lowered_operations
 
         a, b = qubits(2)
         circuit = Circuit([X.on(a), CNOT.on(a, b)])

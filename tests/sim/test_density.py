@@ -15,7 +15,7 @@ from repro.gates.qubit import CNOT, H, X
 from repro.gates.qutrit import X01, X_PLUS_1
 from repro.noise.model import NoiseModel
 from repro.qudits import qubits, qutrits
-from repro.sim.density import DensityMatrix, DensityMatrixSimulator
+from repro.sim.density import DensityMatrixSimulator, DensityTensor
 from repro.sim.state import StateVector
 from repro.sim.trajectory import TrajectorySimulator
 
@@ -34,7 +34,7 @@ class TestDensityMatrix:
     def test_pure_state_roundtrip(self):
         wires = qubits(2)
         state = StateVector.computational_basis(wires, (1, 0))
-        rho = DensityMatrix.from_state(state)
+        rho = DensityTensor.from_state(state)
         assert np.isclose(rho.trace(), 1.0)
         assert np.isclose(rho.purity(), 1.0)
         assert np.isclose(rho.fidelity_with_pure(state), 1.0)
@@ -42,7 +42,7 @@ class TestDensityMatrix:
     def test_apply_unitary_matches_statevector(self):
         circuit, wires = _bell()
         state = StateVector.zero(wires)
-        rho = DensityMatrix.from_state(state)
+        rho = DensityTensor.from_state(state)
         for op in circuit.all_operations():
             rho.apply_unitary(op.unitary(), list(op.qudits))
             state.apply_operation(op)
@@ -52,7 +52,7 @@ class TestDensityMatrix:
     def test_apply_unitary_middle_wire(self):
         wires = qutrits(3)
         state = StateVector.computational_basis(wires, (0, 1, 0))
-        rho = DensityMatrix.from_state(state)
+        rho = DensityTensor.from_state(state)
         rho.apply_unitary(X_PLUS_1.unitary(), [wires[1]])
         expected = StateVector.computational_basis(wires, (0, 2, 0))
         assert np.isclose(rho.fidelity_with_pure(expected), 1.0)
@@ -60,7 +60,7 @@ class TestDensityMatrix:
     def test_two_wire_unitary_with_gap(self):
         wires = qubits(3)
         state = StateVector.computational_basis(wires, (1, 0, 0))
-        rho = DensityMatrix.from_state(state)
+        rho = DensityTensor.from_state(state)
         rho.apply_unitary(CNOT.unitary(), [wires[0], wires[2]])
         expected = StateVector.computational_basis(wires, (1, 0, 1))
         assert np.isclose(rho.fidelity_with_pure(expected), 1.0)
@@ -69,7 +69,7 @@ class TestDensityMatrix:
         wires = qubits(1)
         state = StateVector.zero(wires)
         state.apply_operation(H.on(wires[0]))
-        rho = DensityMatrix.from_state(state)
+        rho = DensityTensor.from_state(state)
         # Full dephasing in the computational basis.
         k0 = np.diag([1.0, 0.0]).astype(complex)
         k1 = np.diag([0.0, 1.0]).astype(complex)

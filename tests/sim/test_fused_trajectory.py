@@ -18,8 +18,6 @@ from repro.noise.presets import SC
 from repro.qudits import Qudit, qutrits
 from repro.sim import fidelity as fidelity_module
 from repro.sim import kernels
-from repro.sim import state as state_module
-from repro.sim import trajectory as trajectory_module
 from repro.sim.density import DensityMatrixSimulator
 from repro.sim.fidelity import (
     estimate_circuit_fidelity,
@@ -175,7 +173,7 @@ class TestDampingLaw:
         amplitudes = np.zeros(SHAPE)
         amplitudes[0, 1, 0] = amplitudes[1, 2, 2] = 1 / np.sqrt(2)
         initial = StateVector(WIRES, amplitudes)
-        after_gate = TrajectorySimulator.ideal_final_state(idle, initial)
+        after_gate = StateVectorSimulator().run(idle, initial)
         law = enumerated_law(model, duration, after_gate.vector)
         by_jumps = np.zeros(4)
         for pattern, vector in law.items():
@@ -260,10 +258,7 @@ class TestReferenceRows:
         inputs = BatchedTrajectorySimulator(
             model, np.random.default_rng(2)
         ).random_binary_inputs([a, b], 50)
-        ideals = [
-            TrajectorySimulator.ideal_final_state(circuit, s)
-            for s in inputs
-        ]
+        ideals = [StateVectorSimulator().run(circuit, s) for s in inputs]
         stacked = BatchedTrajectorySimulator(
             model, np.random.default_rng(9)
         ).run_batch(circuit, inputs)
@@ -394,8 +389,8 @@ class TestWideRegisters:
 
 
 class TestDiagonalGates:
-    """Diagonal gates are one multiply in the moment plan, on both the
-    gather and the no-gather path, and never reach ``apply_gate_block``."""
+    """Diagonal gates are one multiply step in the moment plan, on both
+    the gather and the no-gather path, and never a block step."""
 
     @staticmethod
     def _built():
@@ -403,10 +398,11 @@ class TestDiagonalGates:
 
     @staticmethod
     def _counts(plans):
+        kinds = [step[0] for plan in plans for step in plan.steps]
         return (
-            sum(len(plan.phases) for plan in plans),
-            sum(len(plan.blocks) for plan in plans),
-            sum(plan.gather is not None for plan in plans),
+            kinds.count(kernels.MULTIPLY),
+            kinds.count(kernels.CONTROL) + kinds.count(kernels.DENSE),
+            kinds.count(kernels.GATHER),
         )
 
     def test_plan_multiplies_every_diagonal_gate(self, monkeypatch):
@@ -426,19 +422,23 @@ class TestDiagonalGates:
         )
         assert (phases, blocks, gathers) == (210, 251, 0)
 
-    def test_no_diagonal_gate_reaches_apply_gate_block(self, monkeypatch):
+    def test_no_diagonal_gate_takes_a_block_step(self, monkeypatch):
+        # Both engines plan through GatePlan: record, per engine (the
+        # plan's lead axes), whether each block-step gate is diagonal.
         seen = []
-        for module in (state_module, trajectory_module):
-            original = module.apply_gate_block
+        original = kernels.GatePlan._step
 
-            def spy(tensor, op, axes, original=original):
-                seen.append(op.gate.is_diagonal)
-                return original(tensor, op, axes)
+        def spy(self, op, axes):
+            step = original(self, op, axes)
+            if step is not None and step[0] != kernels.MULTIPLY:
+                seen.append((self.lead, op.gate.is_diagonal))
+            return step
 
-            monkeypatch.setattr(module, "apply_gate_block", spy)
+        monkeypatch.setattr(kernels.GatePlan, "_step", spy)
         built = self._built()
         StateVectorSimulator().run(built.circuit)
         estimate_circuit_fidelity(
             built.circuit, SC, trials=4, seed=1, wires=built.all_wires
         )
-        assert seen and not any(seen)
+        assert {lead for lead, _ in seen} == {0, 1}
+        assert not any(diagonal for _, diagonal in seen)

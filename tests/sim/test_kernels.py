@@ -15,7 +15,7 @@ from repro.noise.depolarizing import (
 from repro.qudits import qubits, qutrits
 from repro.sim.kernels import (
     GATHER_CACHE_ENTRIES,
-    apply_gate_block,
+    GatePlan,
     channel_kernel,
     clear_kernel_caches,
     gate_kernel,
@@ -120,7 +120,7 @@ class TestChannelKernels:
         channel_kernel(single_qudit_depolarizing(2, 1e-3))
         permutation_kernel(CNOT.on(*qubits(2)))
         controlled_h = ControlledGate(H, (2,)).on(*qubits(2))
-        apply_gate_block(np.ones((2, 2), dtype=complex), controlled_h, [0, 1])
+        GatePlan((2, 2)).moment([(controlled_h, [0, 1])])
         assert kernel_cache_stats()["control_blocks"] == 1
         clear_kernel_caches()
         stats = kernel_cache_stats()

@@ -109,6 +109,9 @@ class TestRegisterOwnership:
         expected = StateVectorSimulator(permutation_fast_path=False).run(
             circuit, initial, wires=[a, b, t]
         )
+        from repro.sim import kernels
+        from repro.sim import state as state_module
+
         copies, in_place = [], []
         private = StateVector._private
 
@@ -116,15 +119,16 @@ class TestRegisterOwnership:
             copies.append(tensor)
             return private(self, tensor)
 
-        monkeypatch.setattr(StateVector, "_private", count_copy)
-        for name in ("apply_gate_block", "apply_diagonal_gate"):
-            def spy(self, op, _apply=getattr(StateVector, name)):
-                before = self._tensor
-                applied = _apply(self, op)
-                in_place.append(self._tensor is before)
-                return applied
+        def stepwise(tensor, steps, lead=0):
+            for step in steps:
+                before = tensor
+                tensor = kernels.apply_steps(tensor, [step], lead)
+                if step[0] in kernels.IN_PLACE:
+                    in_place.append(tensor is before)
+            return tensor
 
-            monkeypatch.setattr(StateVector, name, spy)
+        monkeypatch.setattr(StateVector, "_private", count_copy)
+        monkeypatch.setattr(state_module, "apply_steps", stepwise)
         state = StateVectorSimulator().run(circuit, initial, wires=[a, b, t])
         # One copy of a given initial state (none of a fresh |0...0>);
         # every control-block write and diagonal multiply lands in the
@@ -132,6 +136,65 @@ class TestRegisterOwnership:
         assert len(copies) == (1 if given_initial else 0)
         assert in_place and all(in_place)
         assert np.allclose(state.vector, expected.vector, atol=1e-12)
+
+
+    @pytest.mark.parametrize("given", ["none", "values", "state"])
+    def test_backend_builds_one_register_per_request(
+        self, monkeypatch, given
+    ):
+        # None runs from |0...0> over the wires, basis values build
+        # their basis register, a state is copied once by the run; the
+        # run then evolves that one register.
+        from repro.execution.backends import StateVectorBackend
+
+        circuit, wires = TestWideRegisters._tree(4)
+        values = (1,) * 4 + (0,)
+        initial = {
+            "none": None,
+            "values": values,
+            "state": StateVector.computational_basis(wires, values),
+        }[given]
+        built = []
+        construct = StateVector.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(StateVector, "__init__", spy)
+        result = StateVectorBackend().run(
+            circuit, wires=wires, initial=initial
+        )
+        assert len(built) == 1
+        expected = (1,) * 5 if given != "none" else (0,) * 5
+        assert np.isclose(result.state.probability_of(expected), 1.0)
+
+    @pytest.mark.parametrize("given_state", [False, True])
+    def test_run_keeps_no_input_register_alive(self, given_state):
+        # The run hands its register to the plan's steps: each gather
+        # frees the array it replaced, so the traced peak stays near two
+        # registers.  A run that kept its input alive peaks near three.
+        import tracemalloc
+
+        from repro.sim.statevector import StateVectorSimulator
+
+        circuit, wires = TestWideRegisters._tree(8)
+        values = (1,) * 8 + (0,)
+        initial = StateVector.computational_basis(wires, values)
+        simulator = StateVectorSimulator()
+        run = (
+            (lambda: simulator.run(circuit, initial)) if given_state
+            else (lambda: simulator.run_basis(circuit, wires, values))
+        )
+        run()  # builds and caches the gathers
+        tracemalloc.start()
+        try:
+            state = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isclose(state.probability_of((1,) * 9), 1.0)
+        assert peak < 2.5 * initial.vector.nbytes
 
 
 class TestEngineKnobs:

@@ -11,6 +11,7 @@ from repro.noise.model import NoiseModel
 from repro.noise.presets import SC, DRESSED_QUTRIT
 from repro.qudits import qubits, qutrits
 from repro.sim.state import StateVector
+from repro.sim.statevector import StateVectorSimulator
 from repro.sim.trajectory import TrajectorySimulator
 
 NOISELESS = NoiseModel("noiseless", 0.0, 0.0, 1e-7, 3e-7, t1=None)
@@ -87,11 +88,20 @@ class TestInputs:
         for wire in wires:
             assert np.isclose(state.level_populations(wire)[2], 0.0)
 
-    def test_ideal_final_state_matches_plain_run(self, rng):
+    def test_ideal_final_state_matches_plain_run(self):
+        # Without a supplied ideal, a trajectory scores against the
+        # noise-free run of its input: the same draws give the same
+        # result as supplying that run.
         circuit, wires = _bell_circuit()
         initial = StateVector.zero(wires)
-        ideal = TrajectorySimulator.ideal_final_state(circuit, initial)
+        ideal = StateVectorSimulator().run(circuit, initial)
         assert np.isclose(ideal.probability_of((0, 0)), 0.5)
+        results = [
+            TrajectorySimulator(SC, np.random.default_rng(3))
+            .run_trajectory(circuit, initial, *supplied)
+            for supplied in ((), (ideal,))
+        ]
+        assert results[0] == results[1]
 
     def test_state_must_cover_circuit(self, rng):
         circuit, wires = _bell_circuit()

@@ -26,6 +26,7 @@ from repro.noise.presets import BARE_QUTRIT, SC, SC_T1_GATES, TI_QUBIT
 from repro.qudits import Qudit
 from repro.sim.density import DensityMatrixSimulator
 from repro.sim.state import StateVector
+from repro.sim.statevector import StateVectorSimulator
 from repro.sim.trajectory import (
     BatchedTrajectorySimulator,
     TrajectorySimulator,
@@ -118,7 +119,7 @@ def test_fused_mean_matches_exact_and_looped(
         label, fused_mean, exact, fused_error,
     )
     looped = TrajectorySimulator(model, rng)
-    ideal = TrajectorySimulator.ideal_final_state(circuit, initial)
+    ideal = StateVectorSimulator().run(circuit, initial)
     looped_mean, looped_error = _mean_and_error(
         [
             looped.run_trajectory(circuit, initial, ideal).fidelity

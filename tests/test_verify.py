@@ -14,7 +14,7 @@ from repro.gates.qubit import CNOT, H, T, TOFFOLI, X, Z
 from repro.gates.qutrit import X01, X_PLUS_1, Z3
 from repro.interop import lift_circuit
 from repro.qudits import qubits, qutrits
-from repro.sim.classical_batch import BatchedClassicalSimulator
+from repro.sim.classical import ClassicalSimulator
 from repro.toffoli.qutrit_tree import build_qutrit_tree
 from repro.toffoli.registry import CONSTRUCTIONS, build_toffoli
 from repro.toffoli.spec import GeneralizedToffoli
@@ -216,7 +216,7 @@ class TestDenseMatchesTable:
 
     def _both(self, circuit, reference):
         space, candidate = _pair(circuit, reference, None)
-        inputs = BatchedClassicalSimulator.input_space(space)
+        inputs = ClassicalSimulator.input_space(space)
         verdicts = []
         for check in (
             lambda: _table_check(
