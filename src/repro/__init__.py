@@ -68,7 +68,7 @@ from .execution import (
 # The serving layer sits on top of the execution layer.
 from .service import Job, JobQueue, JobState, ResultStore
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "Qudit",

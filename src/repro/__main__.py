@@ -60,6 +60,16 @@ def _cli_pipeline(name: "str | None"):
     return PipelineSpec.from_name(name).build()
 
 
+def _cli_noise(name: "str | None"):
+    """The noise model behind a ``--noise`` name (None when not given)."""
+    from .noise.presets import noise_model_named
+
+    try:
+        return noise_model_named(name)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
 def _print_run_result(result) -> None:
     """Shared result rendering for single runs (run / circuit load)."""
     print(result)
@@ -75,14 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     from .execution.backends import check_run_options, resolve_backend
     from .noise.presets import ALL_MODELS
 
-    noise_model = None
-    if args.noise is not None:
-        if args.noise not in ALL_MODELS:
-            raise SystemExit(
-                f"unknown noise model {args.noise!r}; "
-                f"choose from {sorted(ALL_MODELS)}"
-            )
-        noise_model = ALL_MODELS[args.noise]
+    noise_model = _cli_noise(args.noise)
     if args.backend in ("density", "trajectory") and noise_model is None:
         raise SystemExit(
             f"backend {args.backend!r} needs --noise "
@@ -103,7 +106,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         shots=args.shots,
         trials=args.trials,
         seed=args.seed,
-        batch_size=args.batch_size,
         parallel=args.parallel,
         workers=args.workers,
     )
@@ -217,16 +219,12 @@ def _circuit_summary(circuit) -> str:
 def _cmd_circuit_save(args: argparse.Namespace) -> None:
     from pathlib import Path
 
-    from inspect import signature
-
     from .toffoli.registry import CONSTRUCTIONS, construction_circuit
 
     build_kwargs = {}
     if args.undecomposed:
         info = CONSTRUCTIONS.get(args.construction)
-        if info is not None and (
-            "decompose" not in signature(info.builder).parameters
-        ):
+        if info is not None and not info.takes_decompose:
             raise SystemExit(
                 f"construction {args.construction!r} does not take "
                 "--undecomposed (it already emits permutation-level "
@@ -260,21 +258,12 @@ def _cmd_circuit_show(args: argparse.Namespace) -> None:
 
 def _cmd_circuit_load(args: argparse.Namespace) -> None:
     from .execution import execute
-    from .noise.presets import ALL_MODELS
 
     circuit = _read_circuit(args.file)
-    noise_model = None
-    if args.noise is not None:
-        if args.noise not in ALL_MODELS:
-            raise SystemExit(
-                f"unknown noise model {args.noise!r}; "
-                f"choose from {sorted(ALL_MODELS)}"
-            )
-        noise_model = ALL_MODELS[args.noise]
     result = execute(
         circuit,
         backend=args.backend,
-        noise_model=noise_model,
+        noise_model=_cli_noise(args.noise),
         initial=tuple(args.input) if args.input else None,
         shots=args.shots,
         trials=args.trials,
@@ -371,17 +360,9 @@ def _cmd_route(args: argparse.Namespace) -> None:
     from .arch.metrics import estimate_routed_fidelity, routing_metrics
     from .arch.router import LookaheadRouter, GreedyRouter, RouterConfig
     from .arch.topology import TOPOLOGY_KINDS, sized_topology
-    from .noise.presets import ALL_MODELS
     from .toffoli.registry import construction_circuit
 
-    noise_model = None
-    if args.noise is not None:
-        if args.noise not in ALL_MODELS:
-            raise SystemExit(
-                f"unknown noise model {args.noise!r}; "
-                f"choose from {sorted(ALL_MODELS)}"
-            )
-        noise_model = ALL_MODELS[args.noise]
+    noise_model = _cli_noise(args.noise)
     if args.trials and noise_model is None:
         raise SystemExit("--trials needs --noise (the model to sample)")
 
@@ -512,8 +493,6 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> None:
-    from inspect import signature
-
     from .exceptions import VerificationError
     from .toffoli.registry import CONSTRUCTIONS, build_toffoli
     from .toffoli.verification import verify_construction
@@ -529,9 +508,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         names = sorted(CONSTRUCTIONS)
     for name in names:
         build_kwargs = {}
-        decomposes = "decompose" in signature(
-            CONSTRUCTIONS[name].builder
-        ).parameters
+        decomposes = CONSTRUCTIONS[name].takes_decompose
         if args.undecomposed:
             if not decomposes:
                 if args.construction is not None:
@@ -613,10 +590,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--shots", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument(
-        "--batch-size", type=int, default=None,
-        help="trajectory rows per chunk (default: auto)",
-    )
     run.add_argument(
         "--sweep", type=int, nargs=2, metavar=("LOW", "HIGH"),
         default=None, help="sweep num_controls over LOW..HIGH inclusive",

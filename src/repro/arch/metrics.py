@@ -129,9 +129,8 @@ def estimate_routed_fidelity(
     noise_model: "NoiseModel",
     trials: int = 100,
     seed: int | None = 2019,
-    batch_size: int | None = None,
 ) -> "FidelityEstimate":
-    """Monte-Carlo mean fidelity of the routed circuit (PR 3 engine).
+    """Monte-Carlo mean fidelity of the routed circuit.
 
     Runs :func:`repro.sim.fidelity.estimate_circuit_fidelity` over the
     routed circuit's full site register, so SWAP gate errors and the
@@ -150,7 +149,6 @@ def estimate_routed_fidelity(
         # idle through the whole schedule and their decay must count.
         wires=routed.sites if routed.sites else None,
         circuit_name=f"routed@{routed.topology_name}",
-        batch_size=batch_size,
     )
 
 

@@ -36,6 +36,7 @@ from .facade import (
     materialize_target,
     resolve_pipeline,
     result_cache_key,
+    run_identity,
 )
 from .passes import (
     ASAPReschedule,
@@ -80,6 +81,7 @@ __all__ = [
     "materialize_target",
     "resolve_pipeline",
     "result_cache_key",
+    "run_identity",
     "CacheBacking",
     "ResultCache",
     "CacheStats",

@@ -7,9 +7,8 @@ state vectors, exact density-matrix evolution, sampled noisy trajectories
 * ``name`` — registry identifier,
 * ``capabilities`` — a static record of what the backend can do,
 * ``run(circuit, *, wires, initial, shots, trials, seed)`` — one circuit
-  execution returning a :class:`~repro.execution.results.RunResult`
-  (the trajectory backend additionally accepts ``batch_size``, its
-  row-stack chunking knob).
+  execution returning a :class:`~repro.execution.results.RunResult`;
+  every backend takes exactly these keywords.
 
 The adapters wrap the existing engines in :mod:`repro.sim` (which remain
 the canonical implementations); this module only translates arguments and
@@ -282,20 +281,17 @@ class DensityMatrixBackend:
 class TrajectoryBackend:
     """Sampled noisy trajectories — Algorithm 1, the Figure 11 harness.
 
-    Trials run through the fused-moment engine at every chunk size;
-    ``batch_size`` (at construction or per run) sets the rows per
-    chunk, and ``None`` auto-sizes it.
+    Trials run through the fused-moment engine in row-stack chunks
+    sized from the register
+    (:func:`repro.sim.fidelity.resolve_batch_size`).
     """
 
     name = "trajectory"
     #: Trajectories per run when the caller does not say.
     default_trials = 100
 
-    def __init__(
-        self, noise_model: NoiseModel, batch_size: int | None = None
-    ) -> None:
+    def __init__(self, noise_model: NoiseModel) -> None:
         self._model = noise_model
-        self._batch_size = batch_size
 
     @property
     def capabilities(self) -> BackendCapabilities:
@@ -317,7 +313,6 @@ class TrajectoryBackend:
         shots: int | None = None,
         trials: int | None = None,
         seed: int | None = None,
-        batch_size: int | None = None,
     ) -> FidelityResult:
         if initial is not None:
             raise SimulationError(
@@ -334,9 +329,6 @@ class TrajectoryBackend:
             seed=seed,
             wires=wires,
             circuit_name="circuit",
-            batch_size=(
-                batch_size if batch_size is not None else self._batch_size
-            ),
         )
         return FidelityResult(
             backend=self.name,

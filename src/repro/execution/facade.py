@@ -38,7 +38,7 @@ from ..resilience.deadlines import (
 )
 from ..resilience.faults import maybe_inject
 from ..sim.state import StateVector
-from ..toffoli.registry import build_toffoli
+from ..toffoli.registry import CONSTRUCTIONS, build_toffoli
 from ..toffoli.spec import ConstructionResult
 from .backends import Backend, check_run_options, resolve_backend
 from .cache import DEFAULT_CACHE, ResultCache, circuit_fingerprint
@@ -86,21 +86,6 @@ def resolve_pipeline(
     )
 
 
-def _builder_takes_decompose(name: str) -> bool:
-    """True if the named construction's builder has a decompose flag.
-
-    Builders without one (Wang chain, Lanyon target) already emit
-    permutation-level gates.
-    """
-    from inspect import signature
-
-    from ..toffoli.registry import CONSTRUCTIONS
-
-    if name not in CONSTRUCTIONS:
-        return False  # let build_toffoli raise its descriptive KeyError
-    return "decompose" in signature(CONSTRUCTIONS[name].builder).parameters
-
-
 def _build_target(
     target: ExecuteTarget,
     builder_params: Mapping,
@@ -115,12 +100,9 @@ def _build_target(
     """
     if isinstance(target, str):
         params = dict(builder_params)
-        if (
-            prefer_undecomposed
-            and "decompose" not in params
-            and _builder_takes_decompose(target)
-        ):
-            params["decompose"] = False
+        info = CONSTRUCTIONS.get(target)  # unknown: build_toffoli raises
+        if prefer_undecomposed and info is not None and info.takes_decompose:
+            params.setdefault("decompose", False)
         built: object = build_toffoli(target, **params)
     elif callable(target) and not isinstance(
         target, (Circuit, ConstructionResult)
@@ -163,7 +145,7 @@ def materialize_target(
     )
 
 
-def result_cache_key(
+def run_identity(
     *,
     fingerprint: str,
     backend: Backend,
@@ -173,19 +155,13 @@ def result_cache_key(
     shots: int | None = None,
     trials: int | None = None,
     seed: int | None = None,
-    batch_size: int | None = None,
 ) -> tuple | None:
-    """The facade's result-cache key for one fully resolved run.
+    """Everything that decides one fully resolved run's result.
 
-    Returns None when the run must not be cached: unseeded stochastic
-    runs are not reproducible, and ``StateVector`` initials have no
-    stable serialized identity.  The serving layer shares this function
-    so facade users and service jobs hit the same cache lines.
+    The result cache keys on it (:func:`result_cache_key`) and the job
+    queue coalesces identical in-flight submissions on it.  None for a
+    ``StateVector`` initial, which has no stable serialized identity.
     """
-    capabilities = backend.capabilities
-    stochastic = bool(capabilities.supports_trials or shots)
-    if stochastic and seed is None:
-        return None
     if isinstance(initial, StateVector):
         return None
     # Backend instances may carry their own noise model (e.g. a
@@ -194,19 +170,28 @@ def result_cache_key(
     model = getattr(backend, "noise_model", None) or noise_model
     noise = model.name if model is not None else None
     return (
-        fingerprint,
-        backend.name,
-        noise,
-        wires,
-        initial,
-        shots,
-        trials,
-        seed,
-        # Chunking changes the trajectory RNG stream, so same-seed runs
-        # with different batch sizes are distinct results there; other
-        # backends never see the knob, so it must not split their keys.
-        batch_size if capabilities.supports_trials else None,
+        fingerprint, backend.name, noise, wires, initial, shots, trials, seed,
     )
+
+
+def result_cache_key(
+    identity: tuple | None,
+    *,
+    backend: Backend,
+    shots: int | None,
+    seed: int | None,
+) -> tuple | None:
+    """The result-cache key of a run with this :func:`run_identity`.
+
+    The identity itself, or None when the run must not be cached:
+    unseeded stochastic runs are not reproducible, and a run without an
+    identity has no stable key.  The serving layer shares this function
+    so facade users and service jobs hit the same cache lines.
+    """
+    stochastic = backend.capabilities.supports_trials or shots
+    if stochastic and seed is None:
+        return None
+    return identity
 
 
 @dataclass(frozen=True)
@@ -238,9 +223,6 @@ class _Task:
     fingerprint: str | None = None
     #: Serialized form, filled by :func:`_serialized` for pool dispatch.
     circuit_data: str | None = None
-    #: Trajectory chunk size (None = auto); only trajectory-capable
-    #: backends receive it.
-    batch_size: int | None = None
 
 
 def _serialized(task: _Task) -> _Task:
@@ -259,18 +241,14 @@ def _run_task(task: _Task) -> RunResult:
         if task.circuit is not None
         else Circuit.from_json(task.circuit_data)
     )
-    run_kwargs = dict(
+    result = backend.run(
+        circuit,
         wires=list(task.wires) if task.wires is not None else None,
         initial=task.initial,
         shots=task.shots,
         trials=task.trials,
         seed=task.seed,
     )
-    # The batch knob only exists on trajectory-capable backends; keep
-    # the Backend protocol narrow for everyone else.
-    if task.batch_size is not None and backend.capabilities.supports_trials:
-        run_kwargs["batch_size"] = task.batch_size
-    result = backend.run(circuit, **run_kwargs)
     return result.with_params(dict(task.params))
 
 
@@ -278,7 +256,7 @@ def _cache_key(task: _Task, backend: Backend) -> tuple | None:
     """A hashable cache key, or None when the run must not be cached."""
     if task.fingerprint is None:
         return None
-    return result_cache_key(
+    identity = run_identity(
         fingerprint=task.fingerprint,
         backend=backend,
         noise_model=task.noise_model,
@@ -287,7 +265,9 @@ def _cache_key(task: _Task, backend: Backend) -> tuple | None:
         shots=task.shots,
         trials=task.trials,
         seed=task.seed,
-        batch_size=task.batch_size,
+    )
+    return result_cache_key(
+        identity, backend=backend, shots=task.shots, seed=task.seed
     )
 
 
@@ -303,7 +283,6 @@ def execute(
     shots: int | None = None,
     trials: int | None = None,
     seed: int | None = None,
-    batch_size: int | None = None,
     sweep: Mapping[str, Iterable] | None = None,
     parallel: bool = False,
     workers: int = 4,
@@ -318,9 +297,7 @@ def execute(
     sweep points run across a process pool; on the trajectory backend
     each point's trials are additionally sharded and exactly merged, so
     parallel results match serial runs in distribution for a fixed
-    ``seed``.  ``batch_size`` sets the trajectory backend's row-stack
-    chunk size (``None`` auto-sizes); other backends ignore it.
-    ``shots`` on a backend that does not sample, ``trials`` on one that
+    ``seed``.  ``shots`` on a backend that does not sample, ``trials`` on one that
     runs no trajectories, or either below 1 (at the top level or in any
     sweep point) raises ``ValueError`` before anything is built.  With
     ``shots``, a statevector result carries the counts and no state.
@@ -450,7 +427,6 @@ def execute(
                 shots=run_overrides.get("shots", shots),
                 trials=run_overrides.get("trials", trials),
                 seed=point_seed,
-                batch_size=batch_size,
                 params=tuple(sorted(point.items())),
                 point=index,
                 shard=0,

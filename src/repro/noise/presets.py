@@ -135,3 +135,17 @@ ALL_MODELS = {
     model.name: model
     for model in (IBM_CURRENT, *SUPERCONDUCTING_MODELS, *TRAPPED_ION_MODELS)
 }
+
+
+def noise_model_named(name: str | None) -> NoiseModel | None:
+    """The :data:`ALL_MODELS` entry called ``name`` (None passes through).
+
+    Raises ``ValueError`` listing the choices for an unknown name.
+    """
+    if name is None:
+        return None
+    if name not in ALL_MODELS:
+        raise ValueError(
+            f"unknown noise model {name!r}; choose from {sorted(ALL_MODELS)}"
+        )
+    return ALL_MODELS[name]

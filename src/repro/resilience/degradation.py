@@ -5,18 +5,21 @@ every in-flight job down with the one that was too big.  Admission
 control converts that into an *upfront, typed* decision: the footprint
 of a run is estimated in closed form from the circuit's wire dimensions
 (state vectors are ``prod(dims)`` complex amplitudes, density matrices
-the square of that, batched trajectories a ``batch x state`` stack, and
-``parallel=True`` multiplies by the worker count), and a request that
-would blow the budget is **downgraded** down a ladder of cheaper
-execution modes before it is ever **rejected**:
+the square of that, trajectories a stack of noisy and noise-free rows in
+the engine's own chunk size, and ``parallel=True`` multiplies by the
+worker count), and a request that would blow the budget is
+**downgraded** before it is ever **rejected**:
 
 1. ``parallel=True -> parallel=False`` — one process image instead of
    ``workers`` of them;
-2. batched trajectories -> ``batch_size=1`` — one-row chunks hold one
-   noisy state and its noise-free reference at a time (the step keeps
-   its historical name, ``batched-to-looped``);
-3. still over budget -> :class:`AdmissionError` (a clean, immediate,
+2. still over budget -> :class:`AdmissionError` (a clean, immediate,
    retryable-by-a-smaller-request failure — not an OOM).
+
+The trajectory engine sizes its chunks from the register
+(:func:`repro.sim.fidelity.resolve_batch_size`), so its stack is at most
+``2 * 16 * max(2^18, D)`` bytes for ``D`` amplitudes — one row pair
+above 2^18 amplitudes, 8 MiB below — and no smaller chunk is left to
+fall back on.
 
 Estimates are deliberately closed-form and conservative-but-simple:
 they cover the dominant allocation (the state/stack itself, at 16
@@ -30,15 +33,10 @@ from dataclasses import dataclass
 
 from ..circuits.circuit import Circuit
 from ..exceptions import ReproError
+from ..sim.fidelity import resolve_batch_size
 
 #: Bytes per complex128 amplitude.
 _COMPLEX_BYTES = 16
-
-#: Mirrors the trajectory engine's auto-chunking cap
-#: (:func:`repro.sim.fidelity.resolve_batch_size`): the stacked state is
-#: bounded by ``_AUTO_BATCH_ENTRIES`` amplitudes regardless of trials.
-_AUTO_BATCH_ENTRIES = 1 << 20
-_MAX_AUTO_BATCH = 256
 
 
 class AdmissionError(ReproError):
@@ -59,7 +57,6 @@ def estimate_memory_bytes(
     kind: str,
     *,
     trials: int | None = None,
-    batch_size: int | None = None,
     parallel: bool = False,
     workers: int = 1,
 ) -> int:
@@ -68,7 +65,8 @@ def estimate_memory_bytes(
     ``kind`` is the backend capability kind (``"classical"``,
     ``"statevector"``, ``"density"``, ``"trajectory"``).  Classical runs
     hold integers per wire, not amplitudes, and effectively never
-    dominate.
+    dominate.  A trajectory run's stack holds a noisy and a noise-free
+    row per trial of one chunk, in the chunk size the engine uses.
     """
     wires = circuit.all_qudits()
     if kind == "classical":
@@ -78,17 +76,10 @@ def estimate_memory_bytes(
         if kind == "density":
             per_run = entries * entries * _COMPLEX_BYTES
         elif kind == "trajectory":
-            effective_trials = trials if trials is not None else 100
-            if batch_size is not None:
-                batch = max(1, min(batch_size, effective_trials))
-            else:
-                batch = max(1, min(
-                    effective_trials,
-                    _AUTO_BATCH_ENTRIES // max(1, entries),
-                    _MAX_AUTO_BATCH,
-                ))
-            # Noisy + ideal stacks both live during a batched pass.
-            per_run = 2 * batch * entries * _COMPLEX_BYTES
+            chunk = resolve_batch_size(
+                wires, trials if trials is not None else 100
+            )
+            per_run = 2 * chunk * entries * _COMPLEX_BYTES
         else:
             per_run = entries * _COMPLEX_BYTES
     if parallel:
@@ -104,7 +95,7 @@ class AdmissionDecision:
     action: str
     estimated_bytes: int
     limit_bytes: int
-    #: Ladder steps applied, e.g. ``("parallel-to-serial",)``.
+    #: Ladder steps applied: ``()`` or ``("parallel-to-serial",)``.
     downgrades: tuple[str, ...] = ()
     reason: str = ""
 
@@ -128,43 +119,37 @@ class AdmissionPolicy:
         kind: str,
         *,
         trials: int | None = None,
-        batch_size: int | None = None,
         parallel: bool = False,
         workers: int = 1,
     ) -> AdmissionDecision:
         """Admit, downgrade, or reject one fully resolved request."""
 
-        def estimate(parallel: bool, batch_size: int | None) -> int:
+        def estimate(parallel: bool) -> int:
             return estimate_memory_bytes(
                 circuit, kind,
-                trials=trials, batch_size=batch_size,
-                parallel=parallel, workers=workers,
+                trials=trials, parallel=parallel, workers=workers,
             )
 
         limit = self.max_state_bytes
-        first = estimate(parallel, batch_size)
+        first = estimate(parallel)
         if first <= limit:
             return AdmissionDecision("admit", first, limit)
 
-        downgrades: list[str] = []
+        downgrades: tuple[str, ...] = ()
+        current = first
         if parallel:
-            parallel = False
-            downgrades.append("parallel-to-serial")
-        current = estimate(parallel, batch_size)
-        if current > limit and kind == "trajectory" and batch_size != 1:
-            batch_size = 1
-            downgrades.append("batched-to-looped")
-            current = estimate(parallel, batch_size)
+            downgrades = ("parallel-to-serial",)
+            current = estimate(False)
         if current <= limit:
             return AdmissionDecision(
-                "downgrade", current, limit, tuple(downgrades),
+                "downgrade", current, limit, downgrades,
                 reason=(
                     f"estimated {first} B over the {limit} B budget; "
                     f"downgraded via {', '.join(downgrades)}"
                 ),
             )
         return AdmissionDecision(
-            "reject", current, limit, tuple(downgrades),
+            "reject", current, limit, downgrades,
             reason=(
                 f"estimated {current} B exceeds the {limit} B budget "
                 f"even after downgrades "

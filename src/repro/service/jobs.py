@@ -112,15 +112,17 @@ class Job:
 
     def __init__(
         self,
-        key: str,
+        key: str | None,
         submitter: str = "default",
         priority: int = 0,
         label: str = "",
         deadline: Deadline | None = None,
     ) -> None:
         self.id = f"job-{next(_JOB_IDS):06d}"
-        #: Coalescing key: circuit fingerprint + run-parameter digest.
-        self.key = key
+        #: Coalescing key: a digest of the run identity (circuit
+        #: fingerprint + run parameters), or the job's own id when the
+        #: run has no identity and so shares with no other job.
+        self.key = key if key is not None else self.id
         self.submitter = submitter
         self.priority = priority
         #: Human-readable description (e.g. "qutrit_tree(N=5)").

@@ -47,13 +47,13 @@ import threading
 from typing import Callable, Iterable, TextIO
 
 from ..execution.pipeline_spec import PipelineSpec
+from ..noise.presets import noise_model_named
 from ..resilience.degradation import AdmissionError
 from ..resilience.faults import maybe_inject
 from ..resilience.retry import TransientServiceError
 from .jobs import (
     JobCancelledError,
     JobFailedError,
-    JobState,
     QueueClosedError,
     QueueFullError,
 )
@@ -66,19 +66,6 @@ PROTOCOL = "repro-serve/v1"
 #: Requests longer than this are refused unparsed — a missing newline
 #: or a hostile client must not buffer the server into the ground.
 MAX_LINE_BYTES = 1 << 20
-
-
-def _resolve_noise(name: str | None):
-    if name is None:
-        return None
-    from ..noise.presets import ALL_MODELS
-
-    if name not in ALL_MODELS:
-        raise ValueError(
-            f"unknown noise model {name!r}; "
-            f"choose from {sorted(ALL_MODELS)}"
-        )
-    return ALL_MODELS[name]
 
 
 def _resolve_pipeline(name: str | None) -> PipelineSpec | None:
@@ -100,12 +87,11 @@ def _submit(queue: JobQueue, request: dict) -> dict:
         target,
         backend=request.get("backend", "statevector"),
         pipeline=_resolve_pipeline(request.get("pipeline")),
-        noise_model=_resolve_noise(request.get("noise")),
+        noise_model=noise_model_named(request.get("noise")),
         initial=tuple(initial) if initial is not None else None,
         shots=request.get("shots"),
         trials=request.get("trials"),
         seed=request.get("seed"),
-        batch_size=request.get("batch_size"),
         parallel=bool(request.get("parallel", False)),
         submitter=str(request.get("submitter", "default")),
         priority=int(request.get("priority", 0)),

@@ -6,11 +6,13 @@
   (per-submitter round-robin with aging priorities) — heavy jobs may
   additionally request ``parallel=True``, which reuses the facade's
   process-shard machinery (``execute(parallel=True)``) inside the worker;
-* **request coalescing** — submissions are keyed on the circuit's
-  canonical fingerprint plus a digest of every run parameter; while a
+* **request coalescing** — submissions are keyed on a digest of their
+  run identity (:func:`~repro.execution.run_identity`: the
+  circuit's canonical fingerprint plus every run parameter); while a
   job with the same key is in flight, identical submissions attach to it
   as followers and the single execution fans its result (or failure)
-  out to every handle;
+  out to every handle.  A ``StateVector`` initial has no identity, so
+  such a job never shares its execution;
 * a **two-level result cache** — the in-memory
   :class:`~repro.execution.cache.ResultCache` LRU, optionally layered
   over a persistent :class:`~repro.service.store.ResultStore`, checked
@@ -46,7 +48,7 @@ The resilience layer (``docs/RESILIENCE.md``) threads through here:
 * **admission control** — an
   :class:`~repro.resilience.AdmissionPolicy` estimates the run's
   memory from the circuit dims at submit time and downgrades
-  (``parallel`` -> serial, trajectory chunks -> one row) or rejects
+  (``parallel`` -> serial) or rejects
   (:class:`~repro.resilience.AdmissionError`) instead of OOM-ing.
 * **fault injection** — the ``worker.run`` site raises seeded chaos
   faults inside the attempt loop, so the whole retry/failure fan-out
@@ -77,6 +79,7 @@ from ..execution.facade import (
     materialize_target,
     resolve_pipeline,
     result_cache_key,
+    run_identity,
 )
 from ..execution.pipeline import CompilePipeline
 from ..execution.pipeline_spec import PipelineSpec
@@ -122,7 +125,6 @@ class JobRequest:
     shots: int | None
     trials: int | None
     seed: int | None
-    batch_size: int | None
     #: Process-shard heavy jobs through ``execute(parallel=True)``.
     parallel: bool = False
     workers: int = 4
@@ -143,7 +145,6 @@ def default_runner(request: JobRequest) -> RunResult:
         shots=request.shots,
         trials=request.trials,
         seed=request.seed,
-        batch_size=request.batch_size,
         parallel=request.parallel,
         workers=request.workers,
         timeout=request.timeout,
@@ -425,7 +426,6 @@ class JobQueue:
         shots: int | None = None,
         trials: int | None = None,
         seed: int | None = None,
-        batch_size: int | None = None,
         parallel: bool = False,
         workers: int = 4,
         submitter: str = "default",
@@ -483,13 +483,12 @@ class JobQueue:
             initial = tuple(initial)
 
         # Admission control: estimate the run's memory from the wire
-        # dims and downgrade (or reject) *before* the coalescing and
-        # cache keys are computed, so they reflect what actually runs.
+        # dims and run serially (or reject) instead of running out of
+        # memory.
         decision = self._admission.review(
             circuit,
             probe.capabilities.kind,
             trials=trials,
-            batch_size=batch_size,
             parallel=parallel,
             workers=workers,
         )
@@ -499,8 +498,6 @@ class JobQueue:
             raise AdmissionError(decision.reason)
         if "parallel-to-serial" in decision.downgrades:
             parallel = False
-        if "batched-to-looped" in decision.downgrades:
-            batch_size = 1
 
         request = JobRequest(
             circuit=circuit,
@@ -511,41 +508,27 @@ class JobQueue:
             shots=shots,
             trials=trials,
             seed=seed,
-            batch_size=batch_size,
             parallel=parallel,
             workers=workers,
         )
-        cache_key = result_cache_key(
-            fingerprint=fingerprint,
-            backend=probe,
-            noise_model=noise_model,
-            wires=job_wires,
-            initial=initial,
-            shots=shots,
-            trials=trials,
+        identity = run_identity(
+            fingerprint=fingerprint, backend=probe, noise_model=noise_model,
+            wires=job_wires, initial=initial, shots=shots, trials=trials,
             seed=seed,
-            batch_size=batch_size,
         )
-        # The coalescing key covers the same run identity but exists
-        # even for non-cacheable (unseeded stochastic) jobs: identical
-        # in-flight submissions still share the one execution.
-        model = getattr(probe, "noise_model", None) or noise_model
-        key = cache_key_digest(
-            (
-                fingerprint,
-                probe.name,
-                model.name if model is not None else None,
-                job_wires,
-                None if isinstance(initial, StateVector) else initial,
-                shots,
-                trials,
-                seed,
-                batch_size,
-            )
+        cache_key = result_cache_key(
+            identity, backend=probe, shots=shots, seed=seed
         )
+        # The coalescing key exists even for non-cacheable (unseeded
+        # stochastic) jobs: identical in-flight submissions still share
+        # the one execution.  A job without an identity keys on its id.
         label = target if isinstance(target, str) else type(target).__name__
-        job = Job(key, submitter=submitter, priority=priority,
-                  label=str(label), deadline=job_deadline)
+        job = Job(
+            cache_key_digest(identity) if identity is not None else None,
+            submitter=submitter, priority=priority, label=str(label),
+            deadline=job_deadline,
+        )
+        key = job.key
         job.degraded = decision.downgrades
 
         with self._lock:

@@ -8,7 +8,7 @@ pick each.
 """
 
 from .state import StateVector
-from .classical import ClassicalSimulator, resolve_classical_batch_size
+from .classical import ClassicalSimulator
 from .statevector import StateVectorSimulator
 from .trajectory import (
     BatchedTrajectorySimulator,
@@ -37,7 +37,6 @@ from .measurement import MeasurementResult, sample_counts, sample_state
 __all__ = [
     "StateVector",
     "ClassicalSimulator",
-    "resolve_classical_batch_size",
     "StateVectorSimulator",
     "TrajectorySimulator",
     "BatchedTrajectorySimulator",

@@ -25,10 +25,9 @@ Cost drops from ``O(B x ops x python)`` to ``O(ops)`` vectorized passes,
 which is what makes the paper's exhaustive width-14 check (N=13
 controls, all 2^14 inputs) complete in seconds — see ``BENCH_verify.json``.
 
-The ``batch_size`` knob mirrors the trajectory engine's chunking:
-``None`` auto-sizes (one pass for every workload up to
-``_AUTO_BATCH_ROWS`` rows), an explicit value bounds the rows advanced
-per pass.  Chunking changes memory use only, never results.
+Rows advance in chunks of at most ``_AUTO_BATCH_ROWS`` (one pass for
+every workload up to that many inputs).  Chunking changes memory use
+only, never results.
 
 Lowerings are memoised per circuit (LRU on the content-addressed
 circuit identity), and single-input calls (:meth:`ClassicalSimulator.run`,
@@ -60,21 +59,6 @@ from .kernels import (
 _AUTO_BATCH_ROWS = 1 << 16
 
 
-def resolve_classical_batch_size(batch_size: int | None, rows: int) -> int:
-    """The number of input rows to advance per vectorized pass.
-
-    ``None`` auto-sizes: everything at once up to ``_AUTO_BATCH_ROWS``.
-    Explicit values are clamped to ``[1, rows]``.  Unlike the trajectory
-    engine there is no RNG, so the chunking affects memory only — any
-    ``batch_size`` produces bit-identical outputs.
-    """
-    if rows <= 1:
-        return 1
-    if batch_size is not None:
-        return max(1, min(int(batch_size), rows))
-    return min(rows, _AUTO_BATCH_ROWS)
-
-
 @lru_cache(maxsize=128)
 def _lowered_operations(
     circuit: Circuit, wires: tuple[Qudit, ...]
@@ -103,9 +87,6 @@ class ClassicalSimulator:
     """Propagates basis states through permutation circuits, one
     assignment (``run``, ``run_values``) or whole batches at once
     (``run_array``, ``truth_table``, ``permutation_vector``)."""
-
-    def __init__(self, batch_size: int | None = None) -> None:
-        self._batch_size = batch_size
 
     # ------------------------------------------------------------------
     # Lowering
@@ -150,14 +131,14 @@ class ClassicalSimulator:
         circuit: Circuit,
         wires: Sequence[Qudit],
         inputs: np.ndarray,
-        batch_size: int | None = None,
     ) -> np.ndarray:
         """Output values for every input row (shape ``(B, width)``).
 
         ``inputs[b, k]`` is the starting value of ``wires[k]`` in batch
         member ``b``; the result has the same shape and dtype ``int64``.
-        Rows are advanced in chunks of the resolved batch size; results
-        are independent of the chunking.
+        Rows are advanced in chunks of at most ``_AUTO_BATCH_ROWS``;
+        there is no RNG, so results are bit-identical under any
+        chunking.
         """
         wires = list(wires)
         inputs = np.asarray(inputs, dtype=np.int64)
@@ -179,10 +160,7 @@ class ClassicalSimulator:
             )
         lowered = self._lower(circuit, wires)
         values = inputs.copy()
-        chunk = resolve_classical_batch_size(
-            batch_size if batch_size is not None else self._batch_size,
-            len(values),
-        )
+        chunk = max(1, min(len(values), _AUTO_BATCH_ROWS))
         for start in range(0, len(values), chunk):
             block = values[start : start + chunk]
             for cols, kernel in lowered:
@@ -280,7 +258,6 @@ class ClassicalSimulator:
         circuit: Circuit,
         wires: Sequence[Qudit],
         input_levels: Mapping[Qudit, Iterable[int]] | None = None,
-        batch_size: int | None = None,
     ) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Exhaustive input -> output map over selected input levels.
 
@@ -292,7 +269,7 @@ class ClassicalSimulator:
         """
         wires = list(wires)
         inputs = self.input_space(wires, input_levels)
-        outputs = self.run_array(circuit, wires, inputs, batch_size)
+        outputs = self.run_array(circuit, wires, inputs)
         return {
             tuple(int(v) for v in row_in): tuple(int(v) for v in row_out)
             for row_in, row_out in zip(inputs, outputs)
@@ -302,7 +279,6 @@ class ClassicalSimulator:
         self,
         circuit: Circuit,
         wires: Sequence[Qudit] | None = None,
-        batch_size: int | None = None,
     ) -> np.ndarray:
         """The circuit's full classical action as one index array.
 
@@ -319,7 +295,7 @@ class ClassicalSimulator:
         # is exactly the mixed-radix decode of 0, 1, 2, ...: row i of
         # the input array IS basis state i.
         inputs = self.input_space(wires)
-        outputs = self.run_array(circuit, wires, inputs, batch_size)
+        outputs = self.run_array(circuit, wires, inputs)
         return outputs @ mixed_radix_weights(
             [w.dimension for w in wires]
         )

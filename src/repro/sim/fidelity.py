@@ -6,10 +6,9 @@ overlap.  The estimate reports the mean and the 2-sigma standard error the
 paper quotes ("error bars are all 2 sigma < 0.1%").
 
 Trials run through the fused trajectory engine at every chunk size:
-shots are grouped into row-stack chunks sized so one chunk stays
-cache-friendly (``batch_size=None`` auto-sizes; see
-:func:`resolve_batch_size`), down to one-row chunks for states above
-2^18 amplitudes or an explicit ``batch_size=1``.
+shots are grouped into row-stack chunks sized from the register so one
+chunk stays cache-friendly (:func:`resolve_batch_size`), down to
+one-row chunks for states above 2^18 amplitudes.
 :func:`estimate_circuit_fidelity_looped` runs the same estimate on the
 looped oracle, one trajectory at a time — both engines sample the same
 distribution, but their RNG streams differ, so fixed-seed results are
@@ -43,21 +42,17 @@ _AUTO_BATCH_ENTRIES = 1 << 18
 _MAX_AUTO_BATCH = 1024
 
 
-def resolve_batch_size(
-    batch_size: int | None, wires: Sequence[Qudit], trials: int
-) -> int:
-    """The trajectory chunk size to use for one estimate.
+def resolve_batch_size(wires: Sequence[Qudit], trials: int) -> int:
+    """The trajectory chunk size (rows per stack) for one estimate.
 
-    ``None`` auto-sizes from the state dimension (the only shape input),
-    so a given ``(circuit, trials, seed, batch_size=None)`` call is
-    deterministic across machines.  Explicit values are clamped to
-    ``[1, trials]``.  The chunk size only shapes the fused engine's
-    stacks, never which engine runs.
+    Sized from the state dimension and ``trials`` alone, so a given
+    ``(circuit, trials, seed)`` call is deterministic across machines.  The chunk
+    size only shapes the fused engine's stacks, never which engine
+    runs; admission control estimates a trajectory run's memory from it
+    (:func:`repro.resilience.estimate_memory_bytes`).
     """
     if trials <= 1:
         return 1
-    if batch_size is not None:
-        return max(1, min(int(batch_size), trials))
     state_entries = max(1, total_dimension(list(wires)))
     auto = _AUTO_BATCH_ENTRIES // state_entries
     return max(1, min(trials, auto, _MAX_AUTO_BATCH))
@@ -95,15 +90,12 @@ def estimate_circuit_fidelity(
     seed: int | None = None,
     wires: Sequence[Qudit] | None = None,
     circuit_name: str = "circuit",
-    batch_size: int | None = None,
 ) -> FidelityEstimate:
     """Run ``trials`` independent trajectories and aggregate.
 
     Every trial uses its own random binary-subspace initial state, per
-    Algorithm 1.  Deterministic given ``seed`` (and the effective batch
-    size, which the default auto-sizing derives from the state shape
-    alone).  ``batch_size`` sets the fused engine's row-stack chunking;
-    ``None`` auto-sizes.
+    Algorithm 1.  Deterministic given ``seed``: the row-stack chunking
+    (:func:`resolve_batch_size`) follows from the state shape alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -112,7 +104,7 @@ def estimate_circuit_fidelity(
         noise_model, np.random.default_rng(seed)
     )
     results = batched.run_trials(
-        circuit, wires, trials, resolve_batch_size(batch_size, wires, trials)
+        circuit, wires, trials, resolve_batch_size(wires, trials)
     )
     return _aggregate(results, trials, noise_model, circuit_name)
 

@@ -8,6 +8,7 @@ benchmarks can sweep all constructions generically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from typing import Callable
 
 from .ancilla_free import build_ancilla_free_cascade
@@ -30,6 +31,15 @@ class ConstructionInfo:
     ancilla: str
     qudit_types: str
     notes: str = ""
+
+    @property
+    def takes_decompose(self) -> bool:
+        """True if the builder has a ``decompose`` flag.
+
+        Builders without one (Wang chain, Lanyon target) already emit
+        permutation-level gates.
+        """
+        return "decompose" in signature(self.builder).parameters
 
 
 CONSTRUCTIONS: dict[str, ConstructionInfo] = {

@@ -213,7 +213,7 @@ def _dense_check(
         else None
     )
     subspace = (slice(None),) + tuple(slice(0, w.dimension) for w in space)
-    chunk = resolve_batch_size(None, candidate, len(inputs))
+    chunk = resolve_batch_size(candidate, len(inputs))
     for start in range(0, len(inputs), chunk):
         rows = inputs[start : start + chunk]
         got = _advance(circuit, candidate, _basis_batch(candidate, rows))

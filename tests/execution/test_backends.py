@@ -8,6 +8,7 @@ density-matrix reference within statistical uncertainty.
 
 from __future__ import annotations
 
+import inspect
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.execution import (
     execute,
     resolve_backend,
 )
+from repro.execution.backends import BACKEND_FACTORIES
 from repro.gates.controlled import ControlledGate
 from repro.gates.qutrit import X01, X_PLUS_1
 from repro.noise.model import NoiseModel
@@ -58,6 +60,19 @@ class TestRegistry:
             assert isinstance(backend, Backend)
             assert backend.name == name
             assert backend.capabilities.kind
+
+    def test_every_backend_run_takes_the_same_keywords(self):
+        # The facade hands every backend the same run options, so no
+        # backend may need a keyword of its own.
+        def keywords(run):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(run).parameters.values()
+            ]
+
+        protocol = keywords(Backend.run)[1:]  # drop self
+        for name, factory in BACKEND_FACTORIES.items():
+            assert keywords(factory(NOISELESS).run) == protocol, name
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError, match="unknown backend"):

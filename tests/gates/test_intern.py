@@ -9,7 +9,6 @@ table is bounded, and gate ids stay in their process.
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import subprocess
@@ -55,11 +54,9 @@ def _build_options() -> list[tuple[str, int, dict]]:
     """Every registered construction at N 3-5, decomposed and not."""
     out = []
     for name, info in sorted(CONSTRUCTIONS.items()):
-        takes_decompose = (
-            "decompose" in inspect.signature(info.builder).parameters
-        )
+        options = (True, False) if info.takes_decompose else (None,)
         for n in (3, 4, 5):
-            for decompose in (True, False) if takes_decompose else (None,):
+            for decompose in options:
                 kwargs = {} if decompose is None else {"decompose": decompose}
                 out.append((name, n, kwargs))
     return out

@@ -15,6 +15,7 @@ from repro.noise.presets import (
     SUPERCONDUCTING_MODELS,
     TI_QUBIT,
     TRAPPED_ION_MODELS,
+    noise_model_named,
 )
 
 
@@ -109,3 +110,9 @@ class TestRegistry:
     def test_names_are_consistent(self):
         for name, model in ALL_MODELS.items():
             assert model.name == name
+
+    def test_lookup_by_name(self):
+        assert noise_model_named("SC+T1") is SC_T1
+        assert noise_model_named(None) is None
+        with pytest.raises(ValueError, match="unknown noise model 'NOPE'"):
+            noise_model_named("NOPE")

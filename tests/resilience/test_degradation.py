@@ -3,8 +3,10 @@
 import pytest
 
 from repro.circuits.circuit import Circuit
+from repro.execution import resolve_backend
 from repro.gates.qubit import X
 from repro.gates.qutrit import X01
+from repro.noise.model import NoiseModel
 from repro.qudits import qubits, qutrits
 from repro.resilience import (
     AdmissionError,
@@ -12,6 +14,7 @@ from repro.resilience import (
     estimate_memory_bytes,
     state_entries,
 )
+from repro.sim.trajectory import BatchedTrajectorySimulator
 
 
 def circuit_of(wires, gate=X):
@@ -37,20 +40,40 @@ class TestEstimates:
     def test_classical_never_dominates(self, small):
         assert estimate_memory_bytes(small, "classical") == 8 * 4
 
-    def test_trajectory_scales_with_batch(self, small):
-        explicit = estimate_memory_bytes(
-            small, "trajectory", trials=100, batch_size=10,
-        )
-        assert explicit == 2 * 10 * 16 * 16
-        looped = estimate_memory_bytes(
-            small, "trajectory", trials=100, batch_size=1,
-        )
-        assert looped == 2 * 1 * 16 * 16
+    @pytest.mark.parametrize("wires, trials", [
+        (qubits(4), 10_000),
+        (qubits(6), 500),
+        (qutrits(10), 100),
+        (qutrits(12), 10),
+        (qubits(3), 1),
+        (qubits(3), None),
+    ])
+    def test_trajectory_estimate_is_the_engine_stack(
+        self, monkeypatch, wires, trials
+    ):
+        # The estimate holds a noisy and a noise-free row per trial of
+        # the chunk the trajectory backend hands the engine.
+        class Stop(Exception):
+            pass
 
-    def test_trajectory_auto_batch_is_bounded(self, small):
-        # Auto-chunking caps the stack at 256 trajectories.
-        auto = estimate_memory_bytes(small, "trajectory", trials=10_000)
-        assert auto == 2 * 256 * 16 * 16
+        chunks = []
+
+        def spy(self, circuit, wires, trials, batch_size):
+            chunks.append(batch_size)
+            raise Stop
+
+        monkeypatch.setattr(BatchedTrajectorySimulator, "run_trials", spy)
+        gate = X if wires[0].dimension == 2 else X01
+        circuit = circuit_of(wires, gate=gate)
+        backend = resolve_backend(
+            "trajectory", NoiseModel("m", 1e-3, 1e-3, 1e-7, 3e-7, t1=None)
+        )
+        with pytest.raises(Stop):
+            backend.run(circuit, trials=trials, seed=1)
+        entries = state_entries(circuit)
+        estimate = estimate_memory_bytes(circuit, "trajectory", trials=trials)
+        assert estimate == 2 * 16 * entries * chunks[0]
+        assert estimate <= 2 * 16 * max(1 << 18, entries)
 
     def test_parallel_multiplies_by_workers(self, small):
         serial = estimate_memory_bytes(small, "statevector")
@@ -78,30 +101,22 @@ class TestReviewLadder:
         assert decision.downgrades == ("parallel-to-serial",)
         assert decision.estimated_bytes == serial_cost
 
-    def test_batched_downgrades_to_looped(self, small):
-        looped_cost = estimate_memory_bytes(
-            small, "trajectory", trials=100, batch_size=1,
-        )
-        policy = AdmissionPolicy(max_state_bytes=looped_cost)
+    @pytest.mark.parametrize("parallel, downgrades", [
+        (False, ()), (True, ("parallel-to-serial",)),
+    ])
+    def test_trajectory_over_serial_budget_is_rejected(
+        self, small, parallel, downgrades
+    ):
+        # Serial is the last rung: the engine's chunks come from the
+        # register, so no smaller stack is left to fall back on.
+        serial_cost = estimate_memory_bytes(small, "trajectory", trials=100)
+        policy = AdmissionPolicy(max_state_bytes=serial_cost - 1)
         decision = policy.review(
-            small, "trajectory", trials=100, batch_size=64,
+            small, "trajectory", trials=100, parallel=parallel, workers=4,
         )
-        assert decision.action == "downgrade"
-        assert decision.downgrades == ("batched-to-looped",)
-
-    def test_both_rungs_applied_in_order(self, small):
-        looped_cost = estimate_memory_bytes(
-            small, "trajectory", trials=100, batch_size=1,
-        )
-        policy = AdmissionPolicy(max_state_bytes=looped_cost)
-        decision = policy.review(
-            small, "trajectory", trials=100, batch_size=64,
-            parallel=True, workers=4,
-        )
-        assert decision.action == "downgrade"
-        assert decision.downgrades == (
-            "parallel-to-serial", "batched-to-looped",
-        )
+        assert decision.action == "reject"
+        assert decision.downgrades == downgrades
+        assert decision.estimated_bytes == serial_cost
 
     def test_reject_when_no_rung_is_enough(self, small):
         policy = AdmissionPolicy(max_state_bytes=1)

@@ -10,8 +10,10 @@ import threading
 
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.execution.cache import ResultCache
 from repro.execution.results import RunResult
+from repro.gates.qubit import X
 from repro.qudits import qubits
 from repro.service import (
     JobCancelledError,
@@ -21,6 +23,8 @@ from repro.service import (
     QueueFullError,
     ResultStore,
 )
+from repro.service.queue import default_runner
+from repro.sim.state import StateVector
 
 TREE = dict(num_controls=3, backend="classical", initial=(1, 1, 1, 0))
 
@@ -247,6 +251,45 @@ class TestCoalescing:
         assert runner.calls == 1
         # And nothing was cached: a later identical submission runs.
         assert len(queue.cache) == 0
+
+    def test_jobs_with_different_initials_never_share(self):
+        """A ``StateVector`` initial has no run identity: its job runs
+        on its own, and no job with another initial, or none, joins it."""
+        started = threading.Event()
+        release = threading.Event()
+
+        def gated(request):
+            started.set()
+            release.wait(timeout=30)
+            return default_runner(request)
+
+        a, b = wires = qubits(2)
+        circuit = Circuit([X.on(a)])
+        initials = [
+            StateVector.computational_basis(wires, [0, 0]),
+            StateVector.computational_basis(wires, [0, 1]),
+            None,
+            (0, 1),
+        ]
+        queue = JobQueue(workers=1, runner=gated)
+        try:
+            jobs = [queue.submit(circuit, wires=wires, initial=initials[0])]
+            assert started.wait(10)
+            jobs += [
+                queue.submit(circuit, wires=wires, initial=initial)
+                for initial in initials[1:]
+            ]
+            assert [job.served_from for job in jobs] == [None] * 4
+            assert len({job.key for job in jobs}) == 4
+            release.set()
+            results = [job.result(timeout=30) for job in jobs]
+        finally:
+            release.set()
+            queue.shutdown(wait=True)
+        # X on wire a: |00> -> |10>, |01> -> |11>.
+        for result, outcome in zip(results, [(1, 0), (1, 1), (1, 0), (1, 1)]):
+            assert result.probability_of(outcome) == pytest.approx(1.0)
+        assert queue.stats.executed == 4
 
 
 class TestBackpressure:

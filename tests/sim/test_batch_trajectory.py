@@ -16,6 +16,7 @@ from repro.gates.qutrit import X01, X_PLUS_1
 from repro.noise.model import NoiseModel
 from repro.qudits import qubits, qutrits
 from repro.sim.density import DensityMatrixSimulator
+from repro.sim import fidelity as fidelity_module
 from repro.sim.fidelity import (
     estimate_circuit_fidelity,
     estimate_circuit_fidelity_looped,
@@ -110,14 +111,16 @@ class TestDeterminism:
         assert a.mean_fidelity == b.mean_fidelity
         assert a.mean_gate_errors == b.mean_gate_errors
 
-    def test_batch_size_changes_stream_not_distribution(self):
-        circuit, _ = _ghz_circuit()
+    def test_chunk_size_changes_stream_not_distribution(self, monkeypatch):
+        circuit, wires = _ghz_circuit()
         model = NoiseModel("noisy", 5e-3, 2e-3, 1e-7, 3e-7, t1=None)
-        full = estimate_circuit_fidelity(
-            circuit, model, trials=60, seed=3, batch_size=60
-        )
+        full = estimate_circuit_fidelity(circuit, model, trials=60, seed=3)
+        assert resolve_batch_size(wires, 60) == 60
+        # Three qubits are 8 amplitudes: a budget of 16 rows of them.
+        monkeypatch.setattr(fidelity_module, "_AUTO_BATCH_ENTRIES", 16 * 8)
+        assert resolve_batch_size(wires, 60) == 16
         chunked = estimate_circuit_fidelity(
-            circuit, model, trials=60, seed=3, batch_size=16
+            circuit, model, trials=60, seed=3
         )
         # Different chunking => different draws...
         assert full.mean_fidelity != chunked.mean_fidelity
@@ -138,22 +141,23 @@ class TestDeterminism:
 
 class TestResolveBatchSize:
     def test_single_trial_never_batches(self):
-        assert resolve_batch_size(None, qubits(2), 1) == 1
-        assert resolve_batch_size(64, qubits(2), 1) == 1
+        assert resolve_batch_size(qubits(2), 1) == 1
 
-    def test_explicit_value_clamped_to_trials(self):
-        assert resolve_batch_size(500, qubits(2), 40) == 40
-        assert resolve_batch_size(0, qubits(2), 40) == 1
+    def test_clamped_to_trials_and_row_cap(self):
+        assert resolve_batch_size(qubits(2), 40) == 40
+        assert resolve_batch_size(qubits(2), 10_000) == 1024
+        # Above 2^18 amplitudes every chunk is one row.
+        assert resolve_batch_size(qutrits(12), 40) == 1
 
-    def test_auto_scales_down_with_state_size(self):
-        small_state = resolve_batch_size(None, qubits(2), 10_000)
-        large_state = resolve_batch_size(None, qutrits(10), 10_000)
+    def test_scales_down_with_state_size(self):
+        small_state = resolve_batch_size(qubits(2), 10_000)
+        large_state = resolve_batch_size(qutrits(10), 10_000)
         assert small_state > large_state
         assert large_state >= 1
 
-    def test_auto_is_deterministic_in_shapes_only(self):
-        assert resolve_batch_size(None, qutrits(5), 300) == (
-            resolve_batch_size(None, qutrits(5), 300)
+    def test_deterministic_in_shapes_only(self):
+        assert resolve_batch_size(qutrits(5), 300) == (
+            resolve_batch_size(qutrits(5), 300)
         )
 
 

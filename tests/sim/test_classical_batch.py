@@ -1,5 +1,7 @@
 """Batched classical permutation engine: parity, round-trips, batching."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,8 @@ from repro.gates.controlled import ControlledGate
 from repro.gates.qubit import CNOT, H, X
 from repro.gates.qutrit import X01, X_PLUS_1
 from repro.qudits import qubits, qutrits
-from repro.sim.classical import (
-    ClassicalSimulator,
-    resolve_classical_batch_size,
-)
+from repro.sim import classical as classical_module
+from repro.sim.classical import ClassicalSimulator
 from repro.toffoli.registry import build_toffoli
 
 #: Constructions whose builders can emit undecomposed permutation
@@ -68,15 +68,14 @@ class TestRunArray:
         out = batched.run_array(circuit, [a, b], np.array([[1, 1]]))
         assert out.tolist() == [[0, 2]]
 
-    def test_results_independent_of_batch_size(self, batched):
+    def test_results_independent_of_chunking(self, batched, monkeypatch):
         result = build_toffoli("qutrit_tree", 4, decompose=False)
         wires = result.all_wires
         inputs = batched.input_space(wires, {w: (0, 1) for w in wires})
         full = batched.run_array(result.circuit, wires, inputs)
         for chunk in (1, 3, 7, len(inputs)):
-            chunked = batched.run_array(
-                result.circuit, wires, inputs, batch_size=chunk
-            )
+            monkeypatch.setattr(classical_module, "_AUTO_BATCH_ROWS", chunk)
+            chunked = batched.run_array(result.circuit, wires, inputs)
             assert np.array_equal(full, chunked)
 
     def test_non_classical_gate_raises(self, batched):
@@ -260,15 +259,43 @@ class TestIsClassicalCircuit:
         assert not batched.is_classical_circuit(Circuit([gate.on(a)]))
 
 
-class TestResolveBatchSize:
-    def test_auto_is_single_pass_up_to_cap(self):
-        assert resolve_classical_batch_size(None, 1000) == 1000
-        assert resolve_classical_batch_size(None, 1 << 20) == 1 << 16
+class TestChunking:
+    """Rows advance in chunks of at most ``_AUTO_BATCH_ROWS``."""
 
-    def test_explicit_clamped(self):
-        assert resolve_classical_batch_size(4, 10) == 4
-        assert resolve_classical_batch_size(400, 10) == 10
-        assert resolve_classical_batch_size(0, 10) == 1
+    CAP = classical_module._AUTO_BATCH_ROWS
 
-    def test_single_row(self):
-        assert resolve_classical_batch_size(None, 1) == 1
+    @pytest.mark.parametrize("cap, rows, chunks", [
+        (CAP, 1000, [1000]),
+        (CAP, CAP + 5, [CAP, 5]),
+        (3, 7, [3, 3, 1]),
+        (CAP, 0, []),
+    ])
+    def test_chunks(self, monkeypatch, cap, rows, chunks):
+        # Record the rows each table gather sees.
+        seen = []
+        lower = classical_module._lowered_operations
+
+        class Table:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, indices):
+                seen.append(len(indices))
+                return self.table[indices]
+
+        def recording(circuit, wires):
+            return tuple(
+                (cols, SimpleNamespace(weights=kernel.weights,
+                                       dims=kernel.dims,
+                                       table=Table(kernel.table)))
+                for cols, kernel in lower(circuit, wires)
+            )
+
+        monkeypatch.setattr(classical_module, "_lowered_operations",
+                            recording)
+        monkeypatch.setattr(classical_module, "_AUTO_BATCH_ROWS", cap)
+        a = qubits(1)[0]
+        ClassicalSimulator().run_array(
+            Circuit([X.on(a)]), [a], np.zeros((rows, 1), dtype=np.int64)
+        )
+        assert seen == chunks

@@ -321,15 +321,17 @@ class TestEngineSelection:
         )
         assert calls == {"plans": 1, "chunks": [1], "looped": 0}
 
-    @pytest.mark.parametrize("batch_size, chunks", [
-        (1, [1, 1, 1]), (2, [2, 1]), (5, [3]),
+    @pytest.mark.parametrize("budget, chunks", [
+        (9, [1, 1, 1]), (18, [2, 1]), (45, [3]),
     ])
-    def test_explicit_batch_size_only_sizes_chunks(
-        self, calls, batch_size, chunks
+    def test_chunk_budget_only_sizes_chunks(
+        self, calls, monkeypatch, budget, chunks
     ):
+        # Two qutrits are 9 amplitudes: the budget allows budget // 9
+        # rows per chunk, clamped to the trials.
+        monkeypatch.setattr(fidelity_module, "_AUTO_BATCH_ENTRIES", budget)
         estimate_circuit_fidelity(
-            self._circuit(), damping_model(0.1), trials=3, seed=1,
-            batch_size=batch_size,
+            self._circuit(), damping_model(0.1), trials=3, seed=1
         )
         assert calls == {"plans": 1, "chunks": chunks, "looped": 0}
 

@@ -34,6 +34,14 @@ class TestRegistry:
             assert info.ancilla
             assert info.qudit_types
 
+    def test_takes_decompose(self):
+        # Wang chain and Lanyon target already emit permutation-level
+        # gates; every other builder has a decompose flag.
+        assert {
+            name for name, info in CONSTRUCTIONS.items()
+            if not info.takes_decompose
+        } == {"wang_chain", "lanyon_target"}
+
 
 class TestCrossConstructionAgreement:
     """Every construction implements the same logical gate."""
