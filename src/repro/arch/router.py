@@ -367,9 +367,12 @@ class LookaheadRouter:
                 [candidate[wire] for wire in logical_wires],
                 topology,
                 swap,
+                limit=None if best is None else best[0].swap_count,
             )
-            if best is None or (state.swap_count, state.depth) < (
-                best[0].swap_count, best[0].depth
+            if state is not None and (
+                best is None
+                or (state.swap_count, state.depth)
+                < (best[0].swap_count, best[0].depth)
             ):
                 best = (state, candidate)
         assert best is not None
@@ -477,12 +480,21 @@ class LookaheadRouter:
         where: list[int],
         topology: "CouplingGraph",
         swap,
-    ) -> _RoutingState:
+        limit: int | None = None,
+    ) -> _RoutingState | None:
+        """Route every segment from placement ``where``.
+
+        With a ``limit`` (the best finished candidate's SWAP count) the
+        pass is abandoned, returning None, as soon as it needs a SWAP
+        beyond it: its count could then only end above the best, and
+        it could never win the (SWAPs, depth) comparison.
+        """
         state = _RoutingState(where, topology.size, swap)
         for position, dag in enumerate(segments):
             if position:
                 state.barrier()
-            self._route_segment(dag, state, topology)
+            if not self._route_segment(dag, state, topology, limit):
+                return None
         return state
 
     def _route_segment(
@@ -490,10 +502,12 @@ class LookaheadRouter:
         dag: _SegmentDAG,
         state: _RoutingState,
         topology: "CouplingGraph",
-    ) -> None:
-        """Route one barrier-delimited segment with the SABRE loop."""
+        limit: int | None = None,
+    ) -> bool:
+        """Route one barrier-delimited segment with the SABRE loop;
+        False if it was abandoned at ``limit`` SWAPs."""
         if not dag.wires:
-            return
+            return True
         segment = dag.start()
         gates, wires = dag.gates, dag.wires
         adjacency = topology.adjacency()
@@ -531,6 +545,8 @@ class LookaheadRouter:
                     "router invariant violated: pending operations with "
                     "an empty front layer"
                 )
+            if limit is not None and state.swap_count >= limit:
+                return False
 
             if stalled >= stall_budget:
                 # Heuristic is wedged (adversarial graph): greedily walk
@@ -551,6 +567,7 @@ class LookaheadRouter:
             stalled += 1
             if stalled % max(1, self.config.decay_reset) == 0:
                 decay.clear()
+        return True
 
     def _swap_scores(
         self,

@@ -14,13 +14,18 @@ order without changing the circuit's unitary?*  Three tiers decide it:
    identity, never simulated basis state by basis state.
 
 Each operation is interned once (:func:`interned`): its wires become
-a bitmask of process-wide wire ids, and its gate contributes its
-canonical spec id (:func:`repro.gates.intern.spec_id`, cached on the
-gate).  Tier 1 is then one AND, and the dense check is memoised on
+a bitmask of process-wide wire ids, its gate contributes its canonical
+spec id (:func:`repro.gates.intern.spec_id`, cached on the gate), and
+the pair (wire ids, spec id) gets one process-wide int id of its own.
+Tier 1 is then one AND.  Tier 3 answers from a memo keyed on the two
+operations' ids; only on a miss does it build the structural key
 ``(spec id, spec id, overlap pattern)`` — where each of the second
-operation's wires sits in the first's wire tuple — so no walk hashes a
-:class:`~repro.qudits.Qudit` or :class:`~repro.gates.spec.GateSpec`,
-and a circuit full of repeated T/CNOT patterns pays for each shape once.
+operation's wires sits in the first's wire tuple — and look that up,
+running the dense check only on a second miss.  The pattern depends
+only on the two wire tuples, so the id pair fixes the structural key
+and both memos agree.  No walk hashes a :class:`~repro.qudits.Qudit` or
+:class:`~repro.gates.spec.GateSpec`, and a circuit full of repeated
+T/CNOT patterns pays for each shape once.
 """
 
 from __future__ import annotations
@@ -45,9 +50,15 @@ MAX_JOINT_DIM = 256
 #: (spec id a, spec id b, overlap pattern) -> bool, process-wide.
 _COMMUTE_CACHE: dict[tuple, bool] = {}
 
-#: Append-only intern table (Qudit -> wire id).  Ids are cached on
-#: operations, so they are never reassigned.
+#: (op key id a, op key id b) -> bool, process-wide: the tier-3 answer
+#: for a pair already decided, without rebuilding its overlap pattern.
+_PAIR_CACHE: dict[tuple[int, int], bool] = {}
+
+#: Append-only intern tables (Qudit -> wire id; (wire ids, spec id) ->
+#: its shared OpKey).  Keys are cached on operations, so ids are never
+#: reassigned.
 _WIRE_IDS: dict = {}
+_OP_KEYS: dict[tuple[tuple[int, ...], int], "OpKey"] = {}
 _INTERN_LOCK = threading.Lock()
 
 
@@ -70,24 +81,39 @@ class OpKey(NamedTuple):
     spec: int
     #: Whether the gate is diagonal.
     diagonal: bool
+    #: One int per interned (wire ids, spec id): the pair memo's key.
+    id: int
 
 
 def interned(op: "GateOperation") -> OpKey:
-    """``op``'s :class:`OpKey`, computed on first use and cached on it."""
+    """``op``'s :class:`OpKey`, computed on first use and cached on it.
+
+    Operations with the same wires and gate spec share one key.
+    """
     key = op._interned
     if key is None:
         wires = tuple(_intern(_WIRE_IDS, wire) for wire in op.qudits)
-        mask = 0
-        for wire in wires:
-            mask |= 1 << wire
-        key = OpKey(mask, wires, spec_id(op.gate), op.gate.is_diagonal)
+        spec = spec_id(op.gate)
+        key = _OP_KEYS.get((wires, spec))
+        if key is None:
+            mask = 0
+            for wire in wires:
+                mask |= 1 << wire
+            with _INTERN_LOCK:
+                key = _OP_KEYS.setdefault(
+                    (wires, spec),
+                    OpKey(mask, wires, spec, op.gate.is_diagonal,
+                          len(_OP_KEYS)),
+                )
         op._interned = key
     return key
 
 
 def clear_commutation_cache() -> None:
-    """Drop the memoised dense-check results (tests use this)."""
+    """Drop the memoised dense-check results and the pair memo (tests
+    use this)."""
     _COMMUTE_CACHE.clear()
+    _PAIR_CACHE.clear()
 
 
 def _dense_commute(
@@ -131,17 +157,21 @@ def keys_commute(
         return True
     if key_a.diagonal and key_b.diagonal:
         return True
-    wires_a = key_a.wires
-    pattern = tuple(
-        wires_a.index(wire) if wire in wires_a else -1
-        for wire in key_b.wires
-    )
-    memo = (key_a.spec, key_b.spec, pattern)
-    cached = _COMMUTE_CACHE.get(memo)
-    if cached is None:
-        cached = _dense_commute(op_a, op_b, pattern)
-        _COMMUTE_CACHE[memo] = cached
-    return cached
+    pair = (key_a.id, key_b.id)
+    answer = _PAIR_CACHE.get(pair)
+    if answer is None:
+        wires_a = key_a.wires
+        pattern = tuple(
+            wires_a.index(wire) if wire in wires_a else -1
+            for wire in key_b.wires
+        )
+        memo = (key_a.spec, key_b.spec, pattern)
+        answer = _COMMUTE_CACHE.get(memo)
+        if answer is None:
+            answer = _dense_commute(op_a, op_b, pattern)
+            _COMMUTE_CACHE[memo] = answer
+        _PAIR_CACHE[pair] = answer
+    return answer
 
 
 def operations_commute(

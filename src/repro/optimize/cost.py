@@ -19,11 +19,12 @@ anything finer — the fractional-power rotations of the Barenco cascades
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from ..circuits.operation import GateOperation
 from ..gates.base import Gate
 from ..gates.controlled import ControlledGate
 from ..gates.intern import spec_id
@@ -83,9 +84,21 @@ class CircuitCost:
 
 @runtime_checkable
 class CostModel(Protocol):
-    """Anything that prices a circuit for the rewrite engine."""
+    """Anything that prices a circuit for the rewrite engine.
+
+    The engine prices candidates that are never built as circuits:
+    :meth:`price` takes their operations and the depth ASAP scheduling
+    would give them.  :meth:`cost` must be the same rule applied to a
+    built circuit, ``price(circuit.all_operations(), circuit.depth)``.
+    """
 
     name: str
+
+    def price(
+        self, operations: Iterable[GateOperation], depth: int
+    ) -> CircuitCost:
+        """Price ``operations`` scheduled ``depth`` moments deep."""
+        ...  # pragma: no cover - protocol body
 
     def cost(self, circuit: Circuit) -> CircuitCost:
         """Price ``circuit``; the engine compares ``cost(...).score()``."""
@@ -178,18 +191,21 @@ class QutritCliffordTCostModel:
             return gate.num_qudits <= 2
         return False
 
+    def price(
+        self, operations: Iterable[GateOperation], depth: int
+    ) -> CircuitCost:
+        total = two_qudit = non_clifford = 0
+        for op in operations:
+            key = interned(op)
+            total += 1
+            if len(key.wires) >= 2:
+                two_qudit += 1
+            if not self._clifford(op.gate, key.spec):
+                non_clifford += 1
+        return CircuitCost(depth, total, two_qudit, non_clifford)
+
     def cost(self, circuit: Circuit) -> CircuitCost:
-        non_clifford = sum(
-            1
-            for op in circuit.all_operations()
-            if not self._clifford(op.gate, interned(op).spec)
-        )
-        return CircuitCost(
-            depth=circuit.depth,
-            total_gates=circuit.num_operations,
-            two_qudit_gates=circuit.two_qudit_gate_count,
-            non_clifford_gates=non_clifford,
-        )
+        return self.price(circuit.all_operations(), circuit.depth)
 
 
 class GateCountCostModel:
@@ -202,13 +218,18 @@ class GateCountCostModel:
 
     name = "gate-count"
 
+    def price(
+        self, operations: Iterable[GateOperation], depth: int
+    ) -> CircuitCost:
+        total = two_qudit = 0
+        for op in operations:
+            total += 1
+            if op.num_qudits >= 2:
+                two_qudit += 1
+        return CircuitCost(depth, total, two_qudit, 0)
+
     def cost(self, circuit: Circuit) -> CircuitCost:
-        return CircuitCost(
-            depth=circuit.depth,
-            total_gates=circuit.num_operations,
-            two_qudit_gates=circuit.two_qudit_gate_count,
-            non_clifford_gates=0,
-        )
+        return self.price(circuit.all_operations(), circuit.depth)
 
 
 #: Named cost models for CLI / facade string resolution.

@@ -6,9 +6,20 @@ score, so every accepted rewrite makes monotone progress and the
 fixpoint loop terminates.  Sweeps repeat until a full sweep accepts
 nothing (or ``max_iterations`` is hit) — cancellation exposes fusions,
 fusion exposes cancellations, packing exposes both.  A pass whose input
-is the same circuit object it last ran on is not re-run: nothing was
-accepted in between, so its previous (rejected or empty) stats are
-recorded again and the report reads as if it had run.
+is the same state it last ran on is not re-run: nothing was accepted in
+between, so its previous (rejected or empty) stats are recorded again
+and the report reads as if it had run.
+
+The engine works on operation lists, one per barrier segment of the
+input, and builds one :class:`~repro.circuits.circuit.Circuit` per run:
+the input with its segments replaced, after the last sweep.  A
+candidate is priced without being built.  Each segment's operations go
+to the moments :meth:`Circuit.append` would give them, from their
+interned wire ids; every segment starts at its own barrier floor, so
+the depth is the sum of the segment depths.  The cost model then
+counts the operations (:meth:`~repro.optimize.cost.CostModel.price`).
+An accepted segment is kept in that moment order, which is the order
+the next pass would read back from the built circuit.
 
 ``verify`` wires in the equivalence oracle (:mod:`repro.verify`):
 ``"strict"`` checks the optimized circuit against the original and
@@ -22,11 +33,14 @@ catalog).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Sequence
 
 from ..circuits.circuit import Circuit
+from ..circuits.operation import GateOperation
 from ..exceptions import OptimizationError
 from ..verify import assert_equivalent, oracle_for
+from .commutation import interned
 from .cost import CircuitCost, CostModel, resolve_cost_model
 from .passes import PassStats, RewritePass, resolve_passes
 
@@ -108,35 +122,56 @@ class RewriteEngine:
         report = OptimizationReport(
             cost_before=cost_before, cost_after=cost_before
         )
-        current = circuit
+        segments = [
+            [op for moment in segment for op in moment]
+            for segment in circuit.barrier_segments()
+        ]
         current_cost = cost_before
-        #: pass slot -> (the circuit it last ran on, that run's stats).
-        last_run: dict[int, tuple[Circuit, PassStats]] = {}
+        depth = circuit.depth
+        #: Accepted rewrites so far: names the state a pass runs on.
+        version = 0
+        #: pass slot -> (the version it last ran on, that run's stats).
+        last_run: dict[int, tuple[int, PassStats]] = {}
         for _ in range(self.max_iterations):
             report.iterations += 1
             improved = False
             for slot, rewrite_pass in enumerate(self.passes):
                 previous = last_run.get(slot)
-                if previous is not None and previous[0] is current:
+                if previous is not None and previous[0] == version:
                     # Nothing was accepted since this pass last ran, so
                     # (passes being deterministic) it would repeat the
                     # same rejected or empty rewrite: reuse its stats.
                     report.pass_stats.append(replace(previous[1]))
                     continue
-                candidate, stats = rewrite_pass.run(current)
-                last_run[slot] = (current, stats)
+                candidate, stats = rewrite_pass.rewrite_segments(segments)
+                last_run[slot] = (version, stats)
+                stats.depth_before = stats.depth_after = depth
                 if stats.applications:
-                    candidate_cost = self.cost_model.cost(candidate)
+                    scheduled = [_asap_moments(ops) for ops in candidate]
+                    stats.depth_after = sum(len(s) for s in scheduled)
+                    candidate_cost = self.cost_model.price(
+                        chain.from_iterable(candidate), stats.depth_after
+                    )
                     if candidate_cost.score() < current_cost.score():
                         stats.accepted = True
-                        current = candidate
+                        segments = [
+                            [op for moment in moments for op in moment]
+                            for moments in scheduled
+                        ]
                         current_cost = candidate_cost
+                        depth = stats.depth_after
+                        version += 1
                         improved = True
                 report.pass_stats.append(stats)
             if not improved:
                 break
         report.cost_after = current_cost
-        if self.verify and current is not circuit:
+        if not version:
+            return circuit, report
+        current = circuit.with_replaced_moments(
+            segments, preserve_floors=True
+        )
+        if self.verify:
             if self.verify == "auto" and (
                 oracle_for(current, circuit) is None
             ):
@@ -158,6 +193,30 @@ class RewriteEngine:
             f"<RewriteEngine passes=[{names}] "
             f"cost={self.cost_model.name}>"
         )
+
+
+def _asap_moments(
+    ops: list[GateOperation],
+) -> list[list[GateOperation]]:
+    """``ops`` in the moments :meth:`Circuit.append` gives them from an
+    empty floor (each moment in append order); its length is the depth.
+    """
+    last_use: dict[int, int] = {}
+    moments: list[list[GateOperation]] = []
+    for op in ops:
+        wires = interned(op).wires
+        moment = 0
+        for wire in wires:
+            used = last_use.get(wire, -1)
+            if used >= moment:
+                moment = used + 1
+        for wire in wires:
+            last_use[wire] = moment
+        if moment == len(moments):
+            moments.append([op])
+        else:
+            moments[moment].append(op)
+    return moments
 
 
 def optimize_circuit(

@@ -2,10 +2,10 @@
 
 Every pass rewrites one barrier segment at a time — an operation never
 crosses a barrier — and reports how many local rewrites it applied.  The
-engine (:mod:`repro.optimize.engine`) reassembles segments through
-:meth:`Circuit.with_replaced_moments`, prices the result, and keeps the
-rewrite only if the cost model approves, so passes themselves can be
-greedy without risking regressions.
+engine (:mod:`repro.optimize.engine`) hands a pass its segments as
+operation lists (:meth:`RewritePass.rewrite_segments`), prices the
+rewritten lists, and keeps the rewrite only if the cost model approves,
+so passes themselves can be greedy without risking regressions.
 
 All three passes share the same commute-back walk: a candidate slides
 left past predecessors it commutes with (diagonal gates glide through
@@ -80,8 +80,8 @@ class RewritePass(ABC):
 
     :meth:`rewrite_segment` must be a deterministic function of its
     input operations: the engine skips a pass whose input is the very
-    circuit it last ran on (nothing was accepted since) and reuses that
-    run's :class:`PassStats`, which is only sound if a re-run would
+    segments it last ran on (nothing was accepted since) and reuses
+    that run's :class:`PassStats`, which is only sound if a re-run would
     return the same rewrite.
     """
 
@@ -104,24 +104,34 @@ class RewritePass(ABC):
         rewrites applied (0 = segment untouched).
         """
 
+    def rewrite_segments(
+        self, segments: list[list[GateOperation]]
+    ) -> tuple[list[list[GateOperation]], PassStats]:
+        """Rewrite every segment's operation list; returns the new lists
+        and the counts (the depths are left for the caller to fill)."""
+        stats = PassStats(name=self.name)
+        rewritten = []
+        for ops in segments:
+            new_ops, applied = self.rewrite_segment(ops)
+            stats.applications += applied
+            stats.gates_removed += max(0, len(ops) - len(new_ops))
+            if self.counts_fusions:
+                stats.gates_fused += applied
+            rewritten.append(new_ops)
+        return rewritten, stats
+
     def run(self, circuit: Circuit) -> tuple[Circuit, PassStats]:
         """Apply the pass across all barrier segments of ``circuit``.
 
         With zero applications the input circuit is returned unchanged
         (same object), so no-op passes can never perturb scheduling.
         """
-        stats = PassStats(name=self.name, depth_before=circuit.depth)
-        replacements = []
-        for segment in circuit.barrier_segments():
-            ops = [op for moment in segment for op in moment]
-            new_ops, applied = self.rewrite_segment(ops)
-            stats.applications += applied
-            stats.gates_removed += max(0, len(ops) - len(new_ops))
-            if self.counts_fusions:
-                stats.gates_fused += applied
-            replacements.append(new_ops)
+        replacements, stats = self.rewrite_segments([
+            [op for moment in segment for op in moment]
+            for segment in circuit.barrier_segments()
+        ])
+        stats.depth_before = stats.depth_after = circuit.depth
         if stats.applications == 0:
-            stats.depth_after = circuit.depth
             return circuit, stats
         rewritten = circuit.with_replaced_moments(
             replacements, preserve_floors=True
@@ -342,8 +352,9 @@ class CommutationPacking(RewritePass):
     """Reorder commuting operations so ASAP scheduling packs tighter.
 
     Each operation slides to the earliest list position its pairwise
-    commutations allow; the segment is then ASAP-rescheduled by
-    ``with_replaced_moments``, which is where the depth reduction
+    commutations allow; the segment is then ASAP-rescheduled (the
+    engine's pricing, or ``with_replaced_moments`` in :meth:`run`),
+    which is where the depth reduction
     materialises (a diagonal gate stuck behind a long CNOT chain on its
     control wire jumps to the front and fills an idle moment).  The
     engine's cost gate rejects reorderings that do not actually reduce

@@ -3,7 +3,8 @@
 An OOM kill is the worst failure mode a serving process has — it takes
 every in-flight job down with the one that was too big.  Admission
 control converts that into an *upfront, typed* decision: the footprint
-of a run is estimated in closed form from the circuit's wire dimensions
+of a run is estimated in closed form from the dimensions of the wires
+the run uses — the submitted ``wires`` when given, else the circuit's
 (state vectors are ``prod(dims)`` complex amplitudes, density matrices
 the square of that, trajectories a stack of noisy and noise-free rows in
 the engine's own chunk size, and ``parallel=True`` multiplies by the
@@ -30,9 +31,11 @@ the policy is cheap enough to run on every submission.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..circuits.circuit import Circuit
 from ..exceptions import ReproError
+from ..qudits import Qudit
 from ..sim.fidelity import resolve_batch_size
 
 #: Bytes per complex128 amplitude.
@@ -44,10 +47,13 @@ class AdmissionError(ReproError):
     budget even after every downgrade."""
 
 
-def state_entries(circuit: Circuit) -> int:
-    """The joint state dimension ``prod(wire dims)`` of a circuit."""
+def state_entries(
+    circuit: Circuit, wires: Sequence[Qudit] | None = None
+) -> int:
+    """The joint state dimension ``prod(wire dims)`` of a run over
+    ``wires`` (default: the circuit's wires)."""
     entries = 1
-    for wire in circuit.all_qudits():
+    for wire in circuit.all_qudits() if wires is None else wires:
         entries *= wire.dimension
     return entries
 
@@ -56,6 +62,7 @@ def estimate_memory_bytes(
     circuit: Circuit,
     kind: str,
     *,
+    wires: Sequence[Qudit] | None = None,
     trials: int | None = None,
     parallel: bool = False,
     workers: int = 1,
@@ -63,16 +70,18 @@ def estimate_memory_bytes(
     """Closed-form footprint estimate of one run, in bytes.
 
     ``kind`` is the backend capability kind (``"classical"``,
-    ``"statevector"``, ``"density"``, ``"trajectory"``).  Classical runs
-    hold integers per wire, not amplitudes, and effectively never
-    dominate.  A trajectory run's stack holds a noisy and a noise-free
-    row per trial of one chunk, in the chunk size the engine uses.
+    ``"statevector"``, ``"density"``, ``"trajectory"``).  The register
+    is the run's ``wires`` (default: the circuit's), which may include
+    wires no gate touches.  Classical runs hold integers per wire, not
+    amplitudes, and effectively never dominate.  A trajectory run's
+    stack holds a noisy and a noise-free row per trial of one chunk, in
+    the chunk size the engine uses.
     """
-    wires = circuit.all_qudits()
+    wires = circuit.all_qudits() if wires is None else list(wires)
     if kind == "classical":
         per_run = 8 * max(1, len(wires))
     else:
-        entries = state_entries(circuit)
+        entries = state_entries(circuit, wires)
         if kind == "density":
             per_run = entries * entries * _COMPLEX_BYTES
         elif kind == "trajectory":
@@ -118,15 +127,17 @@ class AdmissionPolicy:
         circuit: Circuit,
         kind: str,
         *,
+        wires: Sequence[Qudit] | None = None,
         trials: int | None = None,
         parallel: bool = False,
         workers: int = 1,
     ) -> AdmissionDecision:
-        """Admit, downgrade, or reject one fully resolved request."""
+        """Admit, downgrade, or reject one fully resolved request, run
+        over ``wires`` (default: the circuit's wires)."""
 
         def estimate(parallel: bool) -> int:
             return estimate_memory_bytes(
-                circuit, kind,
+                circuit, kind, wires=wires,
                 trials=trials, parallel=parallel, workers=workers,
             )
 

@@ -482,12 +482,13 @@ class JobQueue:
         if not isinstance(initial, (StateVector, type(None))):
             initial = tuple(initial)
 
-        # Admission control: estimate the run's memory from the wire
-        # dims and run serially (or reject) instead of running out of
-        # memory.
+        # Admission control: estimate the run's memory from the dims of
+        # the wires it runs on and run serially (or reject) instead of
+        # running out of memory.
         decision = self._admission.review(
             circuit,
             probe.capabilities.kind,
+            wires=job_wires,
             trials=trials,
             parallel=parallel,
             workers=workers,

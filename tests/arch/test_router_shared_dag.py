@@ -1,4 +1,4 @@
-"""Parity of the lookahead router's shared segment DAGs.
+"""Parity of the lookahead router's shared segment DAGs and pruning.
 
 ``LookaheadRouter.route`` builds each barrier segment's dependency DAG
 once and lets every candidate placement's pass walk it with its own
@@ -7,6 +7,11 @@ build from scratch for every candidate (``_FreshSegment``, its logic
 unchanged): for every candidate placement of the golden workloads on
 line, grid, ring and heavy-hex devices, both must route to the same
 SWAP count, depth and op log.
+
+``route`` also abandons a candidate once it needs more SWAPs than the
+best finished one.  Its oracle is the full search: every candidate
+routed to the end with ``_route_once``, the first with the fewest
+(SWAPs, depth) kept.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.arch.routing import check_routable, swap_gate
 from repro.arch.topology import sized_topology
 from repro.execution.passes import RouteToTopology
 from repro.execution.pipeline_spec import PIPELINE_SPECS
+from repro.interop.workloads import random_clifford_t
 
 from .test_compile_golden import HEAVY_HEX_MAX_WIDTH, workloads
 
@@ -160,3 +166,89 @@ def test_route_builds_each_segment_dag_once(monkeypatch):
     segments = len(circuit.barrier_segments())
     assert len(built) == segments
     assert routed.swap_count > 0
+
+
+def _full_search(router, circuit, topology):
+    """What ``route`` picks without pruning: (wires, best state, its
+    initial placement)."""
+    logical_wires, dim = check_routable(circuit, topology, None)
+    dags = _segment_dags(circuit, logical_wires)
+    swap = swap_gate(dim)
+    best = None
+    for candidate in router._candidate_placements(
+        logical_wires, dags, topology
+    ):
+        where = [candidate[wire] for wire in logical_wires]
+        state = router._route_once(dags, where, topology, swap)
+        if best is None or (state.swap_count, state.depth) < (
+            best[0].swap_count, best[0].depth
+        ):
+            best = (state, candidate)
+    return logical_wires, best[0], best[1]
+
+
+def _assert_route_is_the_full_search(circuit, topology):
+    router = LookaheadRouter()
+    logical_wires, state, initial = _full_search(router, circuit, topology)
+    routed = router.route(circuit, topology)
+    assert routed.swap_count == state.swap_count
+    assert routed.initial_placement == initial
+    assert routed.final_placement == {
+        wire: state.where[k] for k, wire in enumerate(logical_wires)
+    }
+    assert routed.circuit.to_dict() == state.circuit(routed.sites).to_dict()
+
+
+@pytest.mark.parametrize(
+    "key,kind", _cases(), ids=[f"{k}|{kind}" for k, kind in _cases()]
+)
+def test_pruned_route_picks_the_full_search_winner(key, kind):
+    circuit = _route_input(key)
+    topology = sized_topology(kind, len(circuit.all_qudits()))
+    _assert_route_is_the_full_search(circuit, topology)
+
+
+_RANDOM_CASES = [
+    (n, kind, seed)
+    for n in (4, 6, 8)
+    for kind in ("line", "grid_2d", "ring")
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "n,kind,seed", _RANDOM_CASES,
+    ids=[f"{n}q|{kind}|{seed}" for n, kind, seed in _RANDOM_CASES],
+)
+def test_pruned_route_matches_on_seeded_random_circuits(n, kind, seed):
+    circuit = random_clifford_t(n, 30 * n, seed=seed)
+    topology = sized_topology(kind, n)
+    _assert_route_is_the_full_search(circuit, topology)
+
+
+def test_pruning_abandons_losing_candidates(monkeypatch):
+    circuit = _route_input("qubit_ancilla_free-6")
+    topology = sized_topology("line", len(circuit.all_qudits()))
+    router = LookaheadRouter()
+    decisions = []
+    original = LookaheadRouter._best_swap
+
+    def counted(self, *args):
+        decisions.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(LookaheadRouter, "_best_swap", counted)
+    _full_search(router, circuit, topology)
+    full = len(decisions)
+    decisions.clear()
+    outcomes = []
+    route_once = LookaheadRouter._route_once
+
+    def recorded(self, *args, **kwargs):
+        outcomes.append(route_once(self, *args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(LookaheadRouter, "_route_once", recorded)
+    router.route(circuit, topology)
+    assert None in outcomes
+    assert len(decisions) < full

@@ -354,3 +354,45 @@ def test_concurrent_interning_gives_each_key_one_id():
             assert sorted(results[0].values()) == list(range(len(keys)))
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_concurrent_op_interning_shares_one_key_per_wires_and_spec():
+    # Eight threads each intern their own fresh operations over the
+    # same (wires, gate) pairs, switching every microsecond: each pair
+    # must end with one shared key, and distinct pairs with distinct
+    # ids (the pair memo's key).
+    import sys
+    import threading
+
+    from repro.optimize.commutation import interned
+
+    wires = [Qudit(900 + k, 2) for k in range(12)]  # wires no test uses
+    pairs = [(gate, wire) for gate in (H, S, T, X, Z) for wire in wires]
+    threads_n = 8
+    results: list = [None] * threads_n
+    start = threading.Barrier(threads_n)
+
+    def work(slot):
+        order = pairs[7 * slot:] + pairs[:7 * slot]
+        start.wait(timeout=10)
+        results[slot] = {
+            (gate.name, wire): interned(gate.on(wire))
+            for gate, wire in order
+        }
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    first = results[0]
+    for result in results[1:]:
+        assert all(result[pair] is first[pair] for pair in first)
+    assert len({key.id for key in first.values()}) == len(pairs)

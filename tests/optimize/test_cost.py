@@ -212,3 +212,41 @@ class TestResolution:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             resolve_cost_model("no-such-model")
+
+    def test_a_model_without_price_is_rejected(self):
+        class CircuitOnly:
+            name = "circuit-only"
+
+            def cost(self, circuit):
+                return GateCountCostModel().cost(circuit)
+
+        assert not isinstance(CircuitOnly(), CostModel)
+        with pytest.raises(TypeError):
+            resolve_cost_model(CircuitOnly())
+
+
+class TestPricing:
+    """``cost(circuit)`` is ``price`` over the circuit's operations and
+    depth, for both shipped models."""
+
+    @pytest.mark.parametrize("model", sorted(COST_MODELS))
+    def test_cost_is_price_of_the_circuit(self, model):
+        from repro.toffoli.registry import construction_circuit
+
+        model = resolve_cost_model(model)
+        for name in ("qutrit_tree", "qubit_ancilla_free", "he_tree"):
+            circuit = construction_circuit(name, 3)
+            priced = model.price(
+                list(circuit.all_operations()), circuit.depth
+            )
+            assert priced == model.cost(circuit), name
+            assert priced.total_gates == circuit.num_operations
+            assert priced.two_qudit_gates == circuit.two_qudit_gate_count
+
+    def test_price_counts_what_it_is_given(self):
+        a, b = qubits(2)
+        ops = [T.on(a), CNOT.on(a, b), S.on(b), T_DAG.on(b)]
+        cost = QutritCliffordTCostModel().price(iter(ops), depth=7)
+        assert cost == CircuitCost(
+            depth=7, total_gates=4, two_qudit_gates=1, non_clifford_gates=2
+        )

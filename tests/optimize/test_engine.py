@@ -1,10 +1,12 @@
 """Tests for the RewriteEngine (the oracle itself: tests/test_verify.py)."""
 
+import random
+
 import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import OptimizationError, VerificationError
-from repro.gates import H, T, T_DAG
+from repro.gates import CNOT, CZ, H, S, T, T_DAG, X, Z, Z3
 from repro.gates.qutrit import X01, X_MINUS_1, X_PLUS_1
 from repro.optimize import (
     OptimizationError as ReexportedError,
@@ -12,7 +14,7 @@ from repro.optimize import (
     optimize_circuit,
     resolve_engine,
 )
-from repro.qudits import qubits, qutrits
+from repro.qudits import Qudit, qubits, qutrits
 from repro.toffoli.registry import construction_circuit
 
 
@@ -116,6 +118,23 @@ class TestRewriteEngine:
         with pytest.raises(ValueError):
             RewriteEngine(max_iterations=0)
 
+    def test_one_run_builds_one_circuit(self, monkeypatch):
+        circuit = construction_circuit("qubit_one_dirty", 3)
+        built = []
+        original = Circuit.__init__
+
+        def counted(self, operations=()):
+            built.append(self)
+            original(self, operations)
+
+        monkeypatch.setattr(Circuit, "__init__", counted)
+        optimized, report = RewriteEngine().run(circuit)
+        tried = [s for s in report.pass_stats if s.applications]
+        assert sum(s.accepted for s in tried) == 2 and len(tried) == 4
+        # Candidates are priced as operation lists; only the result of
+        # the last sweep becomes a circuit.
+        assert built == [optimized]
+
 
 class TestResolveEngine:
     def test_none_and_false_mean_off(self):
@@ -154,8 +173,10 @@ class TestExports:
 
 
 def _reference_run(engine, circuit):
-    """The engine's fixpoint loop before unchanged passes were skipped:
-    every pass runs in every sweep, whatever it saw last time."""
+    """The engine's fixpoint loop before unchanged passes were skipped
+    and candidates were priced unbuilt: every pass runs in every sweep
+    through ``RewritePass.run``, whatever it saw last time, and every
+    candidate is built and priced with ``cost(circuit)``."""
     from repro.optimize.engine import OptimizationReport
 
     cost_before = engine.cost_model.cost(circuit)
@@ -201,14 +222,75 @@ def _optimizer_inputs():
     return out
 
 
+#: Qubit and qutrit gates of the seeded segment circuits.
+_QUBIT_GATES = (H, S, T, T_DAG, X, Z)
+_QUTRIT_GATES = (X_PLUS_1, X_MINUS_1, X01, Z3)
+
+
+def _segmented_circuit(seed, cancelled, trailing_barrier=False):
+    """Three barrier segments of seeded gates on three qubits and a
+    qutrit.  Segment ``cancelled`` (or none, for None) is a run
+    followed by its inverse in reverse, so the optimizer removes it
+    entirely; ``trailing_barrier`` ends the circuit with a barrier."""
+    rng = random.Random(seed)
+    wires = qubits(3)
+    qutrit = Qudit(3, 3)
+    circuit = Circuit()
+    for position in range(3):
+        if position:
+            circuit.barrier()
+        ops = []
+        for _ in range(rng.randint(6, 14)):
+            roll = rng.random()
+            if roll < 0.3:
+                a, b = rng.sample(wires, 2)
+                ops.append(rng.choice((CNOT, CZ)).on(a, b))
+            elif roll < 0.45:
+                ops.append(rng.choice(_QUTRIT_GATES).on(qutrit))
+            else:
+                ops.append(rng.choice(_QUBIT_GATES).on(rng.choice(wires)))
+        if position == cancelled:
+            ops += [op.inverse() for op in reversed(ops)]
+        circuit.append(ops)
+    if trailing_barrier:
+        circuit.barrier()
+    return circuit
+
+
+def _segment_cases():
+    layouts = [
+        ("first", 0, False), ("middle", 1, False), ("last", 2, False),
+        ("trailing", None, True), ("last-trailing", 2, True),
+    ]
+    return [
+        (f"{name}-{seed}", seed, cancelled, trailing)
+        for name, cancelled, trailing in layouts
+        for seed in range(4)
+    ]
+
+
+def _assert_same_run(case, optimized, report, expected, expected_report):
+    from repro.execution.cache import circuit_fingerprint
+
+    assert circuit_fingerprint(optimized) == circuit_fingerprint(
+        expected
+    ), case
+    assert [list(m) for m in optimized.moments] == [
+        list(m) for m in expected.moments
+    ], case
+    # Barrier history and floor included.
+    assert optimized.to_dict() == expected.to_dict(), case
+    assert report.to_dict() == expected_report.to_dict(), case
+
+
 class TestSkippedPassParity:
-    """Skipping a pass whose input has not changed since it last ran
-    leaves every output circuit and report exactly as the full loop."""
+    """Skipping a pass whose input has not changed since it last ran,
+    and pricing candidates without building them, leave every output
+    circuit and report exactly as the full loop."""
 
     def test_golden_workloads_match_the_full_fixpoint_loop(
         self, monkeypatch
     ):
-        from repro.execution.cache import circuit_fingerprint
         from repro.optimize.passes import PASS_TYPES
 
         inputs = _optimizer_inputs()
@@ -233,35 +315,48 @@ class TestSkippedPassParity:
             before = walks["engine"]
             optimized, report = engine.run(circuit)
             engine_walks = walks["engine"] - before
-            assert circuit_fingerprint(optimized) == circuit_fingerprint(
-                expected
-            ), case
-            assert [list(m) for m in optimized.moments] == [
-                list(m) for m in expected.moments
-            ], case
-            assert report.to_dict() == expected_report.to_dict(), case
+            _assert_same_run(
+                case, optimized, report, expected, expected_report
+            )
             assert engine_walks <= reference_walks, case
         assert walks["engine"] < walks["reference"]
+
+    @pytest.mark.parametrize(
+        "case,seed,cancelled,trailing", _segment_cases(),
+        ids=[case[0] for case in _segment_cases()],
+    )
+    def test_segments_that_cancel_away_match_the_full_loop(
+        self, case, seed, cancelled, trailing
+    ):
+        circuit = _segmented_circuit(seed, cancelled, trailing)
+        engine = RewriteEngine()
+        expected, expected_report = _reference_run(engine, circuit)
+        optimized, report = engine.run(circuit)
+        _assert_same_run(case, optimized, report, expected, expected_report)
+        if cancelled is not None:
+            assert len(optimized.barrier_segments()) < len(
+                circuit.barrier_segments()
+            ), case
 
     def test_unchanged_input_reuses_the_rejected_stats(self, monkeypatch):
         from repro.optimize.passes import CommutationPacking
 
-        runs = []
-        original = CommutationPacking.run
+        walks = []
+        original = CommutationPacking.rewrite_segment
 
-        def counted(self, circuit):
-            runs.append(circuit)
-            return original(self, circuit)
+        def counted(self, ops):
+            walks.append(list(ops))
+            return original(self, ops)
 
-        monkeypatch.setattr(CommutationPacking, "run", counted)
+        monkeypatch.setattr(CommutationPacking, "rewrite_segment", counted)
         # Sweep 1 cancels T/T_DAG and H/H; sweep 2 accepts nothing, so
-        # packing (which saw the sweep-1 result) is not re-run.
+        # packing (which walked the one sweep-1 segment) is not re-run.
         optimized, report = RewriteEngine().run(_cancelable_circuit())
         assert report.iterations == 2
         names = [s.name for s in report.pass_stats]
         assert names == ["cancel-inverses", "fuse-phases",
                          "pack-commuting"] * 2
-        assert len(runs) == 1
+        assert walks == [[]]
         first, second = report.pass_stats[2], report.pass_stats[5]
         assert first == second and first is not second
         assert not second.accepted

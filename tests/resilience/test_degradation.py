@@ -75,6 +75,35 @@ class TestEstimates:
         assert estimate == 2 * 16 * entries * chunks[0]
         assert estimate <= 2 * 16 * max(1 << 18, entries)
 
+    def test_estimate_sizes_the_run_wires(self, monkeypatch):
+        # X on one of eight qubit wires: the engine runs all eight.
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def spy(self, circuit, wires, trials, batch_size):
+            seen.append((len(wires), batch_size))
+            raise Stop
+
+        monkeypatch.setattr(BatchedTrajectorySimulator, "run_trials", spy)
+        wires = qubits(8)
+        circuit = circuit_of(wires[:1])
+        backend = resolve_backend(
+            "trajectory", NoiseModel("m", 1e-3, 1e-3, 1e-7, 3e-7, t1=None)
+        )
+        with pytest.raises(Stop):
+            backend.run(circuit, wires=wires, trials=50, seed=1)
+        assert seen == [(8, 50)]
+        estimate = estimate_memory_bytes(
+            circuit, "trajectory", wires=wires, trials=50
+        )
+        assert estimate == 2 * 16 * 2 ** 8 * 50 == 409_600
+        assert state_entries(circuit, wires) == 256
+        # The circuit alone touches one qubit.
+        assert estimate_memory_bytes(circuit, "trajectory", trials=50) \
+            == 2 * 16 * 2 * 50
+
     def test_parallel_multiplies_by_workers(self, small):
         serial = estimate_memory_bytes(small, "statevector")
         fanned = estimate_memory_bytes(

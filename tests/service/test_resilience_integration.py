@@ -215,6 +215,28 @@ class TestAdmission:
             assert queue.stats.admission_rejected == 1
             assert queue.stats.submitted == 0
 
+    def test_estimate_sizes_the_submitted_wires(self):
+        # X on one of eight qubits, 50 trials: a 256-amplitude register
+        # of 50 row pairs (409,600 B), though the circuit touches one.
+        from repro.circuits.circuit import Circuit
+        from repro.gates.qubit import X
+        from repro.noise import SC
+        from repro.qudits import qubits
+
+        wires = qubits(8)
+        circuit = Circuit([X.on(wires[0])])
+        submit = dict(
+            backend="trajectory", noise_model=SC, trials=50, seed=1,
+        )
+        policy = AdmissionPolicy(max_state_bytes=409_600 - 1)
+        with JobQueue(
+            workers=1, runner=quick_result, admission=policy,
+        ) as queue:
+            queue.submit(circuit, **submit)
+            with pytest.raises(AdmissionError, match="409600 B"):
+                queue.submit(circuit, wires=wires, **submit)
+            assert queue.stats.admission_rejected == 1
+
     def test_parallel_downgrades_to_serial_and_runs(self):
         # Budget fits one serial statevector but not 4 worker copies.
         policy = AdmissionPolicy(max_state_bytes=1 << 20)

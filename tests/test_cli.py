@@ -460,16 +460,14 @@ class TestOptimizeCommand:
     def test_optimize_strict_mismatch_exits_with_the_oracle_message(
         self, monkeypatch
     ):
-        from repro.circuits.circuit import Circuit
-        from repro.optimize import CancelAdjacentInverses, PassStats
+        from repro.optimize import CancelAdjacentInverses
 
-        def drop_first_gate(self, circuit):
-            ops = list(circuit.all_operations())
-            return Circuit(ops[1:]), PassStats(
-                self.name, applications=1, gates_removed=1
-            )
+        def drop_first_gate(self, ops):
+            return ops[1:], 1
 
-        monkeypatch.setattr(CancelAdjacentInverses, "run", drop_first_gate)
+        monkeypatch.setattr(
+            CancelAdjacentInverses, "rewrite_segment", drop_first_gate
+        )
         with pytest.raises(SystemExit) as raised:
             main(
                 [
