@@ -27,7 +27,7 @@ from ..circuits.circuit import Circuit
 from ..exceptions import SimulationError
 from ..noise.model import NoiseModel
 from ..qudits import Qudit
-from ..sim.classical import ClassicalSimulator
+from ..sim.classical import ClassicalSimulator, Support
 from ..sim.density import DensityMatrixSimulator
 from ..sim.fidelity import estimate_circuit_fidelity
 from ..sim.measurement import sample_counts
@@ -185,14 +185,20 @@ class ClassicalBackend:
 
 
 class StateVectorBackend:
-    """Noise-free dense state-vector evolution, with optional sampling.
+    """Noise-free state-vector evolution, with optional sampling.
 
-    ``shots`` sampling draws outcome *counts* directly from the final
-    state's probabilities (:func:`repro.sim.measurement.sample_counts`):
-    one circuit execution serves any shot budget without materialising a
-    per-shot sample array, and the counts are deterministic for a fixed
-    ``seed``.  A run with ``shots`` returns the counts only
-    (``state=None``); run without ``shots`` to get the final state.
+    A ``StateVector`` initial state runs on its register; basis values
+    (``|0...0>`` when ``initial`` is None) go to
+    :meth:`~repro.sim.statevector.StateVectorSimulator.evolve_basis`,
+    which starts a wide register on the input's support.  ``shots``
+    sampling draws outcome *counts* directly from the final state's
+    probabilities (:func:`repro.sim.measurement.sample_counts`), from
+    the support itself when the run ended there, so a wide basis-input
+    shots run never builds its register: one circuit execution serves
+    any shot budget without materialising a per-shot sample array, and
+    the counts are deterministic for a fixed ``seed``.  A run with
+    ``shots`` returns the counts only (``state=None``); run without
+    ``shots`` to get the final state.
     """
 
     name = "statevector"
@@ -214,21 +220,22 @@ class StateVectorBackend:
         seed: int | None = None,
     ) -> RunResult:
         wires = _resolve_wires(circuit, wires)
-        if initial is None:
-            state = self._simulator.run(circuit, wires=wires)
-        elif isinstance(initial, StateVector):
-            state = self._simulator.run(circuit, initial)
+        if isinstance(initial, StateVector):
+            final = self._simulator.run(circuit, initial)
         else:
-            state = self._simulator.run_basis(circuit, wires, list(initial))
+            values = [0] * len(wires) if initial is None else list(initial)
+            final = self._simulator.evolve_basis(circuit, wires, values)
         measurements = None
         if shots:
             rng = np.random.default_rng(seed)
-            measurements = sample_counts(state, shots, rng)
+            measurements = sample_counts(final, shots, rng)
+        elif isinstance(final, Support):
+            final = final.to_state()
         return RunResult(
             backend=self.name,
-            wires=tuple(state.wires),
+            wires=tuple(final.wires),
             seed=seed,
-            state=None if shots else state,
+            state=None if shots else final,
             measurements=measurements,
         )
 

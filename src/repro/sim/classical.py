@@ -1,4 +1,4 @@
-"""Classical basis-state simulation of permutation circuits.
+"""Classical basis-state simulation: permutation circuits and basis inputs.
 
 The paper extended Cirq so gates "specify their action on classical
 non-superposition input states without considering full state vectors",
@@ -25,6 +25,20 @@ Cost drops from ``O(B x ops x python)`` to ``O(ops)`` vectorized passes,
 which is what makes the paper's exhaustive width-14 check (N=13
 controls, all 2^14 inputs) complete in seconds — see ``BENCH_verify.json``.
 
+The same walk is the basis-input engine of every circuit
+(:meth:`ClassicalSimulator.run_support`): each row then carries an
+amplitude, and the rows are the *support* of one state, its basis
+entries whose amplitude is not exactly zero.  A permutation gate moves
+rows through its table as above and a diagonal gate multiplies their
+amplitudes.  Any other gate fans each row out through its column's
+nonzero entries (:func:`repro.sim.kernels.column_kernel`); rows that
+land on one basis state are then merged, and rows whose amplitude is
+exactly zero are dropped.  From its all-active input the lowered
+``qutrit_tree`` at N=9 holds at most 54 rows (no more than 9 above
+1e-12, the rest rounding residuals), against 3^10 amplitudes;
+:class:`~repro.sim.statevector.StateVectorSimulator` starts its wide
+basis-input runs here.
+
 Rows advance in chunks of at most ``_AUTO_BATCH_ROWS`` (one pass for
 every workload up to that many inputs).  Chunking changes memory use
 only, never results.
@@ -37,6 +51,8 @@ scalar walk over the cached tables instead of 1-row fancy indexing.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -46,10 +62,13 @@ from ..circuits.circuit import Circuit
 from ..exceptions import NotClassicalError, SchedulingError
 from ..qudits import Qudit
 from .kernels import (
+    ColumnKernel,
     PermutationKernel,
+    column_kernel,
     mixed_radix_weights,
     permutation_kernel,
 )
+from .state import StateVector, check_basis_values
 
 #: Auto-batching cap: rows advanced per vectorized pass.  A row is
 #: ``width`` int64 values, so 1 << 16 rows over width 14 is ~7 MB of
@@ -57,6 +76,18 @@ from .kernels import (
 #: enough to stay cache-friendly for the full-radix permutation vector
 #: of wide qutrit circuits.
 _AUTO_BATCH_ROWS = 1 << 16
+
+
+def _columns(op, column: dict) -> np.ndarray:
+    """``op``'s wires as read-only column indices of a walk's rows."""
+    for wire in op.qudits:
+        if wire not in column:
+            raise SchedulingError(
+                f"no input value provided for wire {wire}"
+            )
+    cols = np.array([column[w] for w in op.qudits], dtype=np.intp)
+    cols.setflags(write=False)
+    return cols
 
 
 @lru_cache(maxsize=128)
@@ -67,26 +98,107 @@ def _lowered_operations(
     column = {wire: k for k, wire in enumerate(wires)}
     lowered = []
     for op in circuit.all_operations():
-        for wire in op.qudits:
-            if wire not in column:
-                raise SchedulingError(
-                    f"no input value provided for wire {wire}"
-                )
+        cols = _columns(op, column)
         kernel = permutation_kernel(op)
         if not kernel.is_permutation:
             raise NotClassicalError(
                 f"gate {op.gate.name} is not a basis permutation"
             )
-        cols = np.array([column[w] for w in op.qudits], dtype=np.intp)
-        cols.setflags(write=False)
         lowered.append((cols, kernel))
     return tuple(lowered)
+
+
+@lru_cache(maxsize=128)
+def _lowered_moments(
+    circuit: Circuit, wires: tuple[Qudit, ...]
+) -> tuple[tuple[tuple, ...], ...]:
+    """The cached per-moment ``(columns, kernel)`` lowering of the
+    support walk: a permutation gate keeps its table kernel, any other
+    gate takes its :class:`~repro.sim.kernels.ColumnKernel`."""
+    column = {wire: k for k, wire in enumerate(wires)}
+    lowered = []
+    for moment in circuit:
+        steps = []
+        for op in moment:
+            kernel = permutation_kernel(op)
+            if not kernel.is_permutation:
+                kernel = column_kernel(op)
+            steps.append((_columns(op, column), kernel))
+        lowered.append(tuple(steps))
+    return tuple(lowered)
+
+
+@lru_cache(maxsize=64)
+def _digit_table(dims: tuple[int, ...]) -> np.ndarray:
+    """Row ``i``: the per-wire values of joint index ``i`` over ``dims``
+    (read-only: every caller shares it)."""
+    index = np.arange(math.prod(dims), dtype=np.int64)[:, None]
+    digits = (index // mixed_radix_weights(dims)) % np.array(dims)
+    digits.setflags(write=False)
+    return digits
+
+
+def _place(rows: np.ndarray, cols: np.ndarray, kernel, images) -> None:
+    """Write the joint indices ``images`` of ``kernel``'s wires onto
+    ``cols`` of ``rows``, in place."""
+    rows[:, cols] = _digit_table(kernel.dims)[images]
+
+
+def _fan_out(
+    rows: np.ndarray,
+    amplitudes: np.ndarray,
+    cols: np.ndarray,
+    kernel: ColumnKernel,
+    indices: np.ndarray,
+    register: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and amplitudes after a gate that is neither a permutation
+    nor diagonal: each row fans out over its column's entries, rows that
+    land on one basis state merge, and exact zeros (padding among them)
+    drop."""
+    rows = np.repeat(rows, kernel.entries.shape[1], axis=0)
+    _place(rows, cols, kernel, kernel.rows[indices].ravel())
+    amplitudes = (amplitudes[:, None] * kernel.entries[indices]).ravel()
+    keys = rows @ register
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    merged = np.add.reduceat(amplitudes[order], starts)
+    keep = np.flatnonzero(merged)
+    return rows[order[starts[keep]]], merged[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """A state over ``wires`` as its basis entries whose amplitude is
+    not exactly zero: flat joint indices in increasing order (first wire
+    most significant) and their amplitudes."""
+
+    wires: tuple[Qudit, ...]
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+    def to_state(
+        self, dtype: "np.dtype | type" = np.complex128
+    ) -> StateVector:
+        """The state in one register of ``dtype`` that the caller owns."""
+        tensor = np.zeros(
+            math.prod(w.dimension for w in self.wires), dtype=dtype
+        )
+        tensor[self.index] = self.amplitudes
+        state = StateVector(self.wires, tensor)
+        state._shared = False
+        return state
 
 
 class ClassicalSimulator:
     """Propagates basis states through permutation circuits, one
     assignment (``run``, ``run_values``) or whole batches at once
-    (``run_array``, ``truth_table``, ``permutation_vector``)."""
+    (``run_array``, ``truth_table``, ``permutation_vector``), and one
+    basis input through any circuit on its support (``run_support``)."""
 
     # ------------------------------------------------------------------
     # Lowering
@@ -165,12 +277,50 @@ class ClassicalSimulator:
             block = values[start : start + chunk]
             for cols, kernel in lowered:
                 indices = block[:, cols] @ kernel.weights
-                images = kernel.table[indices]
-                for k in range(len(cols)):
-                    block[:, cols[k]] = (
-                        images // kernel.weights[k]
-                    ) % kernel.dims[k]
+                _place(block, cols, kernel, kernel.table[indices])
         return values
+
+    def run_support(
+        self,
+        circuit: Circuit,
+        wires: Sequence[Qudit],
+        values: Sequence[int],
+        limit: float = math.inf,
+    ) -> tuple[Support, int]:
+        """The support of ``|values>`` after ``circuit``'s moments.
+
+        One row per basis entry, each with its amplitude (module
+        docstring).  The walk stops before the next moment once the
+        support holds more than ``limit`` entries; returns the support
+        and the number of moments walked (``circuit.depth`` when it
+        ran them all).  Any gate may occur; wires outside ``wires``
+        raise :class:`SchedulingError`, and ``values`` are checked as
+        :meth:`StateVector.computational_basis` checks them.
+        """
+        wires = tuple(wires)
+        check_basis_values(wires, values)
+        moments = _lowered_moments(circuit, wires)
+        register = mixed_radix_weights([w.dimension for w in wires])
+        rows = np.array([values], dtype=np.int64).reshape(1, len(wires))
+        amplitudes = np.ones(1, dtype=complex)
+        walked = 0
+        for moment in moments:
+            if amplitudes.size > limit:
+                break
+            walked += 1
+            for cols, kernel in moment:
+                indices = rows[:, cols] @ kernel.weights
+                if isinstance(kernel, PermutationKernel):
+                    _place(rows, cols, kernel, kernel.table[indices])
+                elif kernel.diagonal:
+                    amplitudes = amplitudes * kernel.entries[indices, 0]
+                else:
+                    rows, amplitudes = _fan_out(
+                        rows, amplitudes, cols, kernel, indices, register
+                    )
+        index = rows @ register
+        order = np.argsort(index)
+        return Support(wires, index[order], amplitudes[order]), walked
 
     def run(
         self, circuit: Circuit, assignment: Mapping[Qudit, int]

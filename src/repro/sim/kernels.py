@@ -93,6 +93,7 @@ import numpy as np
 
 from ..circuits.operation import GateOperation
 from ..exceptions import NotClassicalError
+from ..gates.base import values_to_index
 from ..gates.controlled import ControlledGate
 from ..gates.intern import (
     clear_interned_gates,
@@ -176,6 +177,30 @@ class PermutationKernel:
     def is_permutation(self) -> bool:
         """True iff the gate lowered to an actual lookup table."""
         return self.table is not None
+
+
+@dataclass(frozen=True)
+class ColumnKernel:
+    """One non-permutation gate's unitary by columns, for the basis-input
+    walk of :mod:`repro.sim.classical`.
+
+    Column ``c`` (a joint input index, as in :class:`PermutationKernel`)
+    has its nonzero entries at the joint output indices ``rows[c]``,
+    with values ``entries[c]``; narrower columns are padded with zero
+    entries up to the widest one.  A diagonal gate has one entry per
+    column, on the diagonal.
+    """
+
+    #: Wire dimensions, in gate order.
+    dims: tuple[int, ...]
+    #: Mixed-radix encode weights, as in :class:`PermutationKernel`.
+    weights: np.ndarray
+    #: ``(size, fan)`` output indices of each column's nonzero entries.
+    rows: np.ndarray
+    #: ``(size, fan)`` complex128 entries (zero where padded).
+    entries: np.ndarray
+    #: True iff every off-diagonal entry is exactly zero.
+    diagonal: bool
 
 
 def mixed_radix_weights(dims: Sequence[int]) -> np.ndarray:
@@ -278,6 +303,10 @@ _CONTROL_BLOCKS: dict[
 #: permutation" is cached too, so classicality checks of circuits full
 #: of non-classical gates stay cheap).
 _PERM_KERNELS: dict[int, PermutationKernel] = {}
+
+#: gate id -> ColumnKernel, for the non-permutation gates a basis-input
+#: walk met.
+_COLUMN_KERNELS: dict[int, ColumnKernel] = {}
 
 #: channel instance -> ChannelKernel.  Weak keys: cached factory channels
 #: live for the process anyway, ad-hoc channels can be collected.
@@ -525,6 +554,53 @@ def permutation_kernel(op: GateOperation) -> PermutationKernel:
             shifts.setflags(write=False)
         kernel = PermutationKernel(dims, table, weights, inverse, shifts)
         _PERM_KERNELS[gate_id] = kernel
+    return kernel
+
+
+def column_kernel(op: GateOperation) -> ColumnKernel:
+    """The cached column kernel for ``op``'s gate (built on first use).
+
+    The entries come from the matrix the gate-kernel cache holds; a
+    :class:`~repro.gates.controlled.ControlledGate` reads only its
+    sub-gate's block from the control-block cache and is the identity
+    on every other column, so no full controlled matrix is formed.
+    """
+    gate_id = spec_id(op.gate)
+    kernel = _COLUMN_KERNELS.get(gate_id)
+    if kernel is None:
+        gate = op.gate
+        dims = tuple(gate.dims)
+        size = math.prod(dims)
+        if isinstance(gate, ControlledGate):
+            block, _ = _control_block(gate, np.dtype(np.complex128))
+            width = math.prod(gate.sub_gate.dims)
+            low = width * values_to_index(
+                gate.control_values, gate.control_dims
+            )
+        else:
+            block, width, low = gate_kernel(op).block, size, 0
+        matrix = block.reshape(width, width)
+        nonzero = matrix != 0
+        fan = max(1, int(nonzero.sum(axis=0).max()))
+        # Each column's nonzero rows first, in row order.
+        order = np.argsort(~nonzero, axis=0, kind="stable")[:fan]
+        rows = np.repeat(np.arange(size, dtype=np.int64)[:, None], fan, 1)
+        entries = np.zeros((size, fan), dtype=complex)
+        entries[:, 0] = 1.0
+        rows[low : low + width] = low + order.T
+        entries[low : low + width] = np.take_along_axis(matrix, order, 0).T
+        for array in (rows, entries):
+            array.setflags(write=False)
+        weights = mixed_radix_weights(dims)
+        weights.setflags(write=False)
+        kernel = ColumnKernel(
+            dims,
+            weights,
+            rows,
+            entries,
+            fan == 1 and bool(np.all(rows[:, 0] == np.arange(size))),
+        )
+        _COLUMN_KERNELS[gate_id] = kernel
     return kernel
 
 
@@ -831,6 +907,7 @@ def clear_kernel_caches() -> None:
     _CONTROL_BLOCKS.clear()
     _CHANNEL_KERNELS.clear()
     _PERM_KERNELS.clear()
+    _COLUMN_KERNELS.clear()
     _PERM_GATHERS.clear()
     _SEGMENT_GATHERS.clear()
 
@@ -843,6 +920,7 @@ def kernel_cache_stats() -> dict[str, int]:
         "control_blocks": len(_CONTROL_BLOCKS),
         "channel_kernels": len(_CHANNEL_KERNELS),
         "permutation_kernels": len(_PERM_KERNELS),
+        "column_kernels": len(_COLUMN_KERNELS),
         "permutation_gathers": len(_PERM_GATHERS),
         "segment_gathers": len(_SEGMENT_GATHERS),
         "interned_gates": interned_gate_count(),

@@ -20,6 +20,13 @@ Both draw through :func:`_draw_flat_outcomes` (inverse-CDF sampling on
 because ``Generator.random`` consumes its stream sequentially, chunked
 draws concatenate to the unchunked draw: ``batch_size`` changes memory
 use only, never the counts.
+
+:func:`sample_counts` also samples a
+:class:`~repro.sim.classical.Support` (the final state of a basis-input
+run that ended on its support) without building its register: the
+draws search the cumulative distribution over the support's sorted
+indices, which is the register's at those indices, so a seed draws the
+same outcomes from either form of one state.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..qudits import Qudit
+from .classical import Support
 from .kernels import mixed_radix_weights
 from .state import StateVector
 
@@ -190,10 +198,22 @@ class MeasurementResult:
         return self.counts().most_common(k)
 
 
-def _flat_probabilities(state: StateVector) -> np.ndarray:
-    """Normalised float64 probabilities over the joint basis."""
-    probabilities = np.abs(state.vector.astype(np.complex128, copy=False)) ** 2
-    return probabilities / probabilities.sum()
+def _flat_distribution(
+    state: "StateVector | Support",
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The joint basis indices a state may land on (None: all of them,
+    in order) and their normalised float64 probabilities.
+
+    A :class:`~repro.sim.classical.Support` lists its indices in
+    increasing order, so its cumulative distribution is the register's
+    at those indices and one uniform draw lands on the same outcome.
+    """
+    if isinstance(state, Support):
+        index, amplitudes = state.index, state.amplitudes
+    else:
+        index, amplitudes = None, state.vector
+    probabilities = np.abs(amplitudes.astype(np.complex128, copy=False)) ** 2
+    return index, probabilities / probabilities.sum()
 
 
 def _draw_flat_outcomes(
@@ -222,7 +242,7 @@ def _resolve_rng(
 
 
 def _marginal_columns(
-    state: StateVector, wires: Sequence[Qudit] | None
+    state: "StateVector | Support", wires: Sequence[Qudit] | None
 ) -> tuple[list[Qudit], np.ndarray]:
     """Requested wires and their column positions in state order."""
     order = state.wires
@@ -252,7 +272,8 @@ def sample_state(
     rng = _resolve_rng(rng)
     wires, positions = _marginal_columns(state, wires)
     order = state.wires
-    cdf = np.cumsum(_flat_probabilities(state))
+    _, probabilities = _flat_distribution(state)
+    cdf = np.cumsum(probabilities)
     flat_outcomes = _draw_flat_outcomes(cdf, shots, rng)
     dims = np.array([w.dimension for w in order], dtype=np.int64)
     weights = mixed_radix_weights(dims)
@@ -261,7 +282,7 @@ def sample_state(
 
 
 def sample_counts(
-    state: StateVector,
+    state: "StateVector | Support",
     shots: int,
     rng: "int | np.random.Generator | None" = None,
     wires: Sequence[Qudit] | None = None,
@@ -286,7 +307,8 @@ def sample_counts(
     rng = _resolve_rng(rng)
     wires, positions = _marginal_columns(state, wires)
     order = state.wires
-    cdf = np.cumsum(_flat_probabilities(state))
+    support, probabilities = _flat_distribution(state)
+    cdf = np.cumsum(probabilities)
 
     chunk = (
         min(shots, _AUTO_SHOT_CHUNK)
@@ -298,6 +320,8 @@ def sample_counts(
     while drawn < shots:
         take = min(chunk, shots - drawn)
         flat = _draw_flat_outcomes(cdf, take, rng)
+        if support is not None:
+            flat = support[flat]
         distinct, multiplicity = np.unique(flat, return_counts=True)
         for index, count in zip(distinct, multiplicity):
             key = int(index)

@@ -38,6 +38,17 @@ from .kernels import (
 )
 
 
+def check_basis_values(wires: Sequence[Qudit], values: Sequence[int]) -> None:
+    """Raise unless ``values`` gives each of ``wires`` one level in range."""
+    if len(values) != len(wires):
+        raise DimensionMismatchError(
+            f"{len(wires)} wires but {len(values)} values"
+        )
+    for value, wire in zip(values, wires):
+        if not 0 <= value < wire.dimension:
+            raise ValueError(f"value {value} invalid for wire {wire}")
+
+
 class StateVector:
     """A pure state over an ordered list of wires.
 
@@ -102,15 +113,9 @@ class StateVector:
     ) -> "StateVector":
         """|values> on the given wires."""
         wires = list(wires)
-        if len(values) != len(wires):
-            raise DimensionMismatchError(
-                f"{len(wires)} wires but {len(values)} values"
-            )
+        check_basis_values(wires, values)
         shape = tuple(w.dimension for w in wires)
         tensor = np.zeros(shape, dtype=np.dtype(dtype))
-        for value, wire in zip(values, wires):
-            if not 0 <= value < wire.dimension:
-                raise ValueError(f"value {value} invalid for wire {wire}")
         tensor[tuple(values)] = 1.0
         state = cls(wires, tensor)
         state._shared = False

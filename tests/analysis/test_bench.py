@@ -395,8 +395,19 @@ class TestStateBench:
     def test_record_keys_join_smoke_to_full(self, state_report):
         assert [r["key"]["case"] for r in state_report["records"]] == [
             "fastpath", "sampling", "dtype", "fastpath_decomposed",
-            "oneoff_compiled",
+            "basis_support", "oneoff_compiled",
         ]
+
+    def test_basis_support_record_stays_on_the_support(self, state_report):
+        (record,) = [
+            r for r in state_report["records"]
+            if r["key"]["case"] == "basis_support"
+        ]
+        assert record["key"]["num_controls"] == 9
+        structural = record["structural"]
+        assert structural["moments_on_support"] == structural["moments"]
+        assert structural["handed_over"] == 0
+        assert record["recorded"]["parity_max_abs_diff"] <= 1e-12
 
     def test_oneoff_record_counts_the_compiled_circuits(self, state_report):
         record = state_report["records"][-1]
@@ -440,6 +451,55 @@ def test_paper_gate_fails_when_the_qutrit_tree_builds_the_qubit_cascade(
     assert any(f.startswith(f"{fig9}: QUTRIT.64 is ") for f in failures)
     assert any(f.startswith(f"{table1}: qutrit_tree.depth.64 is ")
                for f in failures)
+
+
+def test_paper_suite_runs_past_a_failing_case(
+    monkeypatch, tmp_path, capsys
+):
+    from repro.__main__ import main
+    from repro.analysis import bench
+
+    cases = ("paper_fig11", "paper_figures", "paper_table1", "paper_sec9",
+             "paper_ablations", "paper_apps", "paper_facade",
+             "paper_simulator")
+
+    def stub(name):
+        def case(*args):
+            return [{"key": {"claim": name}, "recorded": {},
+                     "structural": {"count": 1},
+                     "invariants": {"holds": True}}]
+        return case
+
+    for name in cases:
+        monkeypatch.setattr(bench, name, stub(name))
+    baseline = tmp_path / "BENCH_paper.json"
+    write_report(run_suite("paper", smoke=True), baseline)
+
+    def paper_sec9(*args):
+        raise RuntimeError("simulated case failure")
+
+    monkeypatch.setattr(bench, "paper_sec9", paper_sec9)
+    records = run_suite("paper", smoke=True)["records"]
+    claims = [r["key"]["claim"] for r in records]
+    assert claims == [
+        name if name != "paper_sec9" else "case_failed" for name in cases
+    ]
+    (failed,) = [r for r in records if r["key"]["claim"] == "case_failed"]
+    assert failed["key"]["case"] == "paper_sec9"
+    assert failed["invariants"] == {"case_ran": False}
+    assert "RuntimeError: simulated case failure" in (
+        failed["recorded"]["traceback"]
+    )
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as raised:
+        main(["bench", "--suite", "paper", "--smoke", "--out", "-",
+              "--check", str(baseline)])
+    assert raised.value.code == 1
+    out = capsys.readouterr().out
+    failures = out.split("paper regression check FAILED:")[1]
+    assert "claim=case_failed case=paper_sec9:" in failures
+    assert "case_ran=FAILED" in out
+    assert "claim=paper_apps" in out
 
 
 def test_suites_run_through_run_suite(monkeypatch):

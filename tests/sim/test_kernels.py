@@ -18,6 +18,7 @@ from repro.sim.kernels import (
     GatePlan,
     channel_kernel,
     clear_kernel_caches,
+    column_kernel,
     gate_kernel,
     kernel_cache_stats,
     permutation_gather,
@@ -122,6 +123,8 @@ class TestChannelKernels:
         controlled_h = ControlledGate(H, (2,)).on(*qubits(2))
         GatePlan((2, 2)).moment([(controlled_h, [0, 1])])
         assert kernel_cache_stats()["control_blocks"] == 1
+        column_kernel(controlled_h)
+        assert kernel_cache_stats()["column_kernels"] == 1
         clear_kernel_caches()
         stats = kernel_cache_stats()
         assert stats == {
@@ -129,6 +132,7 @@ class TestChannelKernels:
             "control_blocks": 0,
             "channel_kernels": 0,
             "permutation_kernels": 0,
+            "column_kernels": 0,
             "permutation_gathers": 0,
             "segment_gathers": 0,
             "interned_gates": 0,
@@ -226,6 +230,7 @@ class TestGatherCacheBound:
             "control_blocks",
             "channel_kernels",
             "permutation_kernels",
+            "column_kernels",
             "permutation_gathers",
             "segment_gathers",
             "interned_gates",

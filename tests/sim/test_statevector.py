@@ -325,7 +325,10 @@ class TestWideRegisters:
         from repro.sim.statevector import StateVectorSimulator
 
         clear_kernel_caches()
-        fast = StateVectorSimulator().run_basis(circuit, wires, values)
+        # A given initial state runs on the register's GatePlan from the
+        # first moment (basis values may start on the support).
+        initial = StateVector.computational_basis(wires, values)
+        fast = StateVectorSimulator().run(circuit, initial)
         stats = kernel_cache_stats()
         assert stats["permutation_gathers"] == 0
         assert stats["segment_gathers"] == 0
@@ -368,3 +371,23 @@ class TestWideRegisters:
         circuit, wires = self._tree(12)
         state = self._parity(circuit, wires, (1,) * 12 + (0,))
         assert np.isclose(state.probability_of((1,) * 13), 1.0)
+
+    @pytest.mark.slow
+    def test_paper_scale_tree_runs_on_the_support(self):
+        # The same run from basis values walks the support to the end;
+        # it agrees with the dense oracle to rounding, not bitwise.
+        from repro.sim.kernels import clear_kernel_caches, kernel_cache_stats
+        from repro.sim.statevector import StateVectorSimulator
+
+        circuit, wires = self._tree(12)
+        values = (1,) * 12 + (0,)
+        clear_kernel_caches()
+        walk = StateVectorSimulator().run_basis(circuit, wires, values)
+        stats = kernel_cache_stats()
+        assert stats["permutation_gathers"] == stats["segment_gathers"] == 0
+        assert stats["column_kernels"] > 0
+        dense = StateVectorSimulator(permutation_fast_path=False).run_basis(
+            circuit, wires, values
+        )
+        assert np.abs(walk.vector - dense.vector).max() <= 1e-12
+        assert np.isclose(walk.probability_of((1,) * 13), 1.0)
